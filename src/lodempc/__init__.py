@@ -24,7 +24,6 @@ from .controller import (
     run_closed_loop,
 )
 from .gpcore import (
-    DataPoint,
     Dataset,
     DatasetError,
     FactorizationError,

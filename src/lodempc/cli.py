@@ -32,7 +32,6 @@ from .controller import (
     run_closed_loop,
 )
 from .gpcore import (
-    DataPoint,
     Dataset,
     DatasetError,
     FactorizationError,
@@ -45,6 +44,7 @@ from .lodegp import (
     NonControllableSystemError,
     build_h,
     build_prior,
+    require_controllable,
 )
 from .plant import Plant
 from .polyalg import smith_normal_form, right_nullspace_columns
@@ -135,12 +135,10 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
     prior = build_prior(cfg.system, cfg.x_ref)
     ctrl = cfg.controller
     nz = prior.n_z
-    z0 = tuple(ctrl.x0) + tuple(ctrl.u0)
-    endpoints = Dataset.merged(
-        [
-            DataPoint(ctrl.t0, z0, (0.0,) * nz, role="init"),
-            DataPoint(ctrl.t_end, tuple(prior.prior_mean), (0.0,) * nz, role="virtual"),
-        ]
+    endpoints = Dataset(
+        [ctrl.t0, ctrl.t_end],
+        [ctrl.x0 + ctrl.u0, prior.prior_mean],
+        np.zeros((2, nz)),
     )
     hp = _resolve_hyperparams(prior, cfg, endpoints)
     gp = PosteriorGp(prior, endpoints, hp)
@@ -166,12 +164,7 @@ def cmd_algebra(cfg: ExperimentConfig) -> int:
     print(_indent(h.to_text()))
     print("D (Smith normal form) =")
     print(_indent(dec.D.to_text()))
-    nonconstant = [p for p in dec.invariant_factors() if p.degree >= 1]
-    if nonconstant:
-        factors = ", ".join(str(p) for p in nonconstant)
-        raise NonControllableSystemError(
-            f"system is not controllable: non-constant invariant factor(s): {factors}"
-        )
+    require_controllable(dec)
     null = right_nullspace_columns(h, dec)
     print("nullspace columns of H =")
     print(_indent(null.to_text()))

@@ -1,14 +1,20 @@
 """Model predictive control as GP inference.
 
-Each step conditions the ODE-consistent prior on a dataset assembled from
-four fragments over the stacked trajectory z = (x, u):
+Each step conditions the ODE-consistent prior on a :class:`Dataset`
+assembled from four fragments over the stacked trajectory z = (x, u):
 
 * the current observation (exact),
-* soft box-constraint points at all future grid times (value = box center,
-  noise from the box half-width),
+* soft box-constraint points at the grid times after now (value = box
+  center, noise from the box half-width),
 * up to ``m_p`` most recent past observations (exact),
-* optional virtual reference points at grid times past ``t_v`` (exact,
-  value = reference), which replace the soft points at the same times.
+* optional virtual reference points at the grid times after both now and
+  ``t_v`` (exact, value = reference); they take the place of the soft
+  points at those times.
+
+The controller runs on the ``dt`` lattice: step ``k`` is at time
+``t0 + k*dt``, the state records observations by step index, and
+:class:`ControllerConfig` maps each constraint grid time to its lattice
+index once, so "after now" is an integer comparison.
 
 The posterior mean of the control channels over the next interval is then
 applied to the plant.  Hyperparameters are chosen once, offline, on the
@@ -18,11 +24,12 @@ initial dataset, and stay frozen for the whole run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gpcore import DataPoint, Dataset, PosteriorGp
+from .gpcore import Dataset, PosteriorGp
 from .kernelops import Hyperparams
 from .lodegp import LodeGpPrior
 from .metrics import constraint_violation, control_error
@@ -44,8 +51,8 @@ __all__ = [
     "posterior_from_trajectory",
 ]
 
-#: Times are compared up to this tolerance; all controller times live on the
-#: dt lattice, so anything far below dt works.
+#: How far a configured time may sit off the dt lattice (constraint grid
+#: points) or above ``t_v`` (grid points counted as after ``t_v``).
 TIME_TOL = 1e-9
 
 #: State norm beyond which the closed loop is declared divergent.
@@ -110,12 +117,19 @@ class ControllerConfig:
             raise ValueError("subgrid_count must be >= 1")
         if any(b <= a for a, b in zip(self.constraint_grid, self.constraint_grid[1:])):
             raise ValueError("constraint grid times must be strictly increasing")
-        for t in self.constraint_grid:
-            k = (t - self.t0) / self.dt
-            if abs(k - round(k)) * self.dt > TIME_TOL:
-                raise ValueError(
-                    f"constraint grid time {t} does not lie on the dt lattice"
-                )
+        grid_t = np.array(self.constraint_grid, dtype=float)
+        grid_k = np.round((grid_t - self.t0) / self.dt)
+        off = np.abs((grid_t - self.t0) / self.dt - grid_k) * self.dt > TIME_TOL
+        if off.any():
+            raise ValueError(
+                f"constraint grid time {grid_t[off][0]} does not lie on the dt lattice"
+            )
+        # Derived once: each grid point's lattice index, and whether a
+        # virtual point (rather than a soft one) sits there.
+        t_v = math.inf if self.t_v is None else self.t_v + TIME_TOL
+        object.__setattr__(self, "_grid_t", grid_t)
+        object.__setattr__(self, "_grid_k", grid_k.astype(int))
+        object.__setattr__(self, "_grid_virtual", grid_t > t_v)
 
     @property
     def n_x(self) -> int:
@@ -139,19 +153,20 @@ class ControllerConfig:
 
 @dataclass
 class ControllerState:
-    """Observed history, most recent last.  The final entry is the current
-    observation; earlier entries feed the past-data fragment."""
+    """Observed history by lattice step index, most recent last.  The final
+    entry is the current observation; earlier entries feed the past-data
+    fragment."""
 
-    history_t: list = field(default_factory=list)
+    history_k: list = field(default_factory=list)
     history_z: list = field(default_factory=list)
 
-    def observe(self, t: float, z) -> None:
-        self.history_t.append(float(t))
+    def observe(self, k: int, z) -> None:
+        self.history_k.append(operator.index(k))
         self.history_z.append(np.asarray(z, dtype=float))
 
     @property
-    def t_now(self) -> float:
-        return self.history_t[-1]
+    def k_now(self) -> int:
+        return self.history_k[-1]
 
     @property
     def z_now(self) -> np.ndarray:
@@ -169,72 +184,63 @@ class StepDiagnostics:
     std_next: np.ndarray
 
 
-def make_d_init(t: float, z) -> list[DataPoint]:
-    """The current observation as an exact constraint.  ``None`` entries in
-    z mask the corresponding channel."""
-    values = tuple(None if v is None else float(v) for v in z)
-    return [DataPoint(t, values, (0.0,) * len(values), role="init")]
+def _rows(times, row, noise) -> Dataset:
+    """One dataset row per time, all with the same values and noise."""
+    n = len(times)
+    return Dataset(times, np.tile(row, (n, 1)), np.tile(noise, (n, 1)))
 
 
-def make_d_con(cfg: ControllerConfig, t_now: float) -> list[DataPoint]:
-    """Soft box-constraint points at every grid time strictly after t_now:
-    value = box center, noise from the half-width (squared unless the config
-    says the half-width already is a variance).  Zero-width channels become
-    exact constraints."""
-    center = tuple(
-        0.5 * (hi + lo) for lo, hi in zip(cfg.z_min, cfg.z_max)
-    )
-    half = [0.5 * (hi - lo) for lo, hi in zip(cfg.z_min, cfg.z_max)]
-    var = tuple(h if cfg.constraint_noise_is_variance else h * h for h in half)
-    return [
-        DataPoint(t, center, var, role="constraint")
-        for t in cfg.constraint_grid
-        if t > t_now + TIME_TOL
-    ]
+def make_d_init(t: float, z) -> Dataset:
+    """The current observation as an exact constraint.  NaN (or ``None``)
+    entries in z mask the corresponding channel."""
+    z = np.asarray(z, dtype=float)
+    return _rows([t], z, np.zeros(z.size))
 
 
-def make_d_past(state: ControllerState, m_p: int) -> list[DataPoint]:
-    """Up to m_p most recent observations strictly before now, exact."""
-    if m_p == 0 or len(state.history_t) <= 1:
-        return []
-    ts = state.history_t[:-1][-m_p:]
-    zs = state.history_z[:-1][-m_p:]
-    return [
-        DataPoint(t, tuple(z), (0.0,) * z.size, role="past") for t, z in zip(ts, zs)
-    ]
+def make_d_con(cfg: ControllerConfig, k_now: int) -> Dataset:
+    """Soft box-constraint points at every grid time after step k_now that
+    no virtual point takes: value = box center, noise from the half-width
+    (squared unless the config says the half-width already is a variance).
+    Zero-width channels become exact constraints."""
+    lo, hi = np.array(cfg.z_min), np.array(cfg.z_max)
+    half = 0.5 * (hi - lo)
+    var = half if cfg.constraint_noise_is_variance else half * half
+    take = (cfg._grid_k > k_now) & ~cfg._grid_virtual
+    return _rows(cfg._grid_t[take], 0.5 * (hi + lo), var)
 
 
-def make_d_v(cfg: ControllerConfig, t_now: float, z_ref) -> list[DataPoint]:
-    """Virtual exact reference points at grid times strictly after both
-    t_now and t_v; empty when t_v is unset."""
-    if cfg.t_v is None:
-        return []
-    cutoff = max(cfg.t_v, t_now)
-    z_ref = tuple(float(v) for v in z_ref)
-    return [
-        DataPoint(t, z_ref, (0.0,) * len(z_ref), role="virtual")
-        for t in cfg.constraint_grid
-        if t > cutoff + TIME_TOL
-    ]
+def make_d_past(cfg: ControllerConfig, state: ControllerState) -> Dataset:
+    """Up to m_p most recent observations before the current one, exact."""
+    n = min(cfg.m_p, len(state.history_k) - 1)
+    times = [cfg.grid_time(k) for k in state.history_k[-1 - n : -1]]
+    zs = np.array(state.history_z[-1 - n : -1]).reshape(n, cfg.n_z)
+    return Dataset(times, zs, np.zeros(zs.shape))
+
+
+def make_d_v(cfg: ControllerConfig, k_now: int, z_ref) -> Dataset:
+    """Virtual exact reference points at grid times after both step k_now
+    and t_v; empty when t_v is unset."""
+    z_ref = np.asarray(z_ref, dtype=float)
+    take = (cfg._grid_k > k_now) & cfg._grid_virtual
+    return _rows(cfg._grid_t[take], z_ref, np.zeros(z_ref.size))
 
 
 def build_step_dataset(
     prior: LodeGpPrior, state: ControllerState, cfg: ControllerConfig
 ) -> Dataset:
-    """Assemble the conditioning dataset for the current step.  Virtual
-    points replace soft constraint points at the same times."""
-    d_init = make_d_init(state.t_now, state.z_now)
-    d_con = make_d_con(cfg, state.t_now)
-    d_past = make_d_past(state, cfg.m_p)
-    d_v = make_d_v(cfg, state.t_now, prior.prior_mean)
-    if d_v:
-        virtual_times = {p.t for p in d_v}
-        d_con = [
-            p
-            for p in d_con
-            if not any(abs(p.t - tv) <= TIME_TOL for tv in virtual_times)
-        ]
-    return Dataset.merged(d_init, d_con, d_past, d_v)
+    """Assemble the conditioning dataset for the current step."""
+    k_now = state.k_now
+    parts = (
+        make_d_init(cfg.grid_time(k_now), state.z_now),
+        make_d_con(cfg, k_now),
+        make_d_past(cfg, state),
+        make_d_v(cfg, k_now, prior.prior_mean),
+    )
+    return Dataset(
+        np.concatenate([p.t for p in parts]),
+        np.concatenate([p.values for p in parts]),
+        np.concatenate([p.noise_var for p in parts]),
+    )
 
 
 def initial_dataset(
@@ -251,11 +257,10 @@ def initial_dataset(
     dataset fragments the controller uses online.
     """
     state = ControllerState()
-    state.observe(cfg.t0, np.concatenate([cfg.x0, cfg.u0]))
-    if include_virtual or cfg.t_v is None:
-        return build_step_dataset(prior, state, cfg)
-    no_v = replace(cfg, t_v=None)
-    return build_step_dataset(prior, state, no_v)
+    state.observe(0, np.concatenate([cfg.x0, cfg.u0]))
+    if not include_virtual:
+        cfg = replace(cfg, t_v=None)
+    return build_step_dataset(prior, state, cfg)
 
 
 def mpc_step(
@@ -268,7 +273,7 @@ def mpc_step(
     interval [t_now, t_now + dt]."""
     dataset = build_step_dataset(prior, state, cfg)
     gp = PosteriorGp(prior, dataset, hp)
-    t_now = state.t_now
+    t_now = cfg.grid_time(state.k_now)
     t_next = t_now + cfg.dt
     n_x = cfg.n_x
 
@@ -309,6 +314,9 @@ def run_closed_loop(
         raise ValueError("plant dimensions do not match the prior's system")
     n_steps = cfg.n_steps
     n_x, n_u, n_z = cfg.n_x, cfg.n_u, cfg.n_z
+    # At least ten RK4 substeps per interval, each inside one knot interval
+    # of a piecewise-linear input: RK4 loses its order across a knot kink.
+    substeps = -(-10 // cfg.subgrid_count) * cfg.subgrid_count
 
     times = np.array([cfg.grid_time(i) for i in range(n_steps + 1)])
     states = np.zeros((n_steps + 1, n_x))
@@ -321,7 +329,7 @@ def run_closed_loop(
     controls[0] = u
 
     state = ControllerState()
-    state.observe(times[0], np.concatenate([x, u]))
+    state.observe(0, np.concatenate([x, u]))
 
     if n_steps == 0:
         stds[0] = PosteriorGp(prior, Dataset(), hp).std(times[:1])[0]
@@ -331,7 +339,7 @@ def run_closed_loop(
             stds[0] = diag.posterior.std(times[:1])[0]
         if step_hook is not None:
             step_hook(state, signal, diag)
-        x = plant.advance(x, signal, times[i], cfg.dt, substeps=10)
+        x = plant.advance(x, signal, times[i], cfg.dt, substeps=substeps)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(
                 f"state norm {np.linalg.norm(x):.3e} at t={times[i + 1]:.6g} "
@@ -341,7 +349,7 @@ def run_closed_loop(
         states[i + 1] = x
         controls[i + 1] = u
         stds[i + 1] = diag.std_next
-        state.observe(times[i + 1], np.concatenate([x, u]))
+        state.observe(i + 1, np.concatenate([x, u]))
 
     traj = Trajectory(times=times, states=states, controls=controls, stds=stds)
     traj.constraint_error = constraint_violation(traj, cfg.z_min, cfg.z_max)
@@ -355,9 +363,5 @@ def posterior_from_trajectory(
     """Condition the prior on a run's recorded (t, z) samples as exact
     constraints: the GP's smooth, ODE-consistent reconstruction of the
     executed trajectory."""
-    z = traj.z
-    points = [
-        DataPoint(traj.times[i], tuple(z[i]), (0.0,) * z.shape[1], role="past")
-        for i in range(0, traj.times.size, stride)
-    ]
-    return PosteriorGp(prior, Dataset(tuple(points)), hp)
+    z = traj.z[::stride]
+    return PosteriorGp(prior, Dataset(traj.times[::stride], z, np.zeros(z.shape)), hp)

@@ -1,15 +1,18 @@
 """Gaussian-process conditioning on heteroscedastic, per-channel-maskable
 observations of the stacked trajectory z = (x, u).
 
-Exact (noise-free) constraints are realized by substituting a small jitter
-variance on the noise diagonal; Cholesky factorization escalates that jitter
-multiplicatively when the Gram matrix is numerically indefinite and errors
-out past a hard cap rather than silently repairing.  Hyperparameters are
-chosen by a deterministic multi-start simplex descent from a fixed probe
-grid, so repeated runs are bit-identical.
+A :class:`Dataset` is three arrays over N rows and n_z channels: times
+``t``, ``values`` with NaN marking a masked channel, and ``noise_var`` with
+0 marking an exact constraint.  Exact constraints are realized by
+substituting a small jitter variance on the noise diagonal; Cholesky
+factorization escalates that jitter multiplicatively when the Gram matrix
+is numerically indefinite and errors out past a hard cap rather than
+silently repairing.  Hyperparameters are chosen by a deterministic
+multi-start simplex descent from a fixed probe grid, so repeated runs are
+bit-identical.
 
-Index convention for Gram matrices: (point, channel) pairs, point-major,
-masked channels skipped entirely.
+Index convention for Gram matrices: the observed (row, channel) slots of
+the dataset, row-major (``Dataset.slots``); masked slots are skipped.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -26,7 +30,6 @@ from .kernelops import Hyperparams
 from .lodegp import LodeGpPrior
 
 __all__ = [
-    "DataPoint",
     "Dataset",
     "DatasetError",
     "FactorizationError",
@@ -48,154 +51,103 @@ DEFAULT_HYPERPARAM_BOUNDS = {
 
 
 class DatasetError(ValueError):
-    """Inconsistent dataset construction (conflicting duplicate values, ...)."""
+    """Malformed dataset: bad shapes, non-finite entries, or one (time,
+    channel) slot observed twice with different value or noise."""
 
 
 class FactorizationError(RuntimeError):
     """Cholesky failed even after jitter escalation up to the cap."""
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """One (time, value, noise) record.
-
-    ``values[c] is None`` masks channel c: it contributes nothing to the
-    Gram matrix.  ``noise_var[c] == 0`` marks an exact constraint (realized
-    as jitter).  ``role`` is a provenance tag (init/constraint/past/virtual)
-    used for bookkeeping and debug output only.
-    """
-
-    t: float
-    values: tuple
-    noise_var: tuple
-    role: str = "obs"
-
-    def __post_init__(self) -> None:
-        values = tuple(None if v is None else float(v) for v in self.values)
-        noise = tuple(float(s) for s in self.noise_var)
-        if len(values) != len(noise):
-            raise ValueError("values and noise_var must have equal length")
-        for c, (v, s) in enumerate(zip(values, noise)):
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"non-finite value in channel {c}")
-            if not math.isfinite(s) or s < 0:
-                raise ValueError(f"noise variance must be finite and >= 0 (channel {c})")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "noise_var", noise)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.values)
-
-    @property
-    def unmasked(self) -> tuple[int, ...]:
-        return tuple(c for c, v in enumerate(self.values) if v is not None)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Time-sorted collection of DataPoints over a fixed channel layout.
+    """Observations of z = (x, u): ``t`` (N,), ``values`` (N, n_z) and
+    ``noise_var`` (N, n_z), rows stably sorted by time.
 
-    Plain construction sorts (stably) by time but performs no merging, so
-    degenerate duplicates are representable; :meth:`merged` combines
-    fragments, fusing points at equal times with disjoint masks and
-    rejecting conflicting duplicate values.
+    ``values`` NaN masks a channel: that slot contributes nothing to the
+    Gram matrix.  ``noise_var`` 0 marks an exact constraint (realized as
+    jitter).  Rows at equal times are kept as given, also identical ones;
+    a slot observed twice with a different value or noise is rejected.
     """
 
-    points: tuple[DataPoint, ...] = ()
+    t: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    noise_var: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted(self.points, key=lambda p: p.t))
-        if pts:
-            nz = pts[0].n_channels
-            if any(p.n_channels != nz for p in pts):
-                raise DatasetError("all points must share the channel layout")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def merged(cls, *fragments) -> "Dataset":
-        flat: list[DataPoint] = [p for frag in fragments for p in frag]
-        flat.sort(key=lambda p: p.t)
-        out: list[DataPoint] = []
-        for p in flat:
-            if out and out[-1].t == p.t:
-                out[-1] = _merge_pair(out[-1], p)
-            else:
-                out.append(p)
-        return cls(tuple(out))
+        t = np.asarray(self.t, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        noise = np.asarray(self.noise_var, dtype=float)
+        if values.ndim != 2 or values.shape != noise.shape or t.shape != values.shape[:1]:
+            raise DatasetError(
+                f"need t (N,) and values, noise_var (N, n_z); got shapes "
+                f"{t.shape}, {values.shape}, {noise.shape}"
+            )
+        if not np.all(np.isfinite(t)):
+            raise DatasetError("times must be finite")
+        if np.any(np.isinf(values)):
+            raise DatasetError("values must be finite or NaN (masked)")
+        if not np.all(np.isfinite(noise) & (noise >= 0)):
+            raise DatasetError("noise variances must be finite and >= 0")
+        order = np.argsort(t, kind="stable")
+        t, values, noise = t[order], values[order], noise[order]
+        _reject_conflicts(t, values, noise)
+        for name, arr in (("t", t), ("values", values), ("noise_var", noise)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
+        return self.t.size
 
     @property
     def n_channels(self) -> int:
-        return self.points[0].n_channels if self.points else 0
+        return self.values.shape[1]
 
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-
-def _merge_pair(a: DataPoint, b: DataPoint) -> DataPoint:
-    values = list(a.values)
-    noise = list(a.noise_var)
-    for c, v in enumerate(b.values):
-        if v is None:
-            continue
-        if values[c] is None:
-            values[c] = v
-            noise[c] = b.noise_var[c]
-        elif values[c] != v or noise[c] != b.noise_var[c]:
-            raise DatasetError(
-                f"conflicting duplicate at t={a.t} channel {c}: "
-                f"({values[c]}, var {noise[c]}) vs ({v}, var {b.noise_var[c]})"
-            )
-    return DataPoint(a.t, tuple(values), tuple(noise), role=a.role)
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """Flat row-major indices of the observed (row, channel) slots."""
+        return np.flatnonzero(~np.isnan(self.values))
 
 
-def _flat_index(points, nz: int):
-    """Flat (point-major) indices of unmasked (point, channel) slots."""
-    sel = []
-    channels = []
-    for q, p in enumerate(points):
-        for c in p.unmasked:
-            sel.append(q * nz + c)
-            channels.append(c)
-    return np.asarray(sel, dtype=int), np.asarray(channels, dtype=int)
+def _reject_conflicts(t, values, noise) -> None:
+    """Raise DatasetError if a channel is observed twice at one time with a
+    different value or noise.  Rows are sorted by time, so per channel the
+    observations of one time are adjacent."""
+    if not np.any(t[1:] == t[:-1]):
+        return
+    chan, row = np.nonzero(~np.isnan(values).T)
+    c, r0, r1 = chan[:-1], row[:-1], row[1:]
+    same_slot = (c == chan[1:]) & (t[r0] == t[r1])
+    differ = (values[r0, c] != values[r1, c]) | (noise[r0, c] != noise[r1, c])
+    bad = np.flatnonzero(same_slot & differ)
+    if bad.size:
+        k, c = bad[0], c[bad[0]]
+        r, s = r0[k], r1[k]
+        raise DatasetError(
+            f"conflicting duplicate at t={t[r]} channel {c}: "
+            f"({values[r, c]}, var {noise[r, c]}) vs ({values[s, c]}, var {noise[s, c]})"
+        )
 
 
 def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams):
-    """Gram matrix over unmasked (point, channel) slots plus the noise
-    diagonal (zeros replaced by jitter), and the residual z - prior_mean.
+    """Gram matrix over the observed slots plus the noise diagonal (zeros
+    replaced by jitter), and the residual z - prior_mean.
 
     Returns (gram, residual)."""
-    if data.is_empty:
+    if not len(data):
         raise ValueError("cannot assemble a Gram matrix from an empty dataset")
     if data.n_channels != prior.n_z:
         raise ValueError(
             f"dataset has {data.n_channels} channels, prior expects {prior.n_z}"
         )
-    nz = prior.n_z
-    times = data.times()
-    sel, channels = _flat_index(data.points, nz)
+    sel = data.slots
     if sel.size == 0:
         raise ValueError("dataset has no unmasked entries")
-    full = prior.kernel.joint_matrix(times, times, hp)
+    full = prior.kernel.joint_matrix(data.t, data.t, hp)
     gram = full[np.ix_(sel, sel)]
-    noise = np.array(
-        [
-            p.noise_var[c] if p.noise_var[c] > 0 else hp.jitter
-            for p in data.points
-            for c in p.unmasked
-        ]
-    )
-    gram = gram + np.diag(noise)
-    values = np.array([p.values[c] for p in data.points for c in p.unmasked])
-    residual = values - prior.prior_mean[channels]
+    noise = data.noise_var.ravel()[sel]
+    gram[np.diag_indices(sel.size)] += np.where(noise > 0, noise, hp.jitter)
+    residual = data.values.ravel()[sel] - prior.prior_mean[sel % prior.n_z]
     return gram, residual
 
 
@@ -221,7 +173,8 @@ class PosteriorGp:
 
     An empty dataset is allowed and reproduces the prior, which doubles as
     the sampling path for unconditioned processes.  Queries always return
-    every channel, regardless of training masks.
+    every channel, regardless of training masks.  ``jitter_boost`` is the
+    diagonal boost the factorization needed (0.0 for none or no data).
     """
 
     def __init__(self, prior: LodeGpPrior, data: Dataset, hp: Hyperparams):
@@ -229,19 +182,14 @@ class PosteriorGp:
         self.data = data
         self.hp = hp
         self._nz = prior.n_z
-        if data.is_empty:
+        if not len(data):
             self._cho = None
+            self.jitter_boost = 0.0
             self._alpha = np.zeros(0)
-            self._sel = np.zeros(0, dtype=int)
-            self._train_times = np.zeros(0)
         else:
             gram, residual = assemble_gram(prior, data, hp)
             self._cho, self.jitter_boost = _cho_with_escalation(gram, hp.jitter)
             self._alpha = cho_solve(self._cho, residual)
-            self._sel, _ = _flat_index(data.points, self._nz)
-            self._train_times = data.times()
-            self._gram = gram
-            self._residual = residual
 
     @property
     def representer_weights(self) -> np.ndarray:
@@ -251,8 +199,8 @@ class PosteriorGp:
     def _cross(self, t_query: np.ndarray) -> np.ndarray:
         """Kernel between query slots (rows, all channels) and training
         slots (columns, unmasked only)."""
-        full = self.prior.kernel.joint_matrix(t_query, self._train_times, self.hp)
-        return full[:, self._sel]
+        full = self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp)
+        return full[:, self.data.slots]
 
     def mean(self, t_query) -> np.ndarray:
         """Posterior mean, shape (len(t_query), n_z)."""

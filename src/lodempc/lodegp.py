@@ -33,6 +33,7 @@ __all__ = [
     "InfeasibleReferenceError",
     "build_h",
     "controllability_check",
+    "require_controllable",
     "steady_state_input",
     "build_prior",
 ]
@@ -144,6 +145,17 @@ def _nonconstant_factors(dec: SmithDecomposition) -> list[Poly]:
     return [p for p in dec.invariant_factors() if p.degree >= 1]
 
 
+def require_controllable(dec: SmithDecomposition) -> None:
+    """Raise NonControllableSystemError naming every non-constant invariant
+    factor of the Smith decomposition of [A - d*I | B]."""
+    bad = _nonconstant_factors(dec)
+    if bad:
+        factors = ", ".join(str(p) for p in bad)
+        raise NonControllableSystemError(
+            f"system is not controllable: non-constant invariant factor(s): {factors}"
+        )
+
+
 def controllability_check(system: LinearSystem) -> bool:
     """True iff every invariant factor of [A - d*I | B] is a nonzero constant
     (after monic normalization: equal to one)."""
@@ -178,12 +190,7 @@ def build_prior(system: LinearSystem, x_ref) -> LodeGpPrior:
     operator kernel, and the constant reference mean."""
     h = build_h(system)
     dec = smith_normal_form(h)
-    bad = _nonconstant_factors(dec)
-    if bad:
-        factors = ", ".join(str(p) for p in bad)
-        raise NonControllableSystemError(
-            f"system is not controllable: non-constant invariant factor(s): {factors}"
-        )
+    require_controllable(dec)
     v_cols = right_nullspace_columns(h, dec)
     kernel = build_operator_kernel(v_cols)
     u_ref = steady_state_input(system, x_ref)

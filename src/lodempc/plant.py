@@ -117,7 +117,8 @@ class Plant:
 
     def advance(self, x, signal: ControlSignal, t: float, h: float, substeps: int = 10) -> np.ndarray:
         """Integrate over [t, t+h]: exactly for constant signals, RK4 on
-        h/substeps otherwise."""
+        h/substeps otherwise (RK4 keeps its order only on substeps that lie
+        inside one knot interval)."""
         if signal.kind == "constant":
             return step_exact(self.A, self.B, x, signal.value(t), h)
         x = np.asarray(x, dtype=float)
@@ -125,16 +126,6 @@ class Plant:
         for k in range(substeps):
             x = step_rk4(self.A, self.B, x, signal, t + k * sub, sub)
         return x
-
-    def simulate(self, x0, signal: ControlSignal, t0: float, t1: float, steps: int) -> np.ndarray:
-        """RK4 trajectory on a uniform grid; returns states of shape
-        (steps+1, n_x) including the initial state."""
-        h = (t1 - t0) / steps
-        out = np.empty((steps + 1, self.n_x))
-        out[0] = np.asarray(x0, dtype=float)
-        for k in range(steps):
-            out[k + 1] = step_rk4(self.A, self.B, out[k], signal, t0 + k * h, h)
-        return out
 
 
 @dataclass

@@ -20,7 +20,6 @@ from lodempc.controller import (
     run_closed_loop,
 )
 from lodempc.gpcore import (
-    DataPoint,
     Dataset,
     PosteriorGp,
     assemble_gram,
@@ -129,7 +128,7 @@ def test_criterion_3_posterior_mean_reverts_far_from_data():
     prior = build_prior(BENCH, [0.0, 0.0])
     hp = Hyperparams(signal_variance=1.0, lengthscale_sq=1.0)
     z0 = (0.5, -0.3, 0.8)
-    post = PosteriorGp(prior, Dataset((DataPoint(0.0, z0, (0.0,) * 3),)), hp)
+    post = PosteriorGp(prior, Dataset([0.0], [z0], np.zeros((1, 3))), hp)
     scale = float(np.max(np.abs(np.asarray(z0) - prior.prior_mean)))
 
     def deviation(dist: float) -> float:
@@ -160,21 +159,17 @@ def test_criterion_4_representer_weights_match_dense_solve():
             lengthscale_sq=float(rng.uniform(0.3, 2.5)),
         )
         n = int(rng.integers(2, 41))
-        points = []
-        for t in np.sort(rng.uniform(0.0, 8.0, n)):
-            values = rng.normal(0.0, 1.0, 3)
-            noise = rng.uniform(0.01, 0.5, 3)
+        times = np.sort(rng.uniform(0.0, 8.0, n))
+        values, noise = np.empty((n, 3)), np.empty((n, 3))
+        for k in range(n):
+            values[k] = rng.normal(0.0, 1.0, 3)
+            noise[k] = rng.uniform(0.01, 0.5, 3)
             mask = rng.random(3) < 0.2
             if mask.all():
                 mask[rng.integers(3)] = False
-            points.append(
-                DataPoint(
-                    float(t),
-                    tuple(None if mask[c] else float(values[c]) for c in range(3)),
-                    tuple(0.0 if mask[c] else float(noise[c]) for c in range(3)),
-                )
-            )
-        ds = Dataset(tuple(points))
+            values[k, mask] = np.nan
+            noise[k, mask] = 0.0
+        ds = Dataset(times, values, noise)
         gp = PosteriorGp(prior, ds, hp)
         gram, residual = assemble_gram(prior, ds, hp)
         direct = np.linalg.solve(gram, residual)
@@ -215,11 +210,11 @@ def test_criterion_6_closed_loop_regulates_the_unstable_plant(bundled_runs):
         if finals[name] > 0.15:
             problems.append(f"{name}: |x(10)| = {finals[name]:.4f} > 0.15")
 
-    plant = Plant(BENCH.A, BENCH.B)
-    free = plant.simulate([1.0, 0.0], ControlSignal.constant(0.0, [0.0]), 0.0, 4.0, 400)
+    grid = np.linspace(0.0, 4.0, 401)
+    free = [step_exact(BENCH.A, BENCH.B, [1.0, 0.0], [0.0], t) for t in grid]
     norms = np.linalg.norm(free, axis=1)
     crossed = norms > 100.0
-    t_cross = float(np.linspace(0.0, 4.0, 401)[np.argmax(crossed)]) if crossed.any() else np.inf
+    t_cross = float(grid[np.argmax(crossed)]) if crossed.any() else np.inf
     if not (crossed.any() and t_cross < 4.0):
         problems.append(f"uncontrolled plant never exceeds 100 before t=4 (max {norms.max():.1f})")
     detail = ", ".join(f"{n}: |x(10)|={finals[n]:.4f}" for n in RUN_NAMES)
@@ -233,16 +228,13 @@ def test_criterion_7_gp_numerics_suite():
 
     # Gram symmetry (bit-exact) and PSD slack
     rng = np.random.default_rng(5)
-    points = tuple(
-        DataPoint(
-            float(t),
-            tuple(float(v) for v in rng.normal(0.0, 1.0, 3)),
-            tuple(float(s) for s in rng.uniform(0.01, 0.4, 3)),
-        )
-        for t in np.sort(rng.uniform(0.0, 6.0, 12))
-    )
+    times = np.sort(rng.uniform(0.0, 6.0, 12))
+    values, noise = np.empty((12, 3)), np.empty((12, 3))
+    for k in range(12):
+        values[k] = rng.normal(0.0, 1.0, 3)
+        noise[k] = rng.uniform(0.01, 0.4, 3)
     hp = Hyperparams(signal_variance=0.9, lengthscale_sq=1.2)
-    gram, _ = assemble_gram(prior, Dataset(points), hp)
+    gram, _ = assemble_gram(prior, Dataset(times, values, noise), hp)
     if not np.array_equal(gram, gram.T):
         problems.append("Gram not bit-exact symmetric")
     eigs = np.linalg.eigvalsh(gram)
@@ -254,22 +246,15 @@ def test_criterion_7_gp_numerics_suite():
     hp_i = Hyperparams(signal_variance=0.8, lengthscale_sq=1.3)
     draw_hp = Hyperparams(signal_variance=0.8, lengthscale_sq=1.3, jitter=1e-12)
     want = PosteriorGp(prior, Dataset(), draw_hp).sample(times, 1, seed=9)[0]
-    ds = Dataset(
-        tuple(
-            DataPoint(float(t), tuple(float(v) for v in z), (0.0,) * 3)
-            for t, z in zip(times, want)
-        )
-    )
+    ds = Dataset(times, want, np.zeros(want.shape))
     interp_err = float(np.max(np.abs(PosteriorGp(prior, ds, hp_i).mean(times) - want)))
     if interp_err > 1e-5:
         problems.append(f"hard interpolation error {interp_err:.2e} > 1e-5")
 
     # equilibrium invariance: observing the prior mean changes nothing
     eq_prior = build_prior(BENCH, [1.0, 0.0])
-    mean_pts = tuple(
-        DataPoint(float(t), tuple(eq_prior.prior_mean), (0.0,) * 3) for t in (0.0, 1.0, 3.0)
-    )
-    eq_post = PosteriorGp(eq_prior, Dataset(mean_pts), hp)
+    mean_pts = Dataset([0.0, 1.0, 3.0], np.tile(eq_prior.prior_mean, (3, 1)), np.zeros((3, 3)))
+    eq_post = PosteriorGp(eq_prior, mean_pts, hp)
     query = np.linspace(-1.0, 5.0, 31)
     eq_dev = float(np.max(np.abs(eq_post.mean(query) - eq_prior.prior_mean)))
     if eq_dev > 1e-12:
@@ -279,7 +264,7 @@ def test_criterion_7_gp_numerics_suite():
     integ = build_prior(LinearSystem(A=[[0.0]], B=[[1.0]]), [0.0])
     mll = log_marginal_likelihood(
         integ,
-        Dataset((DataPoint(0.0, (1.0, None), (0.5, 0.0)),)),
+        Dataset([0.0], [[1.0, np.nan]], [[0.5, 0.0]]),
         Hyperparams(signal_variance=0.5, lengthscale_sq=1.0),
     )
     if abs(mll - (-0.5)) > 1e-12:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from lodempc.controller import (
     ControllerConfig,
@@ -17,10 +18,9 @@ from lodempc.controller import (
     posterior_from_trajectory,
     run_closed_loop,
 )
-from lodempc.gpcore import Dataset
 from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_prior
-from lodempc.plant import Plant
+from lodempc.plant import Plant, step_exact
 
 
 def make_cfg(**overrides):
@@ -83,95 +83,99 @@ def test_config_accepts_degenerate_horizon():
 
 
 def test_d_init_is_single_exact_point():
-    pts = make_d_init(0.5, (1.0, None, 2.0))
-    assert len(pts) == 1
-    p = pts[0]
-    assert p.t == 0.5 and p.role == "init"
-    assert p.values == (1.0, None, 2.0)
-    assert p.noise_var == (0.0, 0.0, 0.0)
+    ds = make_d_init(0.5, (1.0, None, 2.0))
+    assert len(ds) == 1
+    assert ds.t.tolist() == [0.5]
+    np.testing.assert_array_equal(ds.values, [[1.0, np.nan, 2.0]])
+    np.testing.assert_array_equal(ds.noise_var, [[0.0, 0.0, 0.0]])
 
 
 def test_d_con_future_only_with_box_statistics():
     cfg = make_cfg()
-    pts = make_d_con(cfg, t_now=1.55)
-    # grid times strictly after 1.55: 1.6 .. 2.0
-    assert [p.t for p in pts] == pytest.approx([1.6, 1.7, 1.8, 1.9, 2.0])
-    p = pts[0]
-    assert p.values == (0.0, 0.0, 0.0)  # box centers
-    assert p.noise_var == (1.0, 1.0, 2.5**2)  # half-width squared
-    assert p.role == "constraint"
+    ds = make_d_con(cfg, k_now=15)
+    # grid times strictly after step 15 (t = 1.5): 1.6 .. 2.0
+    assert ds.t == pytest.approx([1.6, 1.7, 1.8, 1.9, 2.0])
+    np.testing.assert_array_equal(ds.values[0], [0.0, 0.0, 0.0])  # box centers
+    np.testing.assert_array_equal(ds.noise_var[0], [1.0, 1.0, 2.5**2])  # half-width squared
 
 
 def test_d_con_variance_flag_uses_half_width_directly():
     cfg = make_cfg(constraint_noise_is_variance=True)
-    pts = make_d_con(cfg, t_now=1.95)
-    assert pts[0].noise_var == (1.0, 1.0, 2.5)
+    ds = make_d_con(cfg, k_now=19)
+    np.testing.assert_array_equal(ds.noise_var, [[1.0, 1.0, 2.5]])
 
 
 def test_d_con_asymmetric_box_center():
     cfg = make_cfg(z_min=(-1.0, 0.0, -2.5), z_max=(3.0, 1.0, 2.5))
-    pts = make_d_con(cfg, t_now=1.95)
-    assert pts[0].values == (1.0, 0.5, 0.0)
-    assert pts[0].noise_var == (4.0, 0.25, 6.25)
+    ds = make_d_con(cfg, k_now=19)
+    np.testing.assert_array_equal(ds.values, [[1.0, 0.5, 0.0]])
+    np.testing.assert_array_equal(ds.noise_var, [[4.0, 0.25, 6.25]])
 
 
 def test_d_past_window_and_exclusion_of_current():
     state = ControllerState()
     for k in range(6):
-        state.observe(0.1 * k, np.array([k, 0.0, 0.0]))
-    pts = make_d_past(state, m_p=3)
-    # three most recent strictly before now (t = 0.5)
-    assert [p.t for p in pts] == pytest.approx([0.2, 0.3, 0.4])
-    assert all(p.role == "past" for p in pts)
-    assert make_d_past(state, m_p=0) == []
+        state.observe(k, np.array([k, 0.0, 0.0]))
+    ds = make_d_past(make_cfg(m_p=3), state)
+    # three most recent strictly before now (step 5), exact
+    assert ds.t == pytest.approx([0.2, 0.3, 0.4])
+    np.testing.assert_array_equal(ds.values[:, 0], [2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(ds.noise_var, np.zeros((3, 3)))
+    assert len(make_d_past(make_cfg(m_p=0), state)) == 0
     fresh = ControllerState()
-    fresh.observe(0.0, np.zeros(3))
-    assert make_d_past(fresh, m_p=5) == []
+    fresh.observe(0, np.zeros(3))
+    assert len(make_d_past(make_cfg(m_p=5), fresh)) == 0
 
 
 def test_d_v_starts_after_both_t_v_and_now():
     cfg = make_cfg(t_v=1.0)
-    pts = make_d_v(cfg, t_now=0.0, z_ref=np.zeros(3))
-    assert pts[0].t == pytest.approx(1.1)
-    assert pts[-1].t == pytest.approx(2.0)
-    assert all(p.values == (0.0, 0.0, 0.0) and p.role == "virtual" for p in pts)
-    late = make_d_v(cfg, t_now=1.75, z_ref=np.zeros(3))
-    assert [p.t for p in late] == pytest.approx([1.8, 1.9, 2.0])
-    assert make_d_v(make_cfg(), t_now=0.0, z_ref=np.zeros(3)) == []
+    ds = make_d_v(cfg, k_now=0, z_ref=np.zeros(3))
+    assert ds.t[0] == pytest.approx(1.1)
+    assert ds.t[-1] == pytest.approx(2.0)
+    np.testing.assert_array_equal(ds.values, np.zeros((10, 3)))
+    np.testing.assert_array_equal(ds.noise_var, np.zeros((10, 3)))
+    late = make_d_v(cfg, k_now=17, z_ref=np.zeros(3))
+    assert late.t == pytest.approx([1.8, 1.9, 2.0])
+    # t_v need not lie on the dt lattice
+    off = make_d_v(make_cfg(t_v=1.05), k_now=0, z_ref=np.zeros(3))
+    assert off.t[0] == pytest.approx(1.1)
+    assert len(make_d_v(make_cfg(), k_now=0, z_ref=np.zeros(3))) == 0
 
 
 def test_step_dataset_virtual_replaces_soft(unstable_prior):
     cfg = make_cfg(t_v=1.0)
     state = ControllerState()
-    state.observe(0.0, np.array([1.0, 0.0, 0.0]))
+    state.observe(0, np.array([1.0, 0.0, 0.0]))
     ds = build_step_dataset(unstable_prior, state, cfg)
-    # one point per grid time plus the current observation, no duplicates
+    con = make_d_con(cfg, k_now=0)
+    virtual = make_d_v(cfg, k_now=0, z_ref=np.zeros(3))
+    assert len(con) == 10  # 0.1 .. 1.0
+    assert len(virtual) == 10  # 1.1 .. 2.0
+    assert con.t.max() < virtual.t.min()
+    # one row per grid time plus the current observation, no duplicates
     assert len(ds) == 21
-    roles = {}
-    for p in ds.points:
-        roles.setdefault(p.role, []).append(p.t)
-    assert len(roles["constraint"]) == 10  # 0.1 .. 1.0
-    assert len(roles["virtual"]) == 10  # 1.1 .. 2.0
-    assert max(roles["constraint"]) < min(roles["virtual"])
+    np.testing.assert_array_equal(ds.t, np.concatenate([[0.0], con.t, virtual.t]))
     # virtual points are exact, soft points are not
-    by_t = {p.t: p for p in ds.points}
-    assert by_t[2.0].noise_var == (0.0, 0.0, 0.0)
-    assert by_t[0.5].noise_var == (1.0, 1.0, 6.25)
+    by_t = dict(zip(ds.t.tolist(), ds.noise_var.tolist()))
+    assert by_t[2.0] == [0.0, 0.0, 0.0]
+    assert by_t[0.5] == [1.0, 1.0, 6.25]
 
 
 def test_initial_dataset_virtual_switch(unstable_prior):
     cfg = make_cfg(t_v=1.0, m_p=5)
     with_v = initial_dataset(unstable_prior, cfg)
     without_v = initial_dataset(unstable_prior, cfg, include_virtual=False)
-    assert any(p.role == "virtual" for p in with_v.points)
-    assert not any(p.role == "virtual" for p in without_v.points)
+    late = with_v.t > 1.0
+    assert np.all(with_v.noise_var[late] == 0.0)
     # every virtual time reverts to a soft constraint point
-    assert len(with_v) == len(without_v)
+    assert np.all(without_v.noise_var[without_v.t > 0.0] > 0.0)
+    np.testing.assert_array_equal(with_v.t, without_v.t)
     # switch is a no-op when there are no virtual points to begin with
     plain = make_cfg()
     a = initial_dataset(unstable_prior, plain)
     b = initial_dataset(unstable_prior, plain, include_virtual=False)
-    assert [p.t for p in a.points] == [p.t for p in b.points]
+    np.testing.assert_array_equal(a.t, b.t)
+    np.testing.assert_array_equal(a.noise_var, b.noise_var)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def test_initial_dataset_virtual_switch(unstable_prior):
 def test_mpc_step_hold_returns_constant_signal(unstable_prior):
     cfg = make_cfg()
     state = ControllerState()
-    state.observe(0.0, np.array([1.0, 0.0, 0.0]))
+    state.observe(0, np.array([1.0, 0.0, 0.0]))
     signal, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
     assert signal.kind == "constant"
     assert diag.t_next == pytest.approx(0.1)
@@ -196,7 +200,7 @@ def test_mpc_step_hold_returns_constant_signal(unstable_prior):
 def test_mpc_step_subgrid_returns_piecewise_linear(unstable_prior):
     cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
     state = ControllerState()
-    state.observe(0.0, np.array([1.0, 0.0, 0.0]))
+    state.observe(0, np.array([1.0, 0.0, 0.0]))
     signal, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
     assert signal.kind == "piecewise_linear"
     assert len(signal.knot_times) == 5
@@ -215,7 +219,7 @@ def test_mpc_step_pins_current_observation(unstable_prior):
     cfg = make_cfg()
     state = ControllerState()
     z_now = np.array([0.7, -0.2, 0.3])
-    state.observe(0.5, z_now)
+    state.observe(5, z_now)
     _, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
     at_now = diag.posterior.mean(np.array([0.5]))[0]
     np.testing.assert_allclose(at_now, z_now, atol=1e-4)
@@ -243,7 +247,7 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior):
     hooks = []
 
     def hook(state, signal, diag):
-        hooks.append((state.t_now, len(diag.dataset)))
+        hooks.append((state.k_now, len(diag.dataset)))
 
     traj = run_closed_loop(unstable_prior, plant, cfg, Hyperparams(), step_hook=hook)
     assert traj.times.shape == (21,)
@@ -253,8 +257,8 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior):
     np.testing.assert_array_equal(traj.states[0], [1.0, 0.0])
     np.testing.assert_array_equal(traj.controls[0], [0.0])
     assert len(hooks) == 20
-    assert hooks[0][0] == pytest.approx(0.0)
-    assert hooks[-1][0] == pytest.approx(1.9)
+    assert hooks[0][0] == 0
+    assert hooks[-1][0] == 19
     assert traj.constraint_error is not None
     assert traj.control_error is not None
     assert np.all(traj.stds >= 0.0)
@@ -275,6 +279,37 @@ def test_closed_loop_recorded_control_is_applied_value(unstable_prior):
         np.testing.assert_allclose(run.controls[i + 1], sig.value(run.times[i + 1]))
 
 
+def _exact_piecewise_linear(a, b, x, signal):
+    """Exact flow over a piecewise-linear input: per knot interval, one
+    matrix exponential of the state augmented with the input and its slope."""
+    n_x, n_u = b.shape
+    knots, vals = np.array(signal.knot_times), np.array(signal.knot_values)
+    gen = np.zeros((n_x + 2 * n_u,) * 2)
+    gen[:n_x, :n_x] = a
+    gen[:n_x, n_x : n_x + n_u] = b
+    gen[n_x : n_x + n_u, n_x + n_u :] = np.eye(n_u)
+    for k in range(knots.size - 1):
+        h = knots[k + 1] - knots[k]
+        slope = (vals[k + 1] - vals[k]) / h
+        x = (expm(gen * h) @ np.concatenate([x, vals[k], slope]))[:n_x]
+    return x
+
+
+def test_closed_loop_plant_substeps_follow_subgrid_knots(unstable_prior):
+    # with 4 knots per step, RK4 substeps must not straddle a knot kink:
+    # each step then matches the exact piecewise-linear flow (ten
+    # straddling substeps are off by about 1e-6 here)
+    cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
+    plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
+    signals = []
+    traj = run_closed_loop(
+        unstable_prior, plant, cfg, Hyperparams(), step_hook=lambda s, sig, d: signals.append(sig)
+    )
+    for i, sig in enumerate(signals):
+        want = _exact_piecewise_linear(plant.A, plant.B, traj.states[i], sig)
+        assert np.max(np.abs(traj.states[i + 1] - want)) <= 1e-9
+
+
 def test_closed_loop_regulates_the_unstable_plant(unstable_prior):
     # over the same 4 seconds the free plant grows past norm 100; the
     # controlled state must instead shrink and stay bounded
@@ -288,10 +323,8 @@ def test_closed_loop_regulates_the_unstable_plant(unstable_prior):
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)
     assert np.linalg.norm(traj.states[-1]) < 1.0
     assert np.max(np.abs(traj.states)) < 2.0
-    from lodempc.plant import ControlSignal
-
-    free = plant.simulate([1.0, 0.0], ControlSignal.constant(0.0, [0.0]), 0.0, 4.0, 400)
-    assert np.linalg.norm(free[-1]) > 100.0
+    free = step_exact(plant.A, plant.B, [1.0, 0.0], [0.0], 4.0)
+    assert np.linalg.norm(free) > 100.0
 
 
 def test_closed_loop_divergence_aborts():

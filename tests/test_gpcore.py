@@ -8,7 +8,6 @@ import pytest
 
 from lodempc.gpcore import (
     MAX_JITTER,
-    DataPoint,
     Dataset,
     DatasetError,
     FactorizationError,
@@ -27,65 +26,91 @@ def integrator_prior():
     return build_prior(LinearSystem(A=[[0.0]], B=[[1.0]]), x_ref=[0.0])
 
 
-def hard(t, values, nz=3, role="obs"):
-    return DataPoint(t, tuple(values), (0.0,) * nz, role=role)
+def rows(*records):
+    """Dataset from (t, values, noise_var) records; None in values masks."""
+    t, values, noise = zip(*records)
+    return Dataset(t, values, noise)
+
+
+def hard(t, values, nz=3):
+    return (t, tuple(values), (0.0,) * nz)
 
 
 # ---------------------------------------------------------------------------
-# DataPoint / Dataset
+# Dataset
 # ---------------------------------------------------------------------------
 
 
-def test_datapoint_masks_and_validation():
-    p = DataPoint(0.5, (1.0, None, 2.0), (0.0, 0.0, 0.1))
-    assert p.unmasked == (0, 2)
-    assert p.values[1] is None
+def test_dataset_masks_and_validation():
+    ds = rows((0.5, (1.0, None, 2.0), (0.0, 0.0, 0.1)))
+    assert ds.slots.tolist() == [0, 2]
+    assert np.isnan(ds.values[0, 1])
     with pytest.raises(ValueError):
-        DataPoint(0.0, (1.0,), (0.0, 0.0))  # length mismatch
-    with pytest.raises(ValueError):
-        DataPoint(0.0, (1.0,), (-1.0,))  # negative noise
-    with pytest.raises(ValueError):
-        DataPoint(0.0, (math.nan,), (0.0,))
+        ds.values[0, 0] = 3.0  # frozen arrays
+    with pytest.raises(DatasetError):
+        Dataset([0.0], [[1.0]], [[0.0, 0.0]])  # shape mismatch
+    with pytest.raises(DatasetError):
+        Dataset([0.0, 1.0], [[1.0]], [[0.0]])  # row count mismatch
+    with pytest.raises(DatasetError):
+        Dataset([0.0], [[1.0]], [[-1.0]])  # negative noise
+    with pytest.raises(DatasetError):
+        Dataset([0.0], [[1.0]], [[math.nan]])  # non-finite noise
+    with pytest.raises(DatasetError):
+        Dataset([0.0], [[math.inf]], [[0.0]])
 
 
 def test_dataset_sorts_by_time_without_merging():
-    a = DataPoint(2.0, (1.0, None), (0.0, 0.0))
-    b = DataPoint(1.0, (None, 3.0), (0.0, 0.0))
-    c = DataPoint(2.0, (5.0, None), (0.1, 0.0))
-    ds = Dataset((a, b, c))
-    assert [p.t for p in ds.points] == [1.0, 2.0, 2.0]
-    assert len(ds) == 3 and not ds.is_empty
+    ds = rows(
+        (2.0, (1.0, None), (0.0, 0.0)),
+        (1.0, (None, 3.0), (0.0, 0.0)),
+        (2.0, (None, 5.0), (0.1, 0.0)),
+    )
+    assert ds.t.tolist() == [1.0, 2.0, 2.0]
+    # stable: the two rows at t = 2 keep their given order
+    np.testing.assert_array_equal(ds.values, [[np.nan, 3.0], [1.0, np.nan], [np.nan, 5.0]])
+    np.testing.assert_array_equal(ds.noise_var[2], [0.1, 0.0])
+    assert len(ds) == 3 and len(Dataset()) == 0
 
 
-def test_dataset_merged_fuses_disjoint_masks():
-    a = DataPoint(1.0, (1.0, None), (0.0, 0.0))
-    b = DataPoint(1.0, (None, 2.0), (0.0, 0.5))
-    ds = Dataset.merged([a], [b])
-    assert len(ds) == 1
-    assert ds.points[0].values == (1.0, 2.0)
-    assert ds.points[0].noise_var == (0.0, 0.5)
+def test_dataset_keeps_disjoint_rows_at_equal_times(integrator_prior):
+    # two rows at one time with disjoint masks are not fused, and condition
+    # exactly like the single fused row would
+    hp = Hyperparams(jitter=1e-8)
+    split = rows((1.0, (1.0, None), (0.0, 0.0)), (1.0, (None, 2.0), (0.0, 0.5)))
+    fused = rows((1.0, (1.0, 2.0), (0.0, 0.5)))
+    assert len(split) == 2
+    for got, want in zip(
+        assemble_gram(integrator_prior, split, hp), assemble_gram(integrator_prior, fused, hp)
+    ):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_dataset_merged_rejects_conflicting_duplicates():
-    a = DataPoint(1.0, (1.0,), (0.0,))
-    b = DataPoint(1.0, (2.0,), (0.0,))
-    with pytest.raises(DatasetError):
-        Dataset.merged([a], [b])
+def test_dataset_rejects_conflicting_duplicates():
+    a = (1.0, (1.0,), (0.0,))
+    with pytest.raises(DatasetError, match="conflict"):
+        rows(a, (1.0, (2.0,), (0.0,)))
     # same value but different stated noise is also a conflict
-    c = DataPoint(1.0, (1.0,), (0.5,))
-    with pytest.raises(DatasetError):
-        Dataset.merged([a], [c])
+    with pytest.raises(DatasetError, match="conflict"):
+        rows(a, (1.0, (1.0,), (0.5,)))
+    # the two observations of a slot need not be in adjacent rows
+    with pytest.raises(DatasetError, match="channel 0"):
+        rows(
+            (1.0, (1.0, None), (0.0, 0.0)),
+            (1.0, (None, 2.0), (0.0, 0.0)),
+            (1.0, (3.0, None), (0.0, 0.0)),
+        )
+    # only observed slots can conflict
+    rows((1.0, (1.0, None), (0.0, 0.0)), (1.0, (None, 2.0), (0.0, 0.0)))
 
 
-def test_dataset_merged_accepts_identical_duplicates():
-    a = DataPoint(1.0, (1.0, None), (0.0, 0.0))
-    ds = Dataset.merged([a], [a])
-    assert len(ds) == 1
+def test_dataset_keeps_identical_duplicates():
+    a = (1.0, (1.0, None), (0.0, 0.0))
+    assert len(rows(a, a)) == 2
 
 
 def test_dataset_rejects_mixed_channel_layouts():
     with pytest.raises(DatasetError):
-        Dataset((DataPoint(0.0, (1.0,), (0.0,)), DataPoint(1.0, (1.0, 2.0), (0.0, 0.0))))
+        Dataset([0.0, 1.0], [[1.0, np.nan], [1.0, 2.0]], [[0.0], [0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +120,9 @@ def test_dataset_rejects_mixed_channel_layouts():
 
 def test_assemble_gram_masks_and_noise(integrator_prior):
     hp = Hyperparams(jitter=1e-8)
-    ds = Dataset(
-        (
-            DataPoint(0.0, (1.0, None), (0.0, 0.0)),
-            DataPoint(1.0, (2.0, 3.0), (0.0, 0.25)),
-        )
+    ds = rows(
+        (0.0, (1.0, None), (0.0, 0.0)),
+        (1.0, (2.0, 3.0), (0.0, 0.25)),
     )
     gram, residual = assemble_gram(integrator_prior, ds, hp)
     assert gram.shape == (3, 3)
@@ -118,10 +141,10 @@ def test_assemble_gram_rejects_empty_and_mismatched(integrator_prior, unstable_p
     hp = Hyperparams()
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, Dataset(), hp)
-    ds3 = Dataset((hard(0.0, (0.0, 0.0, 0.0)),))
+    ds3 = rows(hard(0.0, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, ds3, hp)
-    ds_masked = Dataset((DataPoint(0.0, (None, None), (0.0, 0.0)),))
+    ds_masked = rows((0.0, (None, None), (0.0, 0.0)))
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, ds_masked, hp)
 
@@ -139,23 +162,16 @@ def test_hard_points_are_interpolated(unstable_prior):
     times = np.array([0.0, 1.0, 2.5])
     draw_hp = Hyperparams(signal_variance=0.8, lengthscale_sq=1.3, jitter=1e-12)
     want = PosteriorGp(unstable_prior, Dataset(), draw_hp).sample(times, 1, seed=9)[0]
-    ds = Dataset(
-        tuple(
-            DataPoint(float(t), tuple(float(v) for v in z), (0.0,) * 3)
-            for t, z in zip(times, want)
-        )
-    )
+    ds = Dataset(times, want, np.zeros(want.shape))
     gp = PosteriorGp(unstable_prior, ds, hp)
     assert np.max(np.abs(gp.mean(times) - want)) <= 1e-5
 
 
 def test_masked_channels_are_not_pinned(unstable_prior):
     hp = Hyperparams()
-    ds = Dataset(
-        (
-            DataPoint(0.0, (1.0, None, None), (0.0, 0.0, 0.0)),
-            DataPoint(2.0, (-1.0, None, None), (0.0, 0.0, 0.0)),
-        )
+    ds = rows(
+        (0.0, (1.0, None, None), (0.0, 0.0, 0.0)),
+        (2.0, (-1.0, None, None), (0.0, 0.0, 0.0)),
     )
     gp = PosteriorGp(unstable_prior, ds, hp)
     mean = gp.mean(np.array([0.0, 2.0]))
@@ -170,7 +186,7 @@ def test_masked_channels_are_not_pinned(unstable_prior):
 def test_zero_residual_leaves_mean_at_prior(unstable_prior):
     # observing the equilibrium itself must not bend the posterior mean
     hp = Hyperparams(signal_variance=1.2, lengthscale_sq=0.7)
-    ds = Dataset((hard(0.0, (0.0, 0.0, 0.0)), hard(1.5, (0.0, 0.0, 0.0))))
+    ds = rows(hard(0.0, (0.0, 0.0, 0.0)), hard(1.5, (0.0, 0.0, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     tq = np.linspace(-1.0, 3.0, 9)
     np.testing.assert_allclose(gp.mean(tq), 0.0, atol=1e-12)
@@ -183,7 +199,7 @@ def test_nonzero_prior_mean_is_respected():
     gp = PosteriorGp(prior, Dataset(), hp)
     tq = np.array([0.0, 5.0])
     np.testing.assert_allclose(gp.mean(tq), [[2.0, 2.0], [2.0, 2.0]])
-    ds = Dataset((DataPoint(0.0, (2.0, 2.0), (0.0, 0.0)),))
+    ds = rows((0.0, (2.0, 2.0), (0.0, 0.0)))
     gp2 = PosteriorGp(prior, ds, hp)
     np.testing.assert_allclose(gp2.mean(tq), [[2.0, 2.0], [2.0, 2.0]], atol=1e-12)
 
@@ -191,6 +207,7 @@ def test_nonzero_prior_mean_is_respected():
 def test_empty_dataset_reproduces_prior(unstable_prior):
     hp = Hyperparams(signal_variance=0.9)
     gp = PosteriorGp(unstable_prior, Dataset(), hp)
+    assert gp.jitter_boost == 0.0
     tq = np.array([0.0, 1.0])
     np.testing.assert_allclose(gp.mean(tq), 0.0)
     prior_cov = unstable_prior.kernel.joint_matrix(tq, tq, hp)
@@ -199,7 +216,7 @@ def test_empty_dataset_reproduces_prior(unstable_prior):
 
 def test_posterior_cov_is_symmetric_psd_and_shrinks(unstable_prior):
     hp = Hyperparams()
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)), hard(2.0, (0.0, 0.5, 0.0))))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(2.0, (0.0, 0.5, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     tq = np.linspace(0.0, 2.0, 7)
     cov = gp.cov(tq)
@@ -212,7 +229,7 @@ def test_posterior_cov_is_symmetric_psd_and_shrinks(unstable_prior):
 
 def test_posterior_std_collapses_at_hard_points(unstable_prior):
     hp = Hyperparams()
-    ds = Dataset((hard(1.0, (0.3, -0.2, 0.1)),))
+    ds = rows(hard(1.0, (0.3, -0.2, 0.1)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     at_point = gp.std(np.array([1.0]))
     away = gp.std(np.array([5.0]))
@@ -223,7 +240,7 @@ def test_posterior_std_collapses_at_hard_points(unstable_prior):
 def test_mean_chunking_is_seamless(unstable_prior):
     # query sizes straddling the internal chunk size must agree pointwise
     hp = Hyperparams()
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)),))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     tq = np.linspace(-2.0, 2.0, 700)
     whole = gp.mean(tq)
@@ -241,8 +258,8 @@ def test_representer_weights_match_dense_solve(unstable_prior):
         for t in times:
             values = tuple(float(v) for v in rng.normal(0.0, 1.0, 3))
             noise = tuple(float(s) for s in rng.uniform(0.01, 0.5, 3))
-            points.append(DataPoint(float(t), values, noise))
-        ds = Dataset(tuple(points))
+            points.append((float(t), values, noise))
+        ds = rows(*points)
         gp = PosteriorGp(unstable_prior, ds, hp)
         gram, residual = assemble_gram(unstable_prior, ds, hp)
         direct = np.linalg.solve(gram, residual)
@@ -254,8 +271,8 @@ def test_duplicate_hard_points_escalate_jitter_not_crash(integrator_prior):
     # constructor) make the Gram matrix exactly singular; the factorization
     # must escalate its diagonal boost instead of failing
     hp = Hyperparams(signal_variance=1.0, lengthscale_sq=1.0, jitter=0.0)
-    p = DataPoint(0.0, (1.0, 0.0), (0.0, 0.0))
-    ds = Dataset((p, p))
+    p = (0.0, (1.0, 0.0), (0.0, 0.0))
+    ds = rows(p, p)
     gp = PosteriorGp(integrator_prior, ds, hp)
     assert gp.jitter_boost > 0
     assert np.all(np.isfinite(gp.mean(np.array([0.5]))))
@@ -279,7 +296,7 @@ def test_mll_single_point_unit_residual_unit_variance(integrator_prior):
     # k(0,0) = sigma_f^2 = 0.5 plus noise 0.5 gives unit total variance;
     # residual 1 then scores -1/2 - (1/2)log(1) = -0.5 exactly
     hp = Hyperparams(signal_variance=0.5, lengthscale_sq=1.0)
-    ds = Dataset((DataPoint(0.0, (1.0, None), (0.5, 0.0)),))
+    ds = rows((0.0, (1.0, None), (0.5, 0.0)))
     val = log_marginal_likelihood(integrator_prior, ds, hp)
     assert val == pytest.approx(-0.5, abs=1e-12)
 
@@ -290,13 +307,13 @@ def test_mll_matches_dense_formula(unstable_prior):
     points = []
     for t in np.sort(rng.uniform(0.0, 4.0, 6)):
         points.append(
-            DataPoint(
+            (
                 float(t),
                 tuple(float(v) for v in rng.normal(0.0, 1.0, 3)),
                 tuple(float(s) for s in rng.uniform(0.05, 0.3, 3)),
             )
         )
-    ds = Dataset(tuple(points))
+    ds = rows(*points)
     got = log_marginal_likelihood(unstable_prior, ds, hp)
     gram, residual = assemble_gram(unstable_prior, ds, hp)
     sign, logdet = np.linalg.slogdet(gram)
@@ -311,11 +328,7 @@ def test_mll_prefers_generating_lengthscale(unstable_prior):
     hp_true = Hyperparams(signal_variance=1.0, lengthscale_sq=1.0, jitter=1e-10)
     grid = np.linspace(0.0, 6.0, 25)
     draw = PosteriorGp(unstable_prior, Dataset(), hp_true).sample(grid, 1, seed=11)[0]
-    points = tuple(
-        DataPoint(float(t), tuple(float(v) for v in z), (0.01, 0.01, 0.01))
-        for t, z in zip(grid, draw)
-    )
-    ds = Dataset(points)
+    ds = Dataset(grid, draw, np.full(draw.shape, 0.01))
     at_true = log_marginal_likelihood(unstable_prior, ds, hp_true)
     at_tiny = log_marginal_likelihood(
         unstable_prior, ds, Hyperparams(1.0, 0.02, jitter=1e-10)
@@ -333,12 +346,10 @@ def test_mll_prefers_generating_lengthscale(unstable_prior):
 
 
 def test_optimizer_is_deterministic(unstable_prior):
-    ds = Dataset(
-        (
-            hard(0.0, (1.0, 0.0, 0.0)),
-            DataPoint(1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
-            DataPoint(2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
-        )
+    ds = rows(
+        hard(0.0, (1.0, 0.0, 0.0)),
+        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
+        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
     )
     a = optimize_hyperparams(unstable_prior, ds)
     b = optimize_hyperparams(unstable_prior, ds)
@@ -349,12 +360,7 @@ def test_optimizer_recovers_generating_scales(unstable_prior):
     hp_true = Hyperparams(signal_variance=2.0, lengthscale_sq=0.5, jitter=1e-10)
     grid = np.linspace(0.0, 8.0, 33)
     draw = PosteriorGp(unstable_prior, Dataset(), hp_true).sample(grid, 1, seed=5)[0]
-    ds = Dataset(
-        tuple(
-            DataPoint(float(t), tuple(float(v) for v in z), (0.01,) * 3)
-            for t, z in zip(grid, draw)
-        )
-    )
+    ds = Dataset(grid, draw, np.full(draw.shape, 0.01))
     hp = optimize_hyperparams(unstable_prior, ds, jitter=1e-10)
     # one realization only: accept the right order of magnitude
     assert 0.2 < hp.signal_variance < 20.0
@@ -362,7 +368,7 @@ def test_optimizer_recovers_generating_scales(unstable_prior):
 
 
 def test_optimizer_respects_fixed_values(unstable_prior):
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)), hard(2.0, (0.0, 0.0, 0.0))))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(2.0, (0.0, 0.0, 0.0)))
     both = optimize_hyperparams(
         unstable_prior,
         ds,
@@ -378,7 +384,7 @@ def test_optimizer_respects_fixed_values(unstable_prior):
 
 
 def test_optimizer_respects_bounds(unstable_prior):
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)), hard(4.0, (0.0, 1.0, 0.0))))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(4.0, (0.0, 1.0, 0.0)))
     bounds = {"signal_variance": (0.5, 2.0), "lengthscale_sq": (0.2, 0.4)}
     hp = optimize_hyperparams(unstable_prior, ds, bounds=bounds)
     assert 0.5 - 1e-9 <= hp.signal_variance <= 2.0 + 1e-9
@@ -386,12 +392,10 @@ def test_optimizer_respects_bounds(unstable_prior):
 
 
 def test_optimizer_beats_probe_corners(unstable_prior):
-    ds = Dataset(
-        (
-            hard(0.0, (1.0, 0.0, 0.0)),
-            DataPoint(0.5, (0.6, -0.4, 0.1), (0.05,) * 3),
-            DataPoint(1.5, (0.1, -0.2, 0.05), (0.05,) * 3),
-        )
+    ds = rows(
+        hard(0.0, (1.0, 0.0, 0.0)),
+        (0.5, (0.6, -0.4, 0.1), (0.05,) * 3),
+        (1.5, (0.1, -0.2, 0.05), (0.05,) * 3),
     )
     hp = optimize_hyperparams(unstable_prior, ds)
     best = log_marginal_likelihood(unstable_prior, ds, hp)
@@ -408,7 +412,7 @@ def test_optimizer_beats_probe_corners(unstable_prior):
 
 def test_sampling_shapes_and_determinism(unstable_prior):
     hp = Hyperparams()
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)),))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     grid = np.linspace(0.0, 2.0, 11)
     a = gp.sample(grid, 4, seed=42)
@@ -422,7 +426,7 @@ def test_sampling_shapes_and_determinism(unstable_prior):
 
 def test_sample_mean_converges_to_posterior_mean(unstable_prior):
     hp = Hyperparams()
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)),))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     grid = np.array([0.5, 1.0])
     draws = gp.sample(grid, 4000, seed=0)
@@ -437,7 +441,7 @@ def test_samples_satisfy_the_differential_equation(unstable_prior):
     # central differences on sampled paths: the state derivative must match
     # A x + B u up to O(h^2) plus the tiny sampling jitter
     hp = Hyperparams(signal_variance=1.0, lengthscale_sq=1.0, jitter=1e-12)
-    ds = Dataset((hard(0.0, (1.0, 0.0, 0.0)),))
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
     h = 1e-2
     grid = np.arange(0.0, 2.0 + h / 2, h)
