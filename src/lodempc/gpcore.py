@@ -182,6 +182,7 @@ class PosteriorGp:
         self.data = data
         self.hp = hp
         self._nz = prior.n_z
+        self._last_cross: dict = {}
         if not len(data):
             self._cho = None
             self.jitter_boost = 0.0
@@ -198,9 +199,18 @@ class PosteriorGp:
 
     def _cross(self, t_query: np.ndarray) -> np.ndarray:
         """Kernel between query slots (rows, all channels) and training
-        slots (columns, unmasked only)."""
+        slots (columns, unmasked only).  The row blocks of a call are kept
+        by time for the next call only: a std where the mean was just
+        queried (the controller's step end) evaluates no kernel, and a
+        posterior kept after its step holds no rows."""
+        times, last = t_query.tolist(), self._last_cross
+        self._last_cross = {}
+        if times and all(t in last for t in times):
+            return np.concatenate([last[t] for t in times])
         full = self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp)
-        return full[:, self.data.slots]
+        rows = full[:, self.data.slots]
+        self._last_cross = dict(zip(times, rows.reshape(len(times), self._nz, rows.shape[1])))
+        return rows
 
     def mean(self, t_query) -> np.ndarray:
         """Posterior mean, shape (len(t_query), n_z)."""
@@ -226,10 +236,21 @@ class PosteriorGp:
         return 0.5 * (kqq + kqq.T)
 
     def std(self, t_query) -> np.ndarray:
-        """Posterior standard deviation per channel, shape (M, n_z)."""
+        """Posterior standard deviation per channel, shape (M, n_z): the
+        prior variance (the kernel's lag-0 diagonal, the same at every t)
+        less the diagonal of the data term, one query time at a time
+        rather than through the full ``cov``."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
-        var = np.clip(np.diag(self.cov(tq)), 0.0, None)
-        return np.sqrt(var).reshape(tq.size, self._nz)
+        lag0 = self.prior.kernel.eval_blocks(0.0, 0.0, self.hp)[:, :, 0, 0]
+        var = np.tile(np.diagonal(lag0), (tq.size, 1))
+        if self._alpha.size:
+            # The same products as the diagonal of cov: the data term cancels
+            # the prior to a few digits, so a reordered sum moves the result.
+            kx = self._cross(tq)
+            for m in range(tq.size):
+                kqx = kx[m * self._nz : (m + 1) * self._nz]
+                var[m] -= np.diagonal(kqx @ cho_solve(self._cho, kqx.T))
+        return np.sqrt(np.clip(var, 0.0, None))
 
     def sample(self, t_query, count: int, seed: int) -> np.ndarray:
         """Joint posterior samples, shape (count, len(t_query), n_z).
@@ -311,14 +332,16 @@ def optimize_hyperparams(
     probes = [np.array(p) for p in itertools.product(*axes)]
     scores = [objective(p) for p in probes]
     order = sorted(range(len(probes)), key=lambda k: (scores[k], k))
-    starts = [probes[k] for k in order[:n_starts] if math.isfinite(scores[k])]
+    ranked = [k for k in order[:n_starts] if math.isfinite(scores[k])]
+    starts = [probes[k] for k in ranked]
     if not starts:
         # Every probe failed to factorize; fall back to the box center.
         mid = [0.5 * (lo + hi) for lo, hi in (axes[i][[0, -1]] for i in range(len(free)))]
         starts = [np.array(mid)]
 
     log_bounds = [tuple(axes[i][[0, -1]]) for i in range(len(free))]
-    best_x, best_f = starts[0], objective(starts[0])
+    # A probe's score is reused; only the box center has none yet.
+    best_x, best_f = starts[0], scores[ranked[0]] if ranked else objective(starts[0])
     for start in starts:
         res = minimize(
             objective,

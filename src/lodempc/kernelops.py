@@ -10,8 +10,9 @@ entry at evaluation time.  This family is closed under d/dt and d/dt':
     d/dt' [p * g] = (-dp/du + lam*u*p) * g
 
 so a polynomial-matrix operator applied to both arguments of the base kernel
-stays inside the family.  Coefficient bookkeeping is exact (Fractions);
-floats enter only at evaluation.
+stays inside the family.  Coefficient bookkeeping is exact (Fractions).  An
+:class:`OperatorKernel` compiles its coefficients to floats once, when it is
+built; grid evaluation never touches a Fraction.
 """
 
 from __future__ import annotations
@@ -118,20 +119,11 @@ class GaussPolyTerm:
             _acc(out, (a + 1, b + 1), c)
         return GaussPolyTerm(out)
 
-    def u_coefficients(self, lam: float) -> np.ndarray:
-        """Collapse the lam powers at a numeric lam; ascending powers of u."""
-        if self.is_zero:
-            return np.zeros(1)
-        deg = max(a for a, _ in self.coeffs)
-        out = np.zeros(deg + 1)
-        for (a, b), c in self.coeffs.items():
-            out[a] += float(c) * lam**b
-        return out
-
     def evaluate(self, u: float, lam: float) -> float:
-        return float(npoly.polyval(u, self.u_coefficients(lam))) * math.exp(
-            -0.5 * lam * u * u
-        )
+        """Value at one (u, lam), summed term by term from the exact
+        coefficients: a reference that shares no code with grid evaluation."""
+        poly = sum(float(c) * u**a * lam**b for (a, b), c in self.coeffs.items())
+        return poly * math.exp(-0.5 * lam * u * u)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -190,6 +182,22 @@ class OperatorKernel:
 
     entries: tuple[tuple[GaussPolyTerm, ...], ...]
 
+    def __post_init__(self) -> None:
+        # Compile once: each entry's terms, in coefficient order, as (slot,
+        # lam power, float value); entry k's ascending u coefficients fill
+        # flat[offsets[k]:offsets[k + 1]] of one buffer per evaluation.
+        terms = [term for row in self.entries for term in row]
+        widths = [1 + max((a for a, _ in term.coeffs), default=0) for term in terms]
+        offsets = [0, *np.cumsum(widths).tolist()]
+        slot, lam_pow, value = [], [], []
+        for off, term in zip(offsets, terms):
+            for (a, b), c in term.coeffs.items():
+                slot.append(off + a)
+                lam_pow.append(b)
+                value.append(float(c))
+        slot, lam_pow = (np.array(col, dtype=np.intp) for col in (slot, lam_pow))
+        object.__setattr__(self, "_compiled", (offsets, slot, lam_pow, np.array(value)))
+
     @property
     def size(self) -> int:
         return len(self.entries)
@@ -205,19 +213,29 @@ class OperatorKernel:
         """All channel-pair blocks over two time grids.
 
         Returns an array of shape (size, size, len(ts), len(tps)) where
-        [i, j] is K_ij evaluated on the grid outer product.
+        [i, j] is K_ij evaluated on the grid outer product.  On equal grids
+        only the blocks i <= j are evaluated and [j, i] is the transpose of
+        [i, j] (K_ji(u) = K_ij(-u)), so the result is exactly symmetric.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         tps = np.atleast_1d(np.asarray(tps, dtype=float))
+        offsets, slot, lam_pow, value = self._compiled
         lam = hp.lam
+        # Collapse the lam powers of all entries in one pass; bincount adds
+        # each u coefficient's terms in coefficient order.
+        powers = np.array([lam**b for b in range(lam_pow.max(initial=0) + 1)])
+        flat = np.bincount(slot, weights=value * powers[lam_pow], minlength=offsets[-1])
         u = ts[:, None] - tps[None, :]
         envelope = np.exp(-0.5 * lam * u * u)
+        symmetric = ts.shape == tps.shape and np.array_equal(ts, tps)
         nz = self.size
         out = np.empty((nz, nz, ts.size, tps.size))
         for i in range(nz):
-            for j in range(nz):
-                coeffs = self.entries[i][j].u_coefficients(lam)
+            for j in range(i if symmetric else 0, nz):
+                coeffs = flat[offsets[i * nz + j] : offsets[i * nz + j + 1]]
                 out[i, j] = hp.signal_variance * npoly.polyval(u, coeffs) * envelope
+                if symmetric and j > i:
+                    out[j, i] = out[i, j].T
         return out
 
     def joint_matrix(self, ts, tps, hp: Hyperparams) -> np.ndarray:

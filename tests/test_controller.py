@@ -18,7 +18,8 @@ from lodempc.controller import (
     posterior_from_trajectory,
     run_closed_loop,
 )
-from lodempc.kernelops import Hyperparams
+from lodempc.gpcore import PosteriorGp
+from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant, step_exact
 
@@ -223,6 +224,27 @@ def test_mpc_step_pins_current_observation(unstable_prior):
     _, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
     at_now = diag.posterior.mean(np.array([0.5]))[0]
     np.testing.assert_allclose(at_now, z_now, atol=1e-4)
+
+
+@pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
+def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, application):
+    # the Gram and the cross kernel at the mean's query times: the std at
+    # t_next reuses the mean's rows, and the prior variance is the lag-0 term
+    cfg = make_cfg(control_application=application, subgrid_count=4)
+    state = ControllerState()
+    state.observe(0, np.array([1.0, 0.0, 0.0]))
+    calls = []
+    joint_matrix = OperatorKernel.joint_matrix
+
+    def counted(self, *args):
+        calls.append(args)
+        return joint_matrix(self, *args)
+
+    monkeypatch.setattr(OperatorKernel, "joint_matrix", counted)
+    _, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
+    assert len(calls) == 2
+    fresh = PosteriorGp(unstable_prior, diag.dataset, Hyperparams()).std([diag.t_next])
+    assert np.array_equal(diag.std_next, fresh[0])
 
 
 # ---------------------------------------------------------------------------

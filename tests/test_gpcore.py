@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from lodempc import gpcore
 from lodempc.gpcore import (
     MAX_JITTER,
     Dataset,
@@ -237,6 +239,21 @@ def test_posterior_std_collapses_at_hard_points(unstable_prior):
     assert np.all(away[0] > 0.5)
 
 
+def test_std_matches_cov_diagonal_on_masked_data(unstable_prior):
+    hp = Hyperparams(signal_variance=1.2, lengthscale_sq=0.8)
+    ds = rows(
+        hard(0.0, (1.0, 0.0, None)),
+        (1.0, (None, 0.4, -0.3), (0.0, 0.05, 0.02)),
+        (2.5, (0.2, None, None), (0.1, 0.0, 0.0)),
+    )
+    gp = PosteriorGp(unstable_prior, ds, hp)
+    tq = np.array([-0.5, 0.4, 1.7, 3.0])
+    want = np.sqrt(np.diag(gp.cov(tq))).reshape(tq.size, 3)
+    np.testing.assert_allclose(gp.std(tq), want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(gp.std(tq[::-1]), want[::-1], rtol=1e-12, atol=0.0)
+    assert gp.std([]).shape == (0, 3)
+
+
 def test_mean_chunking_is_seamless(unstable_prior):
     # query sizes straddling the internal chunk size must agree pointwise
     hp = Hyperparams()
@@ -365,6 +382,35 @@ def test_optimizer_recovers_generating_scales(unstable_prior):
     # one realization only: accept the right order of magnitude
     assert 0.2 < hp.signal_variance < 20.0
     assert 0.1 < hp.lengthscale_sq < 2.5
+
+
+def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
+    # probes, then the Nelder-Mead evaluations: no start is scored twice
+    ds = rows(
+        hard(0.0, (1.0, 0.0, 0.0)),
+        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
+        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
+    )
+    calls, nfev = [0], [0]
+
+    def counted_lml(*args):
+        calls[0] += 1
+        return log_marginal_likelihood(*args)
+
+    def counted_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nfev[0] += res.nfev
+        return res
+
+    expected = optimize_hyperparams(unstable_prior, ds)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
+    monkeypatch.setattr(gpcore, "minimize", counted_minimize)
+    hp = optimize_hyperparams(unstable_prior, ds)
+    assert calls[0] == 5 * 5 + nfev[0]
+    assert (hp.signal_variance, hp.lengthscale_sq) == (
+        expected.signal_variance,
+        expected.lengthscale_sq,
+    )
 
 
 def test_optimizer_respects_fixed_values(unstable_prior):

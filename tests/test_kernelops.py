@@ -5,6 +5,7 @@ exact coefficient tables; the oracle differentiates exp(-lam*(t-t')^2/2)
 directly with sympy.  The two routes share no code.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from lodempc.kernelops import (
     build_operator_kernel,
     se_kernel,
 )
+from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix
 
 
@@ -242,3 +244,71 @@ def test_scalar_integrator_kernel_against_oracle():
     for i in range(2):
         for j in range(2):
             assert_symbolically_equal(k.entry(i, j), oracle_apply(ops[i], ops[j]))
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation on a random controllable 4-state prior
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def random4_kernel():
+    # An entry pair whose coefficient tables list their terms in different
+    # orders: evaluated separately, K_ji(u) and K_ij(-u) differ in the last bit.
+    rng = np.random.default_rng(2015)
+    while True:
+        a = rng.integers(-2, 3, (4, 4)).astype(float)
+        b = rng.integers(-2, 3, (4, 1)).astype(float)
+        ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(4)])
+        if np.linalg.matrix_rank(ctrb) == 4:
+            return build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * 4).kernel
+
+
+def exact_entry_value(term: GaussPolyTerm, u: float, lam: float) -> float:
+    """The polynomial summed in exact rationals at the float (u, lam), then
+    rounded once and scaled by the envelope."""
+    fu, flam = Fraction(u), Fraction(lam)
+    poly = sum((c * fu**a * flam**b for (a, b), c in term.coeffs.items()), Fraction(0))
+    return float(poly) * math.exp(-0.5 * lam * u * u)
+
+
+def test_eval_blocks_matches_exact_coefficients(random4_kernel):
+    nz = random4_kernel.size
+    for ls2 in (0.4, 1.0, 2.5):
+        hp = Hyperparams(signal_variance=1.3, lengthscale_sq=ls2)
+        ts, tps = np.array([0.0, 0.35, 1.2]), np.array([0.1, 0.9])
+        blocks = random4_kernel.eval_blocks(ts, tps, hp)
+        for p, q, i, j in itertools.product(range(ts.size), range(tps.size), range(nz), range(nz)):
+            want = hp.signal_variance * exact_entry_value(
+                random4_kernel.entry(i, j), ts[p] - tps[q], hp.lam
+            )
+            assert blocks[i, j, p, q] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_joint_matrix_on_equal_copy_is_bit_exact_symmetric(random4_kernel):
+    hp = Hyperparams(signal_variance=0.8, lengthscale_sq=0.3)
+    ts = np.linspace(0.0, 2.0, 9)
+    gram = random4_kernel.joint_matrix(ts, ts.copy(), hp)
+    assert np.array_equal(gram, gram.T)
+
+
+def test_shifted_grid_of_equal_length_is_not_treated_as_symmetric(random4_kernel):
+    hp = Hyperparams(signal_variance=0.8, lengthscale_sq=0.7)
+    nz = random4_kernel.size
+    ts = np.linspace(0.0, 2.0, 9)
+    tps = ts + 0.05
+    joint = random4_kernel.joint_matrix(ts, tps, hp)
+    for q, tp in enumerate(tps):
+        column = random4_kernel.joint_matrix(ts, [tp], hp)
+        assert np.array_equal(joint[:, q * nz : (q + 1) * nz], column)
+
+
+def test_kernel_calls_convert_no_fractions(random4_kernel, monkeypatch):
+    def refuse(self):
+        raise AssertionError("Fraction converted to float during a kernel call")
+
+    monkeypatch.setattr(Fraction, "__float__", refuse)
+    hp = Hyperparams(signal_variance=0.8, lengthscale_sq=0.7)
+    ts = np.linspace(0.0, 1.0, 4)
+    random4_kernel.joint_matrix(ts, ts, hp)
+    random4_kernel.joint_matrix(ts, ts + 0.3, hp)
