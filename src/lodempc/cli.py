@@ -38,13 +38,14 @@ from .gpcore import (
     PosteriorGp,
     optimize_hyperparams,
 )
-from .kernelops import Hyperparams
+from .kernelops import Hyperparams, build_operator_kernel
 from .lodegp import (
     InfeasibleReferenceError,
     NonControllableSystemError,
     build_h,
     build_prior,
     require_controllable,
+    steady_state_input,
 )
 from .plant import Plant
 from .polyalg import smith_normal_form, right_nullspace_columns
@@ -168,9 +169,10 @@ def cmd_algebra(cfg: ExperimentConfig) -> int:
     null = right_nullspace_columns(h, dec)
     print("nullspace columns of H =")
     print(_indent(null.to_text()))
-    prior = build_prior(cfg.system, cfg.x_ref)
+    kernel = build_operator_kernel(null)
+    steady_state_input(cfg.system, cfg.x_ref)  # an infeasible x_ref exits 1, as in `run`
     print("kernel entries (u = t - t', lam = 1/lengthscale_sq, scaled by signal variance):")
-    print(_indent(prior.kernel.describe()))
+    print(_indent(kernel.describe()))
     return 0
 
 

@@ -49,6 +49,11 @@ DEFAULT_HYPERPARAM_BOUNDS = {
     "lengthscale_sq": (0.01, 100.0),
 }
 
+#: Log-spaced probes per free hyperparameter axis of the fit's start grid.
+PROBES_PER_AXIS = 5
+#: Best-scoring probes that seed a Nelder-Mead descent each.
+N_STARTS = 3
+
 
 class DatasetError(ValueError):
     """Malformed dataset: bad shapes, non-finite entries, or one (time,
@@ -288,8 +293,6 @@ def optimize_hyperparams(
     bounds: dict | None = None,
     fixed: dict | None = None,
     jitter: float = 1e-8,
-    probes_per_axis: int = 5,
-    n_starts: int = 3,
 ) -> Hyperparams:
     """Maximize the marginal log-likelihood over (log signal_variance,
     log lengthscale_sq) inside box bounds.
@@ -326,13 +329,13 @@ def optimize_hyperparams(
             return math.inf
 
     axes = [
-        np.log(np.geomspace(limits[name][0], limits[name][1], probes_per_axis))
+        np.log(np.geomspace(limits[name][0], limits[name][1], PROBES_PER_AXIS))
         for name in free
     ]
     probes = [np.array(p) for p in itertools.product(*axes)]
     scores = [objective(p) for p in probes]
     order = sorted(range(len(probes)), key=lambda k: (scores[k], k))
-    ranked = [k for k in order[:n_starts] if math.isfinite(scores[k])]
+    ranked = [k for k in order[:N_STARTS] if math.isfinite(scores[k])]
     starts = [probes[k] for k in ranked]
     if not starts:
         # Every probe failed to factorize; fall back to the box center.

@@ -4,15 +4,16 @@ kernel.
 Writing ``u = t - t'`` and ``lam = 1/lengthscale_sq``, everything handled here
 is a polynomial ``p(u, lam)`` with exact rational coefficients multiplying the
 Gaussian envelope ``exp(-lam*u^2/2)``; the signal variance scales a whole
-entry at evaluation time.  This family is closed under d/dt and d/dt':
+entry at evaluation time.  The family is closed under
+d/du [p * g] = (dp/du - lam*u*p) * g, and d/dt = d/du, d/dt' = -d/du.  So
+entry (i, j) of K = V(d/dt) k_se V(d/dt')^T is one exact symbol applied once:
 
-    d/dt  [p * g] = (dp/du - lam*u*p) * g
-    d/dt' [p * g] = (-dp/du + lam*u*p) * g
+    K_ij(u) = w_ij(d/du) k_se(u),    w_ij(s) = sum_c v_ic(s) * v_jc(-s).
 
-so a polynomial-matrix operator applied to both arguments of the base kernel
-stays inside the family.  Coefficient bookkeeping is exact (Fractions).  An
-:class:`OperatorKernel` compiles its coefficients to floats once, when it is
-built; grid evaluation never touches a Fraction.
+Only entries i <= j are built; entry (j, i) is entry (i, j) mirrored u -> -u
+(odd u powers negated, term order kept), so K_ji(u) is bit-equal to K_ij(-u).
+An :class:`OperatorKernel` compiles its Fraction coefficients to floats once,
+when it is built; grid evaluation never touches a Fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .polyalg import Poly, PolyMatrix
+from .polyalg import ONE, Poly, PolyMatrix
 
 __all__ = [
     "Hyperparams",
@@ -102,22 +103,21 @@ class GaussPolyTerm:
         return GaussPolyTerm({key: c * factor for key, c in self.coeffs.items()})
 
     def diff_first(self) -> "GaussPolyTerm":
-        """Derivative in the first kernel argument t."""
+        """Derivative in the first kernel argument t, i.e. d/du."""
         out: dict = {}
         for (a, b), c in self.coeffs.items():
             if a:
-                _acc(out, (a - 1, b), a * c)
-            _acc(out, (a + 1, b + 1), -c)
+                out[a - 1, b] = out.get((a - 1, b), 0) + a * c
+            out[a + 1, b + 1] = out.get((a + 1, b + 1), 0) - c
         return GaussPolyTerm(out)
 
     def diff_second(self) -> "GaussPolyTerm":
-        """Derivative in the second kernel argument t'."""
-        out: dict = {}
-        for (a, b), c in self.coeffs.items():
-            if a:
-                _acc(out, (a - 1, b), -a * c)
-            _acc(out, (a + 1, b + 1), c)
-        return GaussPolyTerm(out)
+        """Derivative in the second kernel argument t', i.e. -d/du."""
+        return self.diff_first().scaled(-1)
+
+    def mirrored(self) -> "GaussPolyTerm":
+        """The term at -u: odd u powers negated, term order kept."""
+        return GaussPolyTerm({(a, b): -c if a % 2 else c for (a, b), c in self.coeffs.items()})
 
     def evaluate(self, u: float, lam: float) -> float:
         """Value at one (u, lam), summed term by term from the exact
@@ -147,32 +147,26 @@ class GaussPolyTerm:
         return f"({' '.join(parts)}) exp(-lam u^2/2)"
 
 
-def _acc(table: dict, key: tuple[int, int], value: Fraction) -> None:
-    table[key] = table.get(key, Fraction(0)) + value
-
-
 def se_kernel() -> GaussPolyTerm:
     """The base squared-exponential kernel, i.e. p = 1."""
     return GaussPolyTerm({(0, 0): Fraction(1)})
 
 
+def _reflected(op: Poly) -> Poly:
+    """op(-s): the symbol of op(d/dt') written in d/du."""
+    return Poly(tuple(-c if k % 2 else c for k, c in enumerate(op.coeffs)))
+
+
 def apply_operator_pair(op_t: Poly, op_tp: Poly, base: GaussPolyTerm) -> GaussPolyTerm:
-    """Apply op_t(d/dt) to the first argument and op_tp(d/dt') to the second."""
-    acc = GaussPolyTerm.zero()
-    cur = base
-    for k, c in enumerate(op_t.coeffs):
+    """Apply op_t(d/dt) to the first argument and op_tp(d/dt') to the second,
+    as the one symbol op_t(s) * op_tp(-s) in d/du."""
+    acc, cur = GaussPolyTerm.zero(), base
+    for k, c in enumerate((op_t * _reflected(op_tp)).coeffs):
+        if k:
+            cur = cur.diff_first()
         if c:
             acc = acc.plus(cur.scaled(c))
-        if k + 1 < len(op_t.coeffs):
-            cur = cur.diff_first()
-    out = GaussPolyTerm.zero()
-    cur = acc
-    for k, c in enumerate(op_tp.coeffs):
-        if c:
-            out = out.plus(cur.scaled(c))
-        if k + 1 < len(op_tp.coeffs):
-            cur = cur.diff_second()
-    return out
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,20 +252,19 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     """Push the latent SE process through the operator columns.
 
     ``v_cols`` holds the nullspace columns of the system operator; entry
-    (i, j) of the result is sum over columns c of
-    v[i,c](d/dt) v[j,c](d/dt') k_se(t, t').
+    (i, j) of the result is w_ij(d/du) k_se(u) with the symbol
+    w_ij(s) = sum over columns c of v[i,c](s) * v[j,c](-s).  Entries below
+    the diagonal are mirrors of those above it.
     """
     if v_cols.cols == 0:
         raise ValueError("operator matrix has no columns: empty nullspace")
-    base = se_kernel()
-    nz = v_cols.rows
-    entries = []
+    nz, columns = v_cols.rows, range(v_cols.cols)
+    entries = [[None] * nz for _ in range(nz)]
     for i in range(nz):
-        row = []
-        for j in range(nz):
-            acc = GaussPolyTerm.zero()
-            for c in range(v_cols.cols):
-                acc = acc.plus(apply_operator_pair(v_cols[i, c], v_cols[j, c], base))
-            row.append(acc)
-        entries.append(tuple(row))
-    return OperatorKernel(tuple(entries))
+        for j in range(i, nz):
+            symbol = sum((v_cols[i, c] * _reflected(v_cols[j, c]) for c in columns), Poly())
+            # w_ij(d/dt) on the first argument alone is w_ij(d/du).
+            entries[i][j] = apply_operator_pair(symbol, ONE, se_kernel())
+            if j > i:
+                entries[j][i] = entries[i][j].mirrored()
+    return OperatorKernel(tuple(tuple(row) for row in entries))

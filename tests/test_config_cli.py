@@ -337,6 +337,19 @@ def test_algebra_non_controllable_exit_one(tmp_path, capsys):
     assert "invariant factor" in captured.err
 
 
+def test_algebra_exit_one_on_infeasible_reference(tmp_path, capsys):
+    doc = base_doc(tmp_path / "out")
+    doc["system"] = {"A": [[0.0, 1.0], [1.0, 1.0]], "B": [[0.0], [1.0]]}
+    doc["reference"] = {"x_ref": [0.0, 1.0]}
+    doc["initial"] = {"x0": [1.0, 0.0], "u0": [0.0]}
+    doc["bounds"] = {"z_min": [-2.0] * 3, "z_max": [2.0] * 3}
+    assert main(["algebra", str(write_doc(tmp_path, doc))]) == 1
+    captured = capsys.readouterr()
+    assert "nullspace columns of H =" in captured.out
+    assert "kernel entries" not in captured.out
+    assert "no steady-state input" in captured.err
+
+
 def test_cli_usage_error_for_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lodempc.kernelops import (
@@ -37,6 +37,11 @@ SE_EXPR = sp.exp(-LAM * (T - TP) ** 2 / 2)
 
 def oracle_apply(op_t: Poly, op_tp: Poly, expr=SE_EXPR):
     """Apply polynomial differential operators symbolically."""
+    return sp.simplify(oracle_derivatives(op_t, op_tp, expr))
+
+
+def oracle_derivatives(op_t: Poly, op_tp: Poly, expr=SE_EXPR):
+    """The operators' derivative sum, unsimplified."""
     acc = sp.Integer(0)
     for k, c in enumerate(op_t.coeffs):
         if c:
@@ -45,7 +50,7 @@ def oracle_apply(op_t: Poly, op_tp: Poly, expr=SE_EXPR):
     for k, c in enumerate(op_tp.coeffs):
         if c:
             out += sp.Rational(c.numerator, c.denominator) * sp.diff(acc, TP, k)
-    return sp.simplify(out)
+    return out
 
 
 def term_as_sympy(term: GaussPolyTerm):
@@ -237,6 +242,41 @@ def test_single_channel_kernel_round_trip():
     assert k.evaluate(1.0, 1.0, hp, 0, 0) == pytest.approx(2.0)
 
 
+controllable_systems = st.tuples(
+    st.integers(min_value=2, max_value=3), st.integers(min_value=1, max_value=2)
+).flatmap(
+    lambda dims: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=dims[0] ** 2, max_size=dims[0] ** 2),
+        st.lists(st.integers(-2, 2), min_size=dims[0] * dims[1], max_size=dims[0] * dims[1]),
+    ).map(
+        lambda flat: (
+            np.array(flat[0], dtype=float).reshape(dims[0], dims[0]),
+            np.array(flat[1], dtype=float).reshape(dims[0], dims[1]),
+        )
+    )
+)
+
+
+def is_controllable(a, b) -> bool:
+    n = a.shape[0]
+    ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
+    return np.linalg.matrix_rank(ctrb) == n
+
+
+@settings(max_examples=8, deadline=None)
+@given(controllable_systems)
+def test_random_system_entries_match_oracle_column_sums(system):
+    a, b = system
+    assume(is_controllable(a, b))
+    prior = build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * a.shape[0])
+    v = prior.v_cols
+    for i, j in itertools.product(range(v.rows), repeat=2):
+        want = sum(oracle_derivatives(v[i, c], v[j, c]) for c in range(v.cols))
+        # Both sides are polynomials times the one SE envelope: dividing it
+        # out and expanding decides equality without simplify.
+        assert sp.expand((term_as_sympy(prior.kernel.entry(i, j)) - want) / SE_EXPR) == 0
+
+
 def test_scalar_integrator_kernel_against_oracle():
     cols = PolyMatrix.from_rows([[ONE], [D]])
     k = build_operator_kernel(cols)
@@ -253,8 +293,9 @@ def test_scalar_integrator_kernel_against_oracle():
 
 @pytest.fixture(scope="module")
 def random4_kernel():
-    # An entry pair whose coefficient tables list their terms in different
-    # orders: evaluated separately, K_ji(u) and K_ij(-u) differ in the last bit.
+    # A system on which building K_ji on its own, rather than as the mirror
+    # of K_ij, lists the terms of the pair in different orders; mirrored, the
+    # two evaluate bit-equal at u and -u.
     rng = np.random.default_rng(2015)
     while True:
         a = rng.integers(-2, 3, (4, 4)).astype(float)
@@ -290,6 +331,23 @@ def test_joint_matrix_on_equal_copy_is_bit_exact_symmetric(random4_kernel):
     ts = np.linspace(0.0, 2.0, 9)
     gram = random4_kernel.joint_matrix(ts, ts.copy(), hp)
     assert np.array_equal(gram, gram.T)
+
+
+def test_swapped_grids_give_transposed_blocks_bit_for_bit(random4_kernel):
+    hp = Hyperparams(signal_variance=0.8, lengthscale_sq=0.3)
+    ts = np.linspace(0.0, 2.0, 9)
+    tps = np.array([-0.4, 0.05, 0.7, 1.9])
+    forward = random4_kernel.eval_blocks(ts, tps, hp)
+    backward = random4_kernel.eval_blocks(tps, ts, hp)
+    assert np.array_equal(forward, backward.transpose(1, 0, 3, 2))
+
+
+def test_lower_entries_mirror_upper_entries_in_term_order(random4_kernel):
+    nz = random4_kernel.size
+    for i, j in itertools.combinations(range(nz), 2):
+        upper = list(random4_kernel.entry(i, j).coeffs.items())
+        mirror = [((a, b), -c if a % 2 else c) for (a, b), c in upper]
+        assert list(random4_kernel.entry(j, i).coeffs.items()) == mirror
 
 
 def test_shifted_grid_of_equal_length_is_not_treated_as_symmetric(random4_kernel):
