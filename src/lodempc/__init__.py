@@ -47,7 +47,6 @@ from .lodegp import (
     NonControllableSystemError,
     build_h,
     build_prior,
-    controllability_check,
     steady_state_input,
 )
 from .metrics import constraint_violation, control_error

@@ -12,7 +12,9 @@ multi-start simplex descent from a fixed probe grid, so repeated runs are
 bit-identical.
 
 Index convention for Gram matrices: the observed (row, channel) slots of
-the dataset, row-major (``Dataset.slots``); masked slots are skipped.
+the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
+kernel is stationary, so a Gram is gathered from the kernel evaluated once
+per distinct float lag of the dataset (:func:`gram_index`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "FactorizationError",
     "PosteriorGp",
     "assemble_gram",
+    "gram_index",
     "log_marginal_likelihood",
     "optimize_hyperparams",
     "DEFAULT_HYPERPARAM_BOUNDS",
@@ -134,9 +137,26 @@ def _reject_conflicts(t, values, noise) -> None:
         )
 
 
-def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams):
+def gram_index(data: Dataset):
+    """(lags, index): the distinct lags t_p - t_q of the dataset, and for each
+    pair of observed slots (p, i), (q, j) the flat position of K_ij(t_p - t_q)
+    in eval_blocks(lags, [0]).  The fit builds it once per dataset."""
+    n, nz = len(data), data.n_channels
+    lags, inv = np.unique(data.t[:, None] - data.t, return_inverse=True)
+    row, chan = np.divmod(data.slots, nz)
+    index = inv.reshape(n, n).take(row, axis=0).take(row, axis=1)
+    index += chan[:, None] * (nz * lags.size)
+    index += chan * lags.size
+    return lags, index
+
+
+def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None):
     """Gram matrix over the observed slots plus the noise diagonal (zeros
     replaced by jitter), and the residual z - prior_mean.
+
+    The Gram is a gather through ``index`` (``gram_index(data)`` if None).
+    Each entry sees the same float t_p - t_q as in joint_matrix(t, t), so
+    the two are bit-equal, with no lattice or time tolerance.
 
     Returns (gram, residual)."""
     if not len(data):
@@ -148,8 +168,8 @@ def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams):
     sel = data.slots
     if sel.size == 0:
         raise ValueError("dataset has no unmasked entries")
-    full = prior.kernel.joint_matrix(data.t, data.t, hp)
-    gram = full[np.ix_(sel, sel)]
+    lags, flat = gram_index(data) if index is None else index
+    gram = prior.kernel.eval_blocks(lags, [0.0], hp).take(flat)
     noise = data.noise_var.ravel()[sel]
     gram[np.diag_indices(sel.size)] += np.where(noise > 0, noise, hp.jitter)
     residual = data.values.ravel()[sel] - prior.prior_mean[sel % prior.n_z]
@@ -277,10 +297,11 @@ class PosteriorGp:
         return flat.T.reshape(count, tq.size, self._nz)
 
 
-def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams) -> float:
+def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None):
     """Marginal log-likelihood of the residual z - mu, constant term omitted:
-    -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det (K + Sigma)."""
-    gram, residual = assemble_gram(prior, data, hp)
+    -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det (K + Sigma); a float.
+    ``index`` is as in :func:`assemble_gram`."""
+    gram, residual = assemble_gram(prior, data, hp, index)
     cho, _ = _cho_with_escalation(gram, hp.jitter)
     alpha = cho_solve(cho, residual)
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
@@ -318,13 +339,14 @@ def optimize_hyperparams(
 
     if not free:
         return make_hp(fixed)
+    index = gram_index(data)
 
     def objective(log_free: np.ndarray) -> float:
         values = dict(fixed)
         for name, lv in zip(free, log_free):
             values[name] = math.exp(lv)
         try:
-            return -log_marginal_likelihood(prior, data, make_hp(values))
+            return -log_marginal_likelihood(prior, data, make_hp(values), index)
         except FactorizationError:
             return math.inf
 

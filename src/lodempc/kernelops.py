@@ -13,7 +13,8 @@ entry (i, j) of K = V(d/dt) k_se V(d/dt')^T is one exact symbol applied once:
 Only entries i <= j are built; entry (j, i) is entry (i, j) mirrored u -> -u
 (odd u powers negated, term order kept), so K_ji(u) is bit-equal to K_ij(-u).
 An :class:`OperatorKernel` compiles its Fraction coefficients to floats once,
-when it is built; grid evaluation never touches a Fraction.
+when it is built; grid evaluation never touches a Fraction, and runs one
+Horner pass over all entries.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .polyalg import ONE, Poly, PolyMatrix
 
@@ -111,10 +111,6 @@ class GaussPolyTerm:
             out[a + 1, b + 1] = out.get((a + 1, b + 1), 0) - c
         return GaussPolyTerm(out)
 
-    def diff_second(self) -> "GaussPolyTerm":
-        """Derivative in the second kernel argument t', i.e. -d/du."""
-        return self.diff_first().scaled(-1)
-
     def mirrored(self) -> "GaussPolyTerm":
         """The term at -u: odd u powers negated, term order kept."""
         return GaussPolyTerm({(a, b): -c if a % 2 else c for (a, b), c in self.coeffs.items()})
@@ -179,18 +175,17 @@ class OperatorKernel:
     def __post_init__(self) -> None:
         # Compile once: each entry's terms, in coefficient order, as (slot,
         # lam power, float value); entry k's ascending u coefficients fill
-        # flat[offsets[k]:offsets[k + 1]] of one buffer per evaluation.
+        # row k of one zero-padded (entries, width) buffer per evaluation.
         terms = [term for row in self.entries for term in row]
-        widths = [1 + max((a for a, _ in term.coeffs), default=0) for term in terms]
-        offsets = [0, *np.cumsum(widths).tolist()]
+        width = 1 + max((a for term in terms for a, _ in term.coeffs), default=0)
         slot, lam_pow, value = [], [], []
-        for off, term in zip(offsets, terms):
+        for k, term in enumerate(terms):
             for (a, b), c in term.coeffs.items():
-                slot.append(off + a)
+                slot.append(k * width + a)
                 lam_pow.append(b)
                 value.append(float(c))
         slot, lam_pow = (np.array(col, dtype=np.intp) for col in (slot, lam_pow))
-        object.__setattr__(self, "_compiled", (offsets, slot, lam_pow, np.array(value)))
+        object.__setattr__(self, "_compiled", (width, slot, lam_pow, np.array(value)))
 
     @property
     def size(self) -> int:
@@ -199,38 +194,34 @@ class OperatorKernel:
     def entry(self, i: int, j: int) -> GaussPolyTerm:
         return self.entries[i][j]
 
-    def evaluate(self, t: float, t_prime: float, hp: Hyperparams, i: int, j: int) -> float:
-        """Scalar kernel value for channel pair (i, j)."""
-        return hp.signal_variance * self.entries[i][j].evaluate(t - t_prime, hp.lam)
-
     def eval_blocks(self, ts, tps, hp: Hyperparams) -> np.ndarray:
         """All channel-pair blocks over two time grids.
 
         Returns an array of shape (size, size, len(ts), len(tps)) where
-        [i, j] is K_ij evaluated on the grid outer product.  On equal grids
-        only the blocks i <= j are evaluated and [j, i] is the transpose of
-        [i, j] (K_ji(u) = K_ij(-u)), so the result is exactly symmetric.
+        [i, j] is K_ij evaluated on the grid outer product.  K_ji(u) is
+        bit-equal to K_ij(-u), so swapping the grids transposes the result
+        exactly, and on equal grids it is exactly symmetric.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         tps = np.atleast_1d(np.asarray(tps, dtype=float))
-        offsets, slot, lam_pow, value = self._compiled
-        lam = hp.lam
+        width, slot, lam_pow, value = self._compiled
+        lam, nz = hp.lam, self.size
         # Collapse the lam powers of all entries in one pass; bincount adds
         # each u coefficient's terms in coefficient order.
         powers = np.array([lam**b for b in range(lam_pow.max(initial=0) + 1)])
-        flat = np.bincount(slot, weights=value * powers[lam_pow], minlength=offsets[-1])
-        u = ts[:, None] - tps[None, :]
-        envelope = np.exp(-0.5 * lam * u * u)
-        symmetric = ts.shape == tps.shape and np.array_equal(ts, tps)
-        nz = self.size
-        out = np.empty((nz, nz, ts.size, tps.size))
-        for i in range(nz):
-            for j in range(i if symmetric else 0, nz):
-                coeffs = flat[offsets[i * nz + j] : offsets[i * nz + j + 1]]
-                out[i, j] = hp.signal_variance * npoly.polyval(u, coeffs) * envelope
-                if symmetric and j > i:
-                    out[j, i] = out[i, j].T
-        return out
+        coeffs = np.bincount(slot, weights=value * powers[lam_pow], minlength=nz * nz * width)
+        coeffs = coeffs.reshape(nz * nz, width, 1)
+        u = (ts[:, None] - tps[None, :]).reshape(-1)
+        # Horner's rule for all entries at once, in numpy polyval's order.  An
+        # entry's zero padding keeps its sum at +0.0 until its own top power,
+        # so each entry gets the floats of its own polyval.
+        out = coeffs[:, -1] + u * 0
+        for k in range(width - 2, -1, -1):
+            out *= u
+            out += coeffs[:, k]
+        out *= hp.signal_variance
+        out *= np.exp(-0.5 * lam * u * u)
+        return out.reshape(nz, nz, ts.size, tps.size)
 
     def joint_matrix(self, ts, tps, hp: Hyperparams) -> np.ndarray:
         """Kernel matrix over (time, channel) pairs, point-major ordering:

@@ -32,7 +32,6 @@ __all__ = [
     "NonControllableSystemError",
     "InfeasibleReferenceError",
     "build_h",
-    "controllability_check",
     "require_controllable",
     "steady_state_input",
     "build_prior",
@@ -141,26 +140,15 @@ def build_h(system: LinearSystem) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
-def _nonconstant_factors(dec: SmithDecomposition) -> list[Poly]:
-    return [p for p in dec.invariant_factors() if p.degree >= 1]
-
-
 def require_controllable(dec: SmithDecomposition) -> None:
     """Raise NonControllableSystemError naming every non-constant invariant
     factor of the Smith decomposition of [A - d*I | B]."""
-    bad = _nonconstant_factors(dec)
+    bad = [p for p in dec.invariant_factors() if p.degree >= 1]
     if bad:
         factors = ", ".join(str(p) for p in bad)
         raise NonControllableSystemError(
             f"system is not controllable: non-constant invariant factor(s): {factors}"
         )
-
-
-def controllability_check(system: LinearSystem) -> bool:
-    """True iff every invariant factor of [A - d*I | B] is a nonzero constant
-    (after monic normalization: equal to one)."""
-    dec = smith_normal_form(build_h(system))
-    return not _nonconstant_factors(dec)
 
 
 def steady_state_input(system: LinearSystem, x_ref, tol: float = 1e-8) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the 2-state unstable benchmark system and its GP prior."""
+"""Shared fixtures: the 2-state unstable benchmark system and its GP prior,
+and seeded random controllable 4-state priors."""
 
 import numpy as np
 import pytest
@@ -29,3 +30,29 @@ def unstable_prior(unstable_system):
 @pytest.fixture(scope="session")
 def unit_hp():
     return Hyperparams(signal_variance=1.0, lengthscale_sq=1.0)
+
+
+def random_controllable_prior(seed: int, n_x: int, n_u: int):
+    """Prior of the first controllable integer (A, B), entries in -2..2,
+    drawn from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = rng.integers(-2, 3, (n_x, n_x)).astype(float)
+        b = rng.integers(-2, 3, (n_x, n_u)).astype(float)
+        ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n_x)])
+        if np.linalg.matrix_rank(ctrb) == n_x:
+            return build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * n_x)
+
+
+@pytest.fixture(scope="session")
+def random4_prior():
+    # A system on which building K_ji on its own, rather than as the mirror
+    # of K_ij, lists the terms of the pair in different orders; mirrored, the
+    # two evaluate bit-equal at u and -u.
+    return random_controllable_prior(2015, 4, 1)
+
+
+@pytest.fixture(scope="session")
+def random4x2_prior():
+    # Two inputs: a nullspace of two columns, summed in every entry.
+    return random_controllable_prior(2015, 4, 2)

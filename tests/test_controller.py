@@ -228,21 +228,27 @@ def test_mpc_step_pins_current_observation(unstable_prior):
 
 @pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
 def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, application):
-    # the Gram and the cross kernel at the mean's query times: the std at
-    # t_next reuses the mean's rows, and the prior variance is the lag-0 term
+    # the Gram's lag table and the cross kernel at the mean's query times:
+    # the std at t_next reuses the mean's rows, and its prior variance is
+    # the one-point lag-0 term
     cfg = make_cfg(control_application=application, subgrid_count=4)
     state = ControllerState()
     state.observe(0, np.array([1.0, 0.0, 0.0]))
     calls = []
-    joint_matrix = OperatorKernel.joint_matrix
+    eval_blocks = OperatorKernel.eval_blocks
 
-    def counted(self, *args):
-        calls.append(args)
-        return joint_matrix(self, *args)
+    def counted(self, ts, tps, hp):
+        calls.append((np.atleast_1d(ts), np.atleast_1d(tps)))
+        return eval_blocks(self, ts, tps, hp)
 
-    monkeypatch.setattr(OperatorKernel, "joint_matrix", counted)
+    monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
     _, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
-    assert len(calls) == 2
+    lags, cross, lag0 = calls
+    data_t = diag.dataset.t
+    assert np.array_equal(lags[0], np.unique(data_t[:, None] - data_t))
+    assert lags[1].tolist() == [0.0]
+    assert np.array_equal(cross[1], data_t)
+    assert lag0[0].tolist() == [0.0] and lag0[1].tolist() == [0.0]
     fresh = PosteriorGp(unstable_prior, diag.dataset, Hyperparams()).std([diag.t_next])
     assert np.array_equal(diag.std_next, fresh[0])
 

@@ -2,12 +2,15 @@
 hyperparameter search, and posterior sampling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from lodempc import gpcore
+from lodempc.config import load_config
+from lodempc.controller import initial_dataset
 from lodempc.gpcore import (
     MAX_JITTER,
     Dataset,
@@ -15,11 +18,14 @@ from lodempc.gpcore import (
     FactorizationError,
     PosteriorGp,
     assemble_gram,
+    gram_index,
     log_marginal_likelihood,
     optimize_hyperparams,
 )
 from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_prior
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +143,90 @@ def test_assemble_gram_masks_and_noise(integrator_prior):
     np.testing.assert_allclose(
         gram, base[np.ix_(keep, keep)] + np.diag([1e-8, 1e-8, 0.25])
     )
+
+
+def joint_matrix_gram(prior, data, hp):
+    """Reference Gram: the full joint kernel matrix on the dataset's times,
+    restricted to the observed slots, plus the same noise diagonal."""
+    sel = data.slots
+    gram = prior.kernel.joint_matrix(data.t, data.t, hp)[np.ix_(sel, sel)]
+    noise = data.noise_var.ravel()[sel]
+    gram[np.diag_indices(sel.size)] += np.where(noise > 0, noise, hp.jitter)
+    return gram
+
+
+def random_dataset(rng, times, nz):
+    """Random values and noise at the given times, about a third masked and
+    a quarter of the observed slots exact; a repeated time repeats its row."""
+    values = rng.normal(0.0, 1.0, (len(times), nz))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    values[0, 0] = 0.5  # at least one observed slot
+    noise = np.where(rng.random(values.shape) < 0.25, 0.0, rng.uniform(0.01, 0.2, values.shape))
+    _, first, inverse = np.unique(times, return_index=True, return_inverse=True)
+    source = first[inverse]
+    return Dataset(times, values[source], noise[source])
+
+
+GATHER_HPS = [Hyperparams(0.8, 0.3, jitter=1e-9), Hyperparams(1.7, 2.5)]
+
+
+@pytest.mark.parametrize("hp", GATHER_HPS)
+def test_gathered_gram_is_joint_matrix_bit_for_bit(unstable_prior, hp):
+    a = (0.5, (0.2, None, -0.1), (0.0, 0.0, 0.05))
+    cases = {
+        "masked channels": rows(
+            (0.0, (1.0, None, None), (0.0, 0.0, 0.0)),
+            (0.1, (None, 0.3, None), (0.0, 0.02, 0.0)),
+            (0.2, (0.5, -0.1, 0.7), (0.1, 0.0, 0.0)),
+            (0.3, (None, None, 0.4), (0.0, 0.0, 0.0)),
+        ),
+        # identical rows at one time, and a disjoint row at that time
+        "equal times": rows(
+            a, a, (0.5, (None, 0.3, None), (0.0, 0.0, 0.0)), a, hard(1.0, (0.0,) * 3)
+        ),
+        # unsorted input; lags that are not multiples of any step, and
+        # near-equal lags (0.1 + 0.2 vs 0.3) that must stay distinct
+        "off-lattice": random_dataset(
+            np.random.default_rng(4),
+            [0.7, 0.1 + 0.2, -0.35, 0.3, 1.0 / 3.0, 2.05, 0.0, math.pi / 4, 0.3],
+            3,
+        ),
+    }
+    for name, data in cases.items():
+        gram, _ = assemble_gram(unstable_prior, data, hp)
+        assert np.array_equal(gram, joint_matrix_gram(unstable_prior, data, hp)), name
+        assert np.array_equal(gram, gram.T), name
+
+
+@pytest.mark.parametrize("hp", GATHER_HPS)
+@pytest.mark.parametrize("which", ["random4_prior", "random4x2_prior"])
+def test_gathered_gram_on_random_systems_is_bit_for_bit(request, which, hp):
+    prior = request.getfixturevalue(which)
+    rng = np.random.default_rng(11)
+    # on-lattice times with repeats, then times drawn off any lattice
+    for times in (np.repeat(np.arange(0.0, 1.2, 0.1), 2), rng.uniform(-1.0, 3.0, 14)):
+        data = random_dataset(rng, times, prior.n_z)
+        gram, _ = assemble_gram(prior, data, hp)
+        assert np.array_equal(gram, joint_matrix_gram(prior, data, hp))
+        assert np.array_equal(gram, gram.T)
+
+
+def test_gram_index_points_into_the_lag_table(unstable_prior):
+    data = rows((0.0, (1.0, None, 0.5), (0.0,) * 3), (0.25, (None, 2.0, None), (0.1,) * 3))
+    lags, index = gram_index(data)
+    assert lags.tolist() == [-0.25, 0.0, 0.25]
+    # slots (row 0, ch 0), (row 0, ch 2), (row 1, ch 1); 3 lags per block
+    want = [
+        [(0 * 3 + 0) * 3 + 1, (0 * 3 + 2) * 3 + 1, (0 * 3 + 1) * 3 + 0],
+        [(2 * 3 + 0) * 3 + 1, (2 * 3 + 2) * 3 + 1, (2 * 3 + 1) * 3 + 0],
+        [(1 * 3 + 0) * 3 + 2, (1 * 3 + 2) * 3 + 2, (1 * 3 + 1) * 3 + 1],
+    ]
+    assert index.tolist() == want
+    hp = Hyperparams(0.9, 0.6)
+    given = assemble_gram(unstable_prior, data, hp, (lags, index))
+    built = assemble_gram(unstable_prior, data, hp)
+    for got, want in zip(given, built):
+        assert np.array_equal(got, want)
 
 
 def test_assemble_gram_rejects_empty_and_mismatched(integrator_prior, unstable_prior):
@@ -411,6 +501,37 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
         expected.signal_variance,
         expected.lengthscale_sq,
     )
+
+
+@pytest.fixture(scope="module")
+def past_fit():
+    # the step-0 fit of the bundled regulation_past experiment, as `run` does it
+    cfg = load_config(CONFIG_DIR / "regulation_past.json")
+    prior = build_prior(cfg.system, cfg.x_ref)
+    data = initial_dataset(prior, cfg.controller, include_virtual=False)
+    return prior, data, {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
+
+
+def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
+    prior, data, options = past_fit
+    index_calls, lml_calls = [0], [0]
+
+    def counted_index(*args):
+        index_calls[0] += 1
+        return gram_index(*args)
+
+    def counted_lml(*args):
+        lml_calls[0] += 1
+        return log_marginal_likelihood(*args)
+
+    monkeypatch.setattr(gpcore, "gram_index", counted_index)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
+    hp = optimize_hyperparams(prior, data, **options)
+    assert index_calls[0] == 1
+    assert lml_calls[0] == 386
+    # the fitted values of the direct joint-matrix Gram, bit for bit
+    assert hp.signal_variance == float.fromhex("0x1.27dc90623cb88p-2")
+    assert hp.lengthscale_sq == float.fromhex("0x1.d53a2caf7af19p-1")
 
 
 def test_optimizer_respects_fixed_values(unstable_prior):

@@ -5,6 +5,7 @@ exact coefficient tables; the oracle differentiates exp(-lam*(t-t')^2/2)
 directly with sympy.  The two routes share no code.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -35,34 +36,52 @@ T, TP, LAM = sp.symbols("t t_prime lam", real=True, positive=True)
 SE_EXPR = sp.exp(-LAM * (T - TP) ** 2 / 2)
 
 
-def oracle_apply(op_t: Poly, op_tp: Poly, expr=SE_EXPR):
-    """Apply polynomial differential operators symbolically."""
-    return sp.simplify(oracle_derivatives(op_t, op_tp, expr))
+@functools.lru_cache(maxsize=None)
+def se_derivative(k: int, l: int) -> dict:
+    """d^k/dt^k d^l/dt'^l of the SE kernel, differentiated by sympy and
+    divided by the SE kernel: an exact polynomial, as a map from (t power,
+    t' power, lam power) to its Fraction coefficient."""
+    poly = sp.Poly(sp.diff(SE_EXPR, T, k, TP, l) / SE_EXPR, T, TP, LAM, domain="QQ")
+    return {m: Fraction(c.p, c.q) for m, c in poly.as_dict().items()}
 
 
-def oracle_derivatives(op_t: Poly, op_tp: Poly, expr=SE_EXPR):
-    """The operators' derivative sum, unsimplified."""
-    acc = sp.Integer(0)
-    for k, c in enumerate(op_t.coeffs):
-        if c:
-            acc += sp.Rational(c.numerator, c.denominator) * sp.diff(expr, T, k)
-    out = sp.Integer(0)
-    for k, c in enumerate(op_tp.coeffs):
-        if c:
-            out += sp.Rational(c.numerator, c.denominator) * sp.diff(acc, TP, k)
-    return out
+def oracle_apply(*pairs) -> dict:
+    """Sum over the (op_t, op_tp) pairs of op_t(d/dt) op_tp(d/dt') applied to
+    the SE kernel, divided by the SE kernel, in the form of se_derivative."""
+    acc: dict = {}
+    for op_t, op_tp in pairs:
+        for (k, a), (l, b) in itertools.product(enumerate(op_t.coeffs), enumerate(op_tp.coeffs)):
+            if a and b:
+                for m, c in se_derivative(k, l).items():
+                    acc[m] = acc.get(m, 0) + a * b * c
+    return {m: c for m, c in acc.items() if c}
 
 
-def term_as_sympy(term: GaussPolyTerm):
-    u = T - TP
-    poly = sp.Integer(0)
+def term_polynomial(term: GaussPolyTerm) -> dict:
+    """The term divided by its SE envelope, (t - t')^a expanded binomially,
+    in the form of se_derivative."""
+    acc: dict = {}
     for (a, b), c in term.coeffs.items():
-        poly += sp.Rational(c.numerator, c.denominator) * u**a * LAM**b
-    return poly * sp.exp(-LAM * u**2 / 2)
+        for i in range(a + 1):
+            m = (a - i, i, b)
+            acc[m] = acc.get(m, 0) + c * math.comb(a, i) * (-1) ** i
+    return {m: c for m, c in acc.items() if c}
 
 
-def assert_symbolically_equal(term: GaussPolyTerm, expr) -> None:
-    assert sp.simplify(term_as_sympy(term) - expr) == 0
+def assert_symbolically_equal(term: GaussPolyTerm, poly: dict) -> None:
+    # Both sides are exact polynomials in t, t' and lam: equal coefficients
+    # decide equality, without simplify.
+    assert term_polynomial(term) == poly
+
+
+def diff_second(term: GaussPolyTerm) -> GaussPolyTerm:
+    """Derivative in the second kernel argument t', i.e. -d/du."""
+    return term.diff_first().scaled(-1)
+
+
+def kernel_value(kernel: OperatorKernel, t: float, t_prime: float, hp: Hyperparams, i, j):
+    """Scalar value of channel pair (i, j), summed from the exact terms."""
+    return hp.signal_variance * kernel.entry(i, j).evaluate(t - t_prime, hp.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -89,31 +108,31 @@ def test_hyperparams_reject_nonpositive(field, bad):
 
 
 def test_first_derivative_matches_oracle():
-    assert_symbolically_equal(se_kernel().diff_first(), sp.diff(SE_EXPR, T))
+    assert_symbolically_equal(se_kernel().diff_first(), se_derivative(1, 0))
 
 
 def test_second_derivative_matches_oracle():
-    assert_symbolically_equal(se_kernel().diff_second(), sp.diff(SE_EXPR, TP))
+    assert_symbolically_equal(diff_second(se_kernel()), se_derivative(0, 1))
 
 
 def test_mixed_higher_derivatives_match_oracle():
-    term = se_kernel().diff_first().diff_first().diff_second()
-    assert_symbolically_equal(term, sp.diff(SE_EXPR, T, 2, TP, 1))
+    term = diff_second(se_kernel().diff_first().diff_first())
+    assert_symbolically_equal(term, se_derivative(2, 1))
 
 
 def test_derivatives_commute():
-    a = se_kernel().diff_first().diff_second()
-    b = se_kernel().diff_second().diff_first()
+    a = diff_second(se_kernel().diff_first())
+    b = diff_second(se_kernel()).diff_first()
     assert a == b
 
 
 def test_zero_term_stays_zero_under_differentiation():
     assert GaussPolyTerm.zero().diff_first().is_zero
-    assert GaussPolyTerm.zero().diff_second().is_zero
+    assert diff_second(GaussPolyTerm.zero()).is_zero
 
 
 def test_evaluate_matches_numeric_oracle():
-    term = se_kernel().diff_first().diff_second()
+    term = diff_second(se_kernel().diff_first())
     expr = sp.diff(SE_EXPR, T, 1, TP, 1)
     f = sp.lambdify((T, TP, LAM), expr, "math")
     for t, tp, lam in [(0.3, -0.2, 1.0), (1.5, 0.7, 0.5), (-2.0, 1.0, 2.5)]:
@@ -134,13 +153,13 @@ small_ops = st.builds(
 @given(small_ops, small_ops)
 def test_operator_pair_matches_oracle(op_t, op_tp):
     term = apply_operator_pair(op_t, op_tp, se_kernel())
-    assert_symbolically_equal(term, oracle_apply(op_t, op_tp))
+    assert_symbolically_equal(term, oracle_apply((op_t, op_tp)))
 
 
 def test_str_rendering():
     assert str(se_kernel()) == "(1) exp(-lam u^2/2)"
     # d/dt d/dt' of the SE kernel: (lam - lam^2 u^2) exp(...)
-    term = se_kernel().diff_first().diff_second()
+    term = diff_second(se_kernel().diff_first())
     assert str(term) == "(lam - lam^2 u^2) exp(-lam u^2/2)"
 
 
@@ -164,7 +183,7 @@ def test_kernel_entries_match_oracle_symbolically(kernel):
     for i in range(3):
         for j in range(3):
             assert_symbolically_equal(
-                kernel.entry(i, j), oracle_apply(ops[i], ops[j])
+                kernel.entry(i, j), oracle_apply((ops[i], ops[j]))
             )
 
 
@@ -208,15 +227,15 @@ def test_joint_matrix_block_layout(kernel):
     for p, t in enumerate(ts):
         for i in range(3):
             for j in range(3):
-                want = kernel.evaluate(t, 0.3, hp, i, j)
+                want = kernel_value(kernel, t, 0.3, hp, i, j)
                 assert joint[p * 3 + i, j] == pytest.approx(want, rel=1e-14)
 
 
 def test_evaluate_scales_with_signal_variance(kernel):
     lo = Hyperparams(signal_variance=1.0, lengthscale_sq=1.0)
     hi = Hyperparams(signal_variance=3.0, lengthscale_sq=1.0)
-    v1 = kernel.evaluate(0.4, 0.1, lo, 2, 2)
-    v3 = kernel.evaluate(0.4, 0.1, hi, 2, 2)
+    v1 = kernel_value(kernel, 0.4, 0.1, lo, 2, 2)
+    v3 = kernel_value(kernel, 0.4, 0.1, hi, 2, 2)
     assert math.isclose(v3, 3.0 * v1, rel_tol=1e-14)
 
 
@@ -239,7 +258,7 @@ def test_single_channel_kernel_round_trip():
     k = build_operator_kernel(ident)
     assert k.size == 1
     hp = Hyperparams(signal_variance=2.0, lengthscale_sq=1.0)
-    assert k.evaluate(1.0, 1.0, hp, 0, 0) == pytest.approx(2.0)
+    assert kernel_value(k, 1.0, 1.0, hp, 0, 0) == pytest.approx(2.0)
 
 
 controllable_systems = st.tuples(
@@ -271,10 +290,8 @@ def test_random_system_entries_match_oracle_column_sums(system):
     prior = build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * a.shape[0])
     v = prior.v_cols
     for i, j in itertools.product(range(v.rows), repeat=2):
-        want = sum(oracle_derivatives(v[i, c], v[j, c]) for c in range(v.cols))
-        # Both sides are polynomials times the one SE envelope: dividing it
-        # out and expanding decides equality without simplify.
-        assert sp.expand((term_as_sympy(prior.kernel.entry(i, j)) - want) / SE_EXPR) == 0
+        want = oracle_apply(*((v[i, c], v[j, c]) for c in range(v.cols)))
+        assert_symbolically_equal(prior.kernel.entry(i, j), want)
 
 
 def test_scalar_integrator_kernel_against_oracle():
@@ -283,7 +300,7 @@ def test_scalar_integrator_kernel_against_oracle():
     ops = [ONE, D]
     for i in range(2):
         for j in range(2):
-            assert_symbolically_equal(k.entry(i, j), oracle_apply(ops[i], ops[j]))
+            assert_symbolically_equal(k.entry(i, j), oracle_apply((ops[i], ops[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +309,8 @@ def test_scalar_integrator_kernel_against_oracle():
 
 
 @pytest.fixture(scope="module")
-def random4_kernel():
-    # A system on which building K_ji on its own, rather than as the mirror
-    # of K_ij, lists the terms of the pair in different orders; mirrored, the
-    # two evaluate bit-equal at u and -u.
-    rng = np.random.default_rng(2015)
-    while True:
-        a = rng.integers(-2, 3, (4, 4)).astype(float)
-        b = rng.integers(-2, 3, (4, 1)).astype(float)
-        ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(4)])
-        if np.linalg.matrix_rank(ctrb) == 4:
-            return build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * 4).kernel
+def random4_kernel(random4_prior):
+    return random4_prior.kernel
 
 
 def exact_entry_value(term: GaussPolyTerm, u: float, lam: float) -> float:
@@ -324,6 +332,31 @@ def test_eval_blocks_matches_exact_coefficients(random4_kernel):
                 random4_kernel.entry(i, j), ts[p] - tps[q], hp.lam
             )
             assert blocks[i, j, p, q] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def polyval_blocks(kernel: OperatorKernel, ts, tps, hp: Hyperparams) -> np.ndarray:
+    """Reference grid evaluation: each entry's own float coefficients, summed
+    in coefficient order, through numpy's polyval at the entry's degree."""
+    u = np.subtract.outer(ts, tps)
+    out = np.empty((kernel.size, kernel.size, len(ts), len(tps)))
+    for i, j in itertools.product(range(kernel.size), repeat=2):
+        term = kernel.entry(i, j)
+        coeffs = [0.0] * (1 + max((a for a, _ in term.coeffs), default=0))
+        for (a, b), c in term.coeffs.items():
+            coeffs[a] += float(c) * hp.lam**b
+        poly = np.polynomial.polynomial.polyval(u, coeffs)
+        out[i, j] = hp.signal_variance * poly * np.exp(-0.5 * hp.lam * u * u)
+    return out
+
+
+@pytest.mark.parametrize("which", ["unstable_prior", "random4_prior", "random4x2_prior"])
+def test_eval_blocks_is_per_entry_polyval_bit_for_bit(request, which):
+    # entries of different degrees share one zero-padded Horner evaluation
+    kernel = request.getfixturevalue(which).kernel
+    ts, tps = np.linspace(-3.0, 3.0, 13), np.array([-0.7, 0.0, 0.25, 2.0])
+    for hp in (Hyperparams(0.8, 0.3), Hyperparams(1.7, 2.5), Hyperparams(1.0, 40.0)):
+        got, want = kernel.eval_blocks(ts, tps, hp), polyval_blocks(kernel, ts, tps, hp)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_joint_matrix_on_equal_copy_is_bit_exact_symmetric(random4_kernel):

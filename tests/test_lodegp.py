@@ -13,10 +13,20 @@ from lodempc.lodegp import (
     NonControllableSystemError,
     build_h,
     build_prior,
-    controllability_check,
+    require_controllable,
     steady_state_input,
 )
-from lodempc.polyalg import D, ONE, Poly, PolyMatrix
+from lodempc.polyalg import D, ONE, Poly, PolyMatrix, smith_normal_form
+
+
+def controllability_check(system: LinearSystem) -> bool:
+    """True iff every invariant factor of [A - d*I | B] is a nonzero constant
+    (after monic normalization: equal to one)."""
+    try:
+        require_controllable(smith_normal_form(build_h(system)))
+    except NonControllableSystemError:
+        return False
+    return True
 
 
 def test_system_coerces_one_dimensional_b():
