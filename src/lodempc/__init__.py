@@ -10,15 +10,9 @@ constraints, past observations, and optional virtual reference points.
 from .config import ConfigError, ExperimentConfig, load_config
 from .controller import (
     ControllerConfig,
-    ControllerState,
     PlantDivergenceError,
-    StepDiagnostics,
     build_step_dataset,
     initial_dataset,
-    make_d_con,
-    make_d_init,
-    make_d_past,
-    make_d_v,
     mpc_step,
     posterior_from_trajectory,
     run_closed_loop,
@@ -36,7 +30,7 @@ from .kernelops import (
     GaussPolyTerm,
     Hyperparams,
     OperatorKernel,
-    apply_operator_pair,
+    apply_symbol,
     build_operator_kernel,
     se_kernel,
 )

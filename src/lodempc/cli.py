@@ -38,7 +38,7 @@ from .gpcore import (
     PosteriorGp,
     optimize_hyperparams,
 )
-from .kernelops import Hyperparams, build_operator_kernel
+from .kernelops import build_operator_kernel
 from .lodegp import (
     InfeasibleReferenceError,
     NonControllableSystemError,
@@ -64,19 +64,6 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _resolve_hyperparams(prior, cfg: ExperimentConfig, dataset) -> Hyperparams:
-    fixed = cfg.hp_fixed or {}
-    if {"signal_variance", "lengthscale_sq"} <= set(fixed):
-        return Hyperparams(
-            signal_variance=fixed["signal_variance"],
-            lengthscale_sq=fixed["lengthscale_sq"],
-            jitter=cfg.jitter,
-        )
-    return optimize_hyperparams(
-        prior, dataset, bounds=cfg.hp_bounds, fixed=fixed or None, jitter=cfg.jitter
-    )
-
-
 def _write_trajectory_csv(path: Path, traj, n_x: int, n_u: int) -> None:
     cols = (
         ["t"]
@@ -99,11 +86,11 @@ def _write_trajectory_csv(path: Path, traj, n_x: int, n_u: int) -> None:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     prior = build_prior(cfg.system, cfg.x_ref)
-    # Fit hyperparameters to the measured/constraint data only; endpoint
-    # shaping points steer the online plan but say nothing about scales.
-    dataset = initial_dataset(prior, cfg.controller, include_virtual=False)
+    dataset = initial_dataset(prior, cfg.controller)
     start = time.perf_counter()
-    hp = _resolve_hyperparams(prior, cfg, dataset)
+    hp = optimize_hyperparams(
+        prior, dataset, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter
+    )
     plant = Plant(cfg.system.A, cfg.system.B)
     traj = run_closed_loop(prior, plant, cfg.controller, hp)
     wall = time.perf_counter() - start
@@ -141,7 +128,9 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
         [ctrl.x0 + ctrl.u0, prior.prior_mean],
         np.zeros((2, nz)),
     )
-    hp = _resolve_hyperparams(prior, cfg, endpoints)
+    hp = optimize_hyperparams(
+        prior, endpoints, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter
+    )
     gp = PosteriorGp(prior, endpoints, hp)
     grid = np.array([ctrl.grid_time(i) for i in range(ctrl.n_steps + 1)])
     draws = gp.sample(grid, count, seed)

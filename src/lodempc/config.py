@@ -19,6 +19,32 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
+#: The fields of each section.  The document holds these sections and
+#: ``seed``; ``flags`` and ``outputs`` may be left out.  Any other key is
+#: rejected, so a misspelt field cannot fall back to its default unnoticed.
+SECTIONS = {
+    "system": ("A", "B", "channel_names"),
+    "reference": ("x_ref",),
+    "initial": ("x0", "u0"),
+    "horizon": ("t0", "t_end", "dt"),
+    "bounds": ("z_min", "z_max"),
+    "datasets": ("constraint_grid", "past_window", "virtual_start"),
+    "hyperparams": ("bounds", "fixed", "jitter"),
+    "flags": ("constraint_noise_is_variance", "control_application", "subgrid_count"),
+    "outputs": ("directory", "trajectory_csv", "metrics_json", "samples_csv"),
+}
+OPTIONAL_SECTIONS = ("flags", "outputs")
+HYPERPARAM_NAMES = ("signal_variance", "lengthscale_sq")
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = [key for key in keys if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} in {where}; expected one of {', '.join(known)}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     system: LinearSystem
@@ -38,12 +64,15 @@ class ExperimentConfig:
 
 
 def _section(doc: dict, name: str) -> dict:
+    if name not in doc and name in OPTIONAL_SECTIONS:
+        return {}
     try:
         sec = doc[name]
     except KeyError:
         raise ConfigError(f"missing config section {name!r}") from None
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} must be an object")
+    _reject_unknown(sec, SECTIONS[name], f"section {name!r}")
     return sec
 
 
@@ -54,7 +83,9 @@ def _get(sec: dict, name: str, where: str):
         raise ConfigError(f"missing field {name!r} in section {where!r}") from None
 
 
-def _grid_times(spec, t0: float) -> tuple:
+def _grid_times(spec) -> tuple:
+    if isinstance(spec, dict):
+        _reject_unknown(spec, ("start", "stop", "count", "times"), "constraint_grid")
     if isinstance(spec, dict) and {"start", "stop", "count"} <= set(spec):
         count = int(spec["count"])
         if count < 1:
@@ -79,6 +110,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _reject_unknown(doc, (*SECTIONS, "seed"), "the config document")
 
     sys_sec = _section(doc, "system")
     ref_sec = _section(doc, "reference")
@@ -87,8 +119,8 @@ def load_config(path) -> ExperimentConfig:
     box_sec = _section(doc, "bounds")
     data_sec = _section(doc, "datasets")
     hp_sec = _section(doc, "hyperparams")
-    flag_sec = doc.get("flags", {})
-    out_sec = doc.get("outputs", {})
+    flag_sec = _section(doc, "flags")
+    out_sec = _section(doc, "outputs")
 
     try:
         system = LinearSystem(
@@ -100,7 +132,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"bad system definition: {exc}") from None
 
     t0 = float(_get(hor_sec, "t0", "horizon"))
-    grid = _grid_times(_get(data_sec, "constraint_grid", "datasets"), t0)
+    grid = _grid_times(_get(data_sec, "constraint_grid", "datasets"))
     t_v = data_sec.get("virtual_start")
 
     try:
@@ -133,8 +165,9 @@ def load_config(path) -> ExperimentConfig:
         )
 
     bounds_raw = hp_sec.get("bounds", {}) or {}
+    _reject_unknown(bounds_raw, HYPERPARAM_NAMES, "hyperparams.bounds")
     hp_bounds = {}
-    for name in ("signal_variance", "lengthscale_sq"):
+    for name in HYPERPARAM_NAMES:
         if name in bounds_raw:
             lo, hi = bounds_raw[name]
             lo, hi = float(lo), float(hi)
@@ -144,10 +177,9 @@ def load_config(path) -> ExperimentConfig:
     fixed_raw = hp_sec.get("fixed")
     hp_fixed = None
     if fixed_raw:
+        _reject_unknown(fixed_raw, HYPERPARAM_NAMES, "hyperparams.fixed")
         hp_fixed = {}
         for name, value in fixed_raw.items():
-            if name not in ("signal_variance", "lengthscale_sq"):
-                raise ConfigError(f"unknown fixed hyperparameter {name!r}")
             value = float(value)
             if not value > 0:
                 raise ConfigError(f"fixed hyperparameter {name} must be positive")

@@ -1,31 +1,26 @@
 """Model predictive control as GP inference.
 
-Each step conditions the ODE-consistent prior on a :class:`Dataset`
-assembled from four fragments over the stacked trajectory z = (x, u):
+The closed loop's only state is its trajectory: one array ``z`` of the
+observed z = (x, u), one row per ``dt`` lattice step.  Step ``k`` is at time
+``t0 + k*dt`` and is a pure function of ``z[:k+1]``: one builder,
+:func:`build_step_dataset`, writes the paper's four fragments (the current
+observation, soft box points, the past window and virtual reference points)
+as array blocks into one :class:`Dataset`, and :func:`mpc_step` conditions
+the ODE-consistent prior on it.  The posterior mean of the control channels
+over the next interval is applied to the plant, and the new row is appended.
+Inspecting a step means replaying it: ``mpc_step(prior, cfg, hp,
+traj.z[:k+1])`` gives step ``k`` back bit for bit.
 
-* the current observation (exact),
-* soft box-constraint points at the grid times after now (value = box
-  center, noise from the box half-width),
-* up to ``m_p`` most recent past observations (exact),
-* optional virtual reference points at the grid times after both now and
-  ``t_v`` (exact, value = reference); they take the place of the soft
-  points at those times.
-
-The controller runs on the ``dt`` lattice: step ``k`` is at time
-``t0 + k*dt``, the state records observations by step index, and
 :class:`ControllerConfig` maps each constraint grid time to its lattice
-index once, so "after now" is an integer comparison.
-
-The posterior mean of the control channels over the next interval is then
-applied to the plant.  Hyperparameters are chosen once, offline, on the
-initial dataset, and stay frozen for the whole run.
+index once, so "after now" is an integer comparison.  Hyperparameters are
+chosen once, offline, on :func:`initial_dataset`, and stay frozen for the
+whole run.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +32,7 @@ from .plant import ControlSignal, Plant, Trajectory
 
 __all__ = [
     "ControllerConfig",
-    "ControllerState",
-    "StepDiagnostics",
     "PlantDivergenceError",
-    "make_d_init",
-    "make_d_con",
-    "make_d_past",
-    "make_d_v",
     "build_step_dataset",
     "initial_dataset",
     "mpc_step",
@@ -151,207 +140,111 @@ class ControllerConfig:
         return self.t0 + i * self.dt
 
 
-@dataclass
-class ControllerState:
-    """Observed history by lattice step index, most recent last.  The final
-    entry is the current observation; earlier entries feed the past-data
-    fragment."""
+def build_step_dataset(
+    prior: LodeGpPrior, cfg: ControllerConfig, z_hist, virtual: bool
+) -> Dataset:
+    """The conditioning data of step k, where ``z_hist`` holds the observed
+    z = (x, u) at steps 0..k, one row per step.  Four blocks, in this order:
 
-    history_k: list = field(default_factory=list)
-    history_z: list = field(default_factory=list)
-
-    def observe(self, k: int, z) -> None:
-        self.history_k.append(operator.index(k))
-        self.history_z.append(np.asarray(z, dtype=float))
-
-    @property
-    def k_now(self) -> int:
-        return self.history_k[-1]
-
-    @property
-    def z_now(self) -> np.ndarray:
-        return self.history_z[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class StepDiagnostics:
-    """Per-step byproducts surfaced for logging and tests."""
-
-    posterior: PosteriorGp
-    dataset: Dataset
-    t_next: float
-    mean_next: np.ndarray
-    std_next: np.ndarray
-
-
-def _rows(times, row, noise) -> Dataset:
-    """One dataset row per time, all with the same values and noise."""
-    n = len(times)
-    return Dataset(times, np.tile(row, (n, 1)), np.tile(noise, (n, 1)))
-
-
-def make_d_init(t: float, z) -> Dataset:
-    """The current observation as an exact constraint.  NaN (or ``None``)
-    entries in z mask the corresponding channel."""
-    z = np.asarray(z, dtype=float)
-    return _rows([t], z, np.zeros(z.size))
-
-
-def make_d_con(cfg: ControllerConfig, k_now: int) -> Dataset:
-    """Soft box-constraint points at every grid time after step k_now that
-    no virtual point takes: value = box center, noise from the half-width
-    (squared unless the config says the half-width already is a variance).
-    Zero-width channels become exact constraints."""
+    * the current observation z_hist[k] at t_k, exact (NaN masks a channel);
+    * soft box points at the grid times after step k that no virtual point
+      takes: value = box center, noise from the half-width (squared unless
+      the config says the half-width already is a variance);
+    * up to ``m_p`` observations before step k, exact;
+    * with ``virtual``, exact reference points at the grid times after both
+      step k and ``t_v``.  Without it those times keep soft points.
+    """
+    z_hist = np.asarray(z_hist, dtype=float)
+    if z_hist.ndim != 2 or not len(z_hist) or z_hist.shape[1] != cfg.n_z:
+        raise ValueError(f"z_hist must have shape (k+1, {cfg.n_z}), got {z_hist.shape}")
+    k_now = len(z_hist) - 1
+    ahead = cfg._grid_k > k_now
+    pinned = ahead & cfg._grid_virtual if virtual else np.zeros_like(ahead)
+    soft = ahead & ~pinned
+    past = np.arange(k_now - min(cfg.m_p, k_now), k_now)
+    t = np.concatenate(
+        [[cfg.grid_time(k_now)], cfg._grid_t[soft], cfg.t0 + past * cfg.dt, cfg._grid_t[pinned]]
+    )
+    values = np.empty((t.size, cfg.n_z))
+    noise = np.zeros((t.size, cfg.n_z))
     lo, hi = np.array(cfg.z_min), np.array(cfg.z_max)
     half = 0.5 * (hi - lo)
-    var = half if cfg.constraint_noise_is_variance else half * half
-    take = (cfg._grid_k > k_now) & ~cfg._grid_virtual
-    return _rows(cfg._grid_t[take], 0.5 * (hi + lo), var)
+    b_soft = 1 + np.count_nonzero(soft)
+    b_past = b_soft + past.size
+    values[0] = z_hist[k_now]
+    values[1:b_soft] = 0.5 * (hi + lo)
+    noise[1:b_soft] = half if cfg.constraint_noise_is_variance else half * half
+    values[b_soft:b_past] = z_hist[past]
+    values[b_past:] = prior.prior_mean
+    return Dataset(t, values, noise)
 
 
-def make_d_past(cfg: ControllerConfig, state: ControllerState) -> Dataset:
-    """Up to m_p most recent observations before the current one, exact."""
-    n = min(cfg.m_p, len(state.history_k) - 1)
-    times = [cfg.grid_time(k) for k in state.history_k[-1 - n : -1]]
-    zs = np.array(state.history_z[-1 - n : -1]).reshape(n, cfg.n_z)
-    return Dataset(times, zs, np.zeros(zs.shape))
+def initial_dataset(prior: LodeGpPrior, cfg: ControllerConfig) -> Dataset:
+    """The dataset of the offline hyperparameter fit: step 0 at (t0, x0, u0),
+    without virtual points.
 
-
-def make_d_v(cfg: ControllerConfig, k_now: int, z_ref) -> Dataset:
-    """Virtual exact reference points at grid times after both step k_now
-    and t_v; empty when t_v is unset."""
-    z_ref = np.asarray(z_ref, dtype=float)
-    take = (cfg._grid_k > k_now) & cfg._grid_virtual
-    return _rows(cfg._grid_t[take], z_ref, np.zeros(z_ref.size))
-
-
-def build_step_dataset(
-    prior: LodeGpPrior, state: ControllerState, cfg: ControllerConfig
-) -> Dataset:
-    """Assemble the conditioning dataset for the current step."""
-    k_now = state.k_now
-    parts = (
-        make_d_init(cfg.grid_time(k_now), state.z_now),
-        make_d_con(cfg, k_now),
-        make_d_past(cfg, state),
-        make_d_v(cfg, k_now, prior.prior_mean),
-    )
-    return Dataset(
-        np.concatenate([p.t for p in parts]),
-        np.concatenate([p.values for p in parts]),
-        np.concatenate([p.noise_var for p in parts]),
-    )
-
-
-def initial_dataset(
-    prior: LodeGpPrior, cfg: ControllerConfig, include_virtual: bool = True
-) -> Dataset:
-    """The step-0 dataset at (t0, x0, u0).
-
-    With ``include_virtual=False`` the endpoint-shaping points are left out.
-    That is the variant the offline hyperparameter fit should see: shaping
-    points are planning aids, not evidence about the signal scales, and
-    fitting through their hard zeros drags the lengthscale away from what the
-    measured data supports.  Leaving them out also means every run on the
-    same problem shares one set of hyperparameters regardless of which
+    Virtual points are planning aids, not evidence about the signal scales,
+    and fitting through their hard zeros drags the lengthscale away from what
+    the measured data supports.  Leaving them out also means every run on
+    the same problem shares one set of hyperparameters regardless of which
     dataset fragments the controller uses online.
     """
-    state = ControllerState()
-    state.observe(0, np.concatenate([cfg.x0, cfg.u0]))
-    if not include_virtual:
-        cfg = replace(cfg, t_v=None)
-    return build_step_dataset(prior, state, cfg)
+    return build_step_dataset(prior, cfg, [cfg.x0 + cfg.u0], virtual=False)
 
 
 def mpc_step(
-    prior: LodeGpPrior,
-    state: ControllerState,
-    cfg: ControllerConfig,
-    hp: Hyperparams,
-) -> tuple[ControlSignal, StepDiagnostics]:
-    """Condition on the step dataset and extract the control for the next
-    interval [t_now, t_now + dt]."""
-    dataset = build_step_dataset(prior, state, cfg)
-    gp = PosteriorGp(prior, dataset, hp)
-    t_now = cfg.grid_time(state.k_now)
-    t_next = t_now + cfg.dt
-    n_x = cfg.n_x
+    prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist
+) -> tuple[ControlSignal, np.ndarray]:
+    """Step k = len(z_hist) - 1: condition on its dataset and return the
+    control for [t_k, t_k + dt] and the posterior std at t_k + dt.
 
+    A pure function of its arguments: ``mpc_step(prior, cfg, hp,
+    traj.z[:k+1])`` replays step k of a run bit for bit."""
+    gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp)
+    t_now = cfg.grid_time(len(z_hist) - 1)
+    t_next = t_now + cfg.dt
     if cfg.control_application == "hold_endpoint":
-        query = np.array([t_next])
-        mean = gp.mean(query)
-        signal = ControlSignal.constant(t_next, mean[0, n_x:])
+        signal = ControlSignal.constant(t_next, gp.mean(np.array([t_next]))[0, cfg.n_x :])
     else:
         knots = np.linspace(t_now, t_next, cfg.subgrid_count + 1)
-        mean_knots = gp.mean(knots)
-        signal = ControlSignal.piecewise_linear(knots, mean_knots[:, n_x:])
-        mean = mean_knots[-1:]
-    std_next = gp.std(np.array([t_next]))[0]
-    diag = StepDiagnostics(
-        posterior=gp,
-        dataset=dataset,
-        t_next=t_next,
-        mean_next=mean[-1],
-        std_next=std_next,
-    )
-    return signal, diag
+        signal = ControlSignal.piecewise_linear(knots, gp.mean(knots)[:, cfg.n_x :])
+    return signal, gp.std(np.array([t_next]))[0]
 
 
 def run_closed_loop(
-    prior: LodeGpPrior,
-    plant: Plant,
-    cfg: ControllerConfig,
-    hp: Hyperparams,
-    step_hook=None,
+    prior: LodeGpPrior, plant: Plant, cfg: ControllerConfig, hp: Hyperparams
 ) -> Trajectory:
     """Execute the full receding-horizon loop and return the sampled run.
 
-    ``step_hook(state, signal, diagnostics)``, when given, is invoked after
-    each step's control has been computed (before the plant advances); it
-    exists for inspection and testing.
-    """
+    The trajectory z = (x, u) is the loop's only state: step k is
+    ``mpc_step(prior, cfg, hp, z[:k+1])``, and its control and std fill
+    row k + 1."""
     if plant.n_x != prior.system.n_x or plant.n_u != prior.system.n_u:
         raise ValueError("plant dimensions do not match the prior's system")
-    n_steps = cfg.n_steps
-    n_x, n_u, n_z = cfg.n_x, cfg.n_u, cfg.n_z
+    n_steps, n_x = cfg.n_steps, cfg.n_x
     # At least ten RK4 substeps per interval, each inside one knot interval
     # of a piecewise-linear input: RK4 loses its order across a knot kink.
     substeps = -(-10 // cfg.subgrid_count) * cfg.subgrid_count
 
     times = np.array([cfg.grid_time(i) for i in range(n_steps + 1)])
-    states = np.zeros((n_steps + 1, n_x))
-    controls = np.zeros((n_steps + 1, n_u))
-    stds = np.zeros((n_steps + 1, n_z))
-
-    x = np.asarray(cfg.x0, dtype=float)
-    u = np.asarray(cfg.u0, dtype=float)
-    states[0] = x
-    controls[0] = u
-
-    state = ControllerState()
-    state.observe(0, np.concatenate([x, u]))
-
-    if n_steps == 0:
-        stds[0] = PosteriorGp(prior, Dataset(), hp).std(times[:1])[0]
-    for i in range(n_steps):
-        signal, diag = mpc_step(prior, state, cfg, hp)
-        if i == 0:
-            stds[0] = diag.posterior.std(times[:1])[0]
-        if step_hook is not None:
-            step_hook(state, signal, diag)
-        x = plant.advance(x, signal, times[i], cfg.dt, substeps=substeps)
+    z = np.zeros((n_steps + 1, cfg.n_z))
+    stds = np.zeros((n_steps + 1, cfg.n_z))
+    z[0] = cfg.x0 + cfg.u0
+    # Row 0's std is step 0's posterior at t0; the prior's if there is no step.
+    first = build_step_dataset(prior, cfg, z[:1], virtual=True) if n_steps else Dataset()
+    stds[0] = PosteriorGp(prior, first, hp).std(times[:1])[0]
+    for k in range(n_steps):
+        signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1])
+        x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt, substeps=substeps)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(
-                f"state norm {np.linalg.norm(x):.3e} at t={times[i + 1]:.6g} "
+                f"state norm {np.linalg.norm(x):.3e} at t={times[k + 1]:.6g} "
                 f"exceeds {DIVERGENCE_LIMIT:g}; closed loop aborted"
             )
-        u = signal.value(times[i + 1])
-        states[i + 1] = x
-        controls[i + 1] = u
-        stds[i + 1] = diag.std_next
-        state.observe(i + 1, np.concatenate([x, u]))
+        z[k + 1, :n_x] = x
+        z[k + 1, n_x:] = signal.value(times[k + 1])
 
-    traj = Trajectory(times=times, states=states, controls=controls, stds=stds)
+    traj = Trajectory(times=times, states=z[:, :n_x], controls=z[:, n_x:], stds=stds)
     traj.constraint_error = constraint_violation(traj, cfg.z_min, cfg.z_max)
     traj.control_error = control_error(traj, cfg.x_ref)
     return traj

@@ -25,14 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import ONE, Poly, PolyMatrix
+from .polyalg import Poly, PolyMatrix
 
 __all__ = [
     "Hyperparams",
     "GaussPolyTerm",
     "OperatorKernel",
     "se_kernel",
-    "apply_operator_pair",
+    "apply_symbol",
     "build_operator_kernel",
 ]
 
@@ -153,11 +153,11 @@ def _reflected(op: Poly) -> Poly:
     return Poly(tuple(-c if k % 2 else c for k, c in enumerate(op.coeffs)))
 
 
-def apply_operator_pair(op_t: Poly, op_tp: Poly, base: GaussPolyTerm) -> GaussPolyTerm:
-    """Apply op_t(d/dt) to the first argument and op_tp(d/dt') to the second,
-    as the one symbol op_t(s) * op_tp(-s) in d/du."""
+def apply_symbol(symbol: Poly, base: GaussPolyTerm) -> GaussPolyTerm:
+    """w(d/du) applied to base, for the symbol w(s) = sum_k w_k s^k.  An
+    operator pair op_t(d/dt), op_tp(d/dt') is the symbol op_t(s) * op_tp(-s)."""
     acc, cur = GaussPolyTerm.zero(), base
-    for k, c in enumerate((op_t * _reflected(op_tp)).coeffs):
+    for k, c in enumerate(symbol.coeffs):
         if k:
             cur = cur.diff_first()
         if c:
@@ -254,8 +254,7 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     for i in range(nz):
         for j in range(i, nz):
             symbol = sum((v_cols[i, c] * _reflected(v_cols[j, c]) for c in columns), Poly())
-            # w_ij(d/dt) on the first argument alone is w_ij(d/du).
-            entries[i][j] = apply_operator_pair(symbol, ONE, se_kernel())
+            entries[i][j] = apply_symbol(symbol, se_kernel())
             if j > i:
                 entries[j][i] = entries[i][j].mirrored()
     return OperatorKernel(tuple(tuple(row) for row in entries))

@@ -50,7 +50,7 @@ def bundled_runs():
         cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
         prior = build_prior(cfg.system, cfg.controller.x_ref)
         start = time.perf_counter()
-        fit_data = initial_dataset(prior, cfg.controller, include_virtual=False)
+        fit_data = initial_dataset(prior, cfg.controller)
         hp = optimize_hyperparams(
             prior,
             fit_data,

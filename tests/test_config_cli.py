@@ -2,12 +2,15 @@
 determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_doc(out_dir):
@@ -140,6 +143,22 @@ def test_load_config_rejects_negative_jitter(tmp_path):
         load_config(write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [(), ("system",), ("reference",), ("initial",), ("horizon",), ("bounds",),
+     ("datasets",), ("datasets", "constraint_grid"), ("hyperparams",),
+     ("hyperparams", "bounds"), ("hyperparams", "fixed"), ("flags",), ("outputs",)],
+)
+def test_load_config_rejects_unknown_keys(tmp_path, path):
+    doc = base_doc(tmp_path / "out")
+    where = doc
+    for name in path:
+        where = where.setdefault(name, {})
+    where["bogus_key"] = 1
+    with pytest.raises(ConfigError, match="unknown key 'bogus_key'"):
+        load_config(write_doc(tmp_path, doc))
+
+
 def test_load_config_rejects_bad_grid_spec(tmp_path):
     doc = base_doc(tmp_path / "out")
     doc["datasets"]["constraint_grid"] = {"start": 0.1}
@@ -197,6 +216,16 @@ def test_run_exit_one_on_bad_config(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
+    # read as missing, the flag would fall back to the zero-order hold, which
+    # destabilizes this experiment (exit 2)
+    doc = json.loads((CONFIG_DIR / "regulation_past.json").read_text())
+    doc["flags"] = {"control_aplication": doc["flags"]["control_application"]}
+    doc["outputs"]["directory"] = str(tmp_path / "out")
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    assert "unknown key 'control_aplication' in section 'flags'" in capsys.readouterr().err
 
 
 def test_run_exit_one_on_infeasible_reference(tmp_path):

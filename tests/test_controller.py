@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from lodempc import controller
 from lodempc.controller import (
     ControllerConfig,
-    ControllerState,
     PlantDivergenceError,
     build_step_dataset,
     initial_dataset,
-    make_d_con,
-    make_d_init,
-    make_d_past,
-    make_d_v,
     mpc_step,
     posterior_from_trajectory,
     run_closed_loop,
 )
-from lodempc.gpcore import PosteriorGp
+from lodempc.gpcore import Dataset, PosteriorGp
 from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant, step_exact
@@ -79,83 +75,106 @@ def test_config_accepts_degenerate_horizon():
 
 
 # ---------------------------------------------------------------------------
-# Dataset fragments
+# The step dataset: one builder, four blocks
 # ---------------------------------------------------------------------------
 
 
-def test_d_init_is_single_exact_point():
-    ds = make_d_init(0.5, (1.0, None, 2.0))
-    assert len(ds) == 1
-    assert ds.t.tolist() == [0.5]
-    np.testing.assert_array_equal(ds.values, [[1.0, np.nan, 2.0]])
-    np.testing.assert_array_equal(ds.noise_var, [[0.0, 0.0, 0.0]])
+def history(k, z_now=(1.0, 0.0, 0.0)):
+    """Observations at steps 0..k: row j is (j, 0, 0), row k is z_now."""
+    z = np.zeros((k + 1, 3))
+    z[:, 0] = np.arange(k + 1)
+    z[k] = z_now
+    return z
 
 
-def test_d_con_future_only_with_box_statistics():
-    cfg = make_cfg()
-    ds = make_d_con(cfg, k_now=15)
+def soft_rows(ds):
+    """(times, values, noise) of the soft box points: the rows with noise."""
+    soft = np.all(ds.noise_var > 0, axis=1)
+    return ds.t[soft], ds.values[soft], ds.noise_var[soft]
+
+
+def test_d_init_is_single_exact_point(unstable_prior):
+    ds = build_step_dataset(unstable_prior, make_cfg(), history(5, (1.0, np.nan, 2.0)), virtual=True)
+    now = np.isclose(ds.t, 0.5)
+    assert np.count_nonzero(now) == 1
+    np.testing.assert_array_equal(ds.values[now], [[1.0, np.nan, 2.0]])
+    np.testing.assert_array_equal(ds.noise_var[now], [[0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("z_hist", [np.zeros((0, 3)), np.zeros((2, 2)), np.zeros(3)])
+def test_step_dataset_rejects_malformed_history(unstable_prior, z_hist):
+    with pytest.raises(ValueError, match="z_hist"):
+        build_step_dataset(unstable_prior, make_cfg(), z_hist, virtual=True)
+
+
+def test_d_con_future_only_with_box_statistics(unstable_prior):
+    ds = build_step_dataset(unstable_prior, make_cfg(), history(15), virtual=True)
+    t, values, noise = soft_rows(ds)
     # grid times strictly after step 15 (t = 1.5): 1.6 .. 2.0
-    assert ds.t == pytest.approx([1.6, 1.7, 1.8, 1.9, 2.0])
-    np.testing.assert_array_equal(ds.values[0], [0.0, 0.0, 0.0])  # box centers
-    np.testing.assert_array_equal(ds.noise_var[0], [1.0, 1.0, 2.5**2])  # half-width squared
+    assert t == pytest.approx([1.6, 1.7, 1.8, 1.9, 2.0])
+    np.testing.assert_array_equal(values, np.zeros((5, 3)))  # box centers
+    np.testing.assert_array_equal(noise, np.tile([1.0, 1.0, 2.5**2], (5, 1)))  # half-width squared
+    assert len(ds) == 6
 
 
-def test_d_con_variance_flag_uses_half_width_directly():
+def test_d_con_variance_flag_uses_half_width_directly(unstable_prior):
     cfg = make_cfg(constraint_noise_is_variance=True)
-    ds = make_d_con(cfg, k_now=19)
-    np.testing.assert_array_equal(ds.noise_var, [[1.0, 1.0, 2.5]])
+    _, _, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19), virtual=True))
+    np.testing.assert_array_equal(noise, [[1.0, 1.0, 2.5]])
 
 
-def test_d_con_asymmetric_box_center():
+def test_d_con_asymmetric_box_center(unstable_prior):
     cfg = make_cfg(z_min=(-1.0, 0.0, -2.5), z_max=(3.0, 1.0, 2.5))
-    ds = make_d_con(cfg, k_now=19)
-    np.testing.assert_array_equal(ds.values, [[1.0, 0.5, 0.0]])
-    np.testing.assert_array_equal(ds.noise_var, [[4.0, 0.25, 6.25]])
+    _, values, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19), virtual=True))
+    np.testing.assert_array_equal(values, [[1.0, 0.5, 0.0]])
+    np.testing.assert_array_equal(noise, [[4.0, 0.25, 6.25]])
 
 
-def test_d_past_window_and_exclusion_of_current():
-    state = ControllerState()
-    for k in range(6):
-        state.observe(k, np.array([k, 0.0, 0.0]))
-    ds = make_d_past(make_cfg(m_p=3), state)
+def test_d_past_window_and_exclusion_of_current(unstable_prior):
+    ds = build_step_dataset(unstable_prior, make_cfg(m_p=3), history(5), virtual=True)
     # three most recent strictly before now (step 5), exact
-    assert ds.t == pytest.approx([0.2, 0.3, 0.4])
-    np.testing.assert_array_equal(ds.values[:, 0], [2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(ds.noise_var, np.zeros((3, 3)))
-    assert len(make_d_past(make_cfg(m_p=0), state)) == 0
-    fresh = ControllerState()
-    fresh.observe(0, np.zeros(3))
-    assert len(make_d_past(make_cfg(m_p=5), fresh)) == 0
+    past = ds.t < 0.5 - 1e-9
+    assert ds.t[past] == pytest.approx([0.2, 0.3, 0.4])
+    np.testing.assert_array_equal(ds.values[past][:, 0], [2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(ds.noise_var[past], np.zeros((3, 3)))
+    for cfg, z_hist in ((make_cfg(m_p=0), history(5)), (make_cfg(m_p=5), history(0))):
+        ds = build_step_dataset(unstable_prior, cfg, z_hist, virtual=True)
+        assert ds.t.min() == pytest.approx(cfg.grid_time(len(z_hist) - 1))
 
 
-def test_d_v_starts_after_both_t_v_and_now():
+def virtual_rows(ds, k_now, cfg):
+    """Times and values of the exact rows after step k_now."""
+    ahead = (ds.t > cfg.grid_time(k_now) + 1e-9) & np.all(ds.noise_var == 0.0, axis=1)
+    return ds.t[ahead], ds.values[ahead]
+
+
+def test_d_v_starts_after_both_t_v_and_now(unstable_prior):
     cfg = make_cfg(t_v=1.0)
-    ds = make_d_v(cfg, k_now=0, z_ref=np.zeros(3))
-    assert ds.t[0] == pytest.approx(1.1)
-    assert ds.t[-1] == pytest.approx(2.0)
-    np.testing.assert_array_equal(ds.values, np.zeros((10, 3)))
-    np.testing.assert_array_equal(ds.noise_var, np.zeros((10, 3)))
-    late = make_d_v(cfg, k_now=17, z_ref=np.zeros(3))
-    assert late.t == pytest.approx([1.8, 1.9, 2.0])
+    t, values = virtual_rows(build_step_dataset(unstable_prior, cfg, history(0), virtual=True), 0, cfg)
+    assert t == pytest.approx(np.arange(1.1, 2.01, 0.1))
+    np.testing.assert_array_equal(values, np.tile(unstable_prior.prior_mean, (10, 1)))
+    late, _ = virtual_rows(build_step_dataset(unstable_prior, cfg, history(17), virtual=True), 17, cfg)
+    assert late == pytest.approx([1.8, 1.9, 2.0])
     # t_v need not lie on the dt lattice
-    off = make_d_v(make_cfg(t_v=1.05), k_now=0, z_ref=np.zeros(3))
-    assert off.t[0] == pytest.approx(1.1)
-    assert len(make_d_v(make_cfg(), k_now=0, z_ref=np.zeros(3))) == 0
+    off = make_cfg(t_v=1.05)
+    t, _ = virtual_rows(build_step_dataset(unstable_prior, off, history(0), virtual=True), 0, off)
+    assert t[0] == pytest.approx(1.1)
+    plain = make_cfg()
+    t, _ = virtual_rows(build_step_dataset(unstable_prior, plain, history(0), virtual=True), 0, plain)
+    assert t.size == 0
 
 
 def test_step_dataset_virtual_replaces_soft(unstable_prior):
     cfg = make_cfg(t_v=1.0)
-    state = ControllerState()
-    state.observe(0, np.array([1.0, 0.0, 0.0]))
-    ds = build_step_dataset(unstable_prior, state, cfg)
-    con = make_d_con(cfg, k_now=0)
-    virtual = make_d_v(cfg, k_now=0, z_ref=np.zeros(3))
-    assert len(con) == 10  # 0.1 .. 1.0
-    assert len(virtual) == 10  # 1.1 .. 2.0
-    assert con.t.max() < virtual.t.min()
+    ds = build_step_dataset(unstable_prior, cfg, history(0), virtual=True)
+    soft_t, _, _ = soft_rows(ds)
+    virtual_t, _ = virtual_rows(ds, 0, cfg)
+    assert len(soft_t) == 10  # 0.1 .. 1.0
+    assert len(virtual_t) == 10  # 1.1 .. 2.0
+    assert soft_t.max() < virtual_t.min()
     # one row per grid time plus the current observation, no duplicates
     assert len(ds) == 21
-    np.testing.assert_array_equal(ds.t, np.concatenate([[0.0], con.t, virtual.t]))
+    np.testing.assert_array_equal(ds.t, np.concatenate([[0.0], soft_t, virtual_t]))
     # virtual points are exact, soft points are not
     by_t = dict(zip(ds.t.tolist(), ds.noise_var.tolist()))
     assert by_t[2.0] == [0.0, 0.0, 0.0]
@@ -163,20 +182,23 @@ def test_step_dataset_virtual_replaces_soft(unstable_prior):
 
 
 def test_initial_dataset_virtual_switch(unstable_prior):
+    # the fit dataset is step 0's without virtual points
     cfg = make_cfg(t_v=1.0, m_p=5)
-    with_v = initial_dataset(unstable_prior, cfg)
-    without_v = initial_dataset(unstable_prior, cfg, include_virtual=False)
+    z0 = [cfg.x0 + cfg.u0]
+    with_v = build_step_dataset(unstable_prior, cfg, z0, virtual=True)
+    without_v = initial_dataset(unstable_prior, cfg)
     late = with_v.t > 1.0
     assert np.all(with_v.noise_var[late] == 0.0)
     # every virtual time reverts to a soft constraint point
     assert np.all(without_v.noise_var[without_v.t > 0.0] > 0.0)
     np.testing.assert_array_equal(with_v.t, without_v.t)
-    # switch is a no-op when there are no virtual points to begin with
+    np.testing.assert_array_equal(without_v.values[0], z0[0])
+    # the flag is a no-op when there are no virtual points to begin with
     plain = make_cfg()
-    a = initial_dataset(unstable_prior, plain)
-    b = initial_dataset(unstable_prior, plain, include_virtual=False)
-    np.testing.assert_array_equal(a.t, b.t)
-    np.testing.assert_array_equal(a.noise_var, b.noise_var)
+    a = build_step_dataset(unstable_prior, plain, z0, virtual=True)
+    b = initial_dataset(unstable_prior, plain)
+    for name in ("t", "values", "noise_var"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 # ---------------------------------------------------------------------------
@@ -184,73 +206,74 @@ def test_initial_dataset_virtual_switch(unstable_prior):
 # ---------------------------------------------------------------------------
 
 
+def step_posterior(prior, cfg, hp, z_hist):
+    """The posterior that mpc_step conditions, built the same way."""
+    return PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp)
+
+
 def test_mpc_step_hold_returns_constant_signal(unstable_prior):
     cfg = make_cfg()
-    state = ControllerState()
-    state.observe(0, np.array([1.0, 0.0, 0.0]))
-    signal, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
+    signal, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert signal.kind == "constant"
-    assert diag.t_next == pytest.approx(0.1)
+    assert signal.knot_times == pytest.approx((0.1,))
     # the held value is the posterior mean of the control channel at t_next
-    want = diag.posterior.mean(np.array([0.1]))[0, 2]
-    np.testing.assert_allclose(signal.value(0.1), [want])
-    assert diag.mean_next.shape == (3,)
-    assert diag.std_next.shape == (3,)
+    gp = step_posterior(unstable_prior, cfg, Hyperparams(), history(0))
+    np.testing.assert_allclose(signal.value(0.1), [gp.mean(np.array([0.1]))[0, 2]])
+    assert std_next.shape == (3,)
 
 
 def test_mpc_step_subgrid_returns_piecewise_linear(unstable_prior):
     cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
-    state = ControllerState()
-    state.observe(0, np.array([1.0, 0.0, 0.0]))
-    signal, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
+    signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert signal.kind == "piecewise_linear"
     assert len(signal.knot_times) == 5
     assert signal.knot_times[0] == pytest.approx(0.0)
     assert signal.knot_times[-1] == pytest.approx(0.1)
     knots = np.array(signal.knot_times)
+    gp = step_posterior(unstable_prior, cfg, Hyperparams(), history(0))
     np.testing.assert_allclose(
-        np.array(signal.knot_values)[:, 0],
-        diag.posterior.mean(knots)[:, 2],
-        atol=1e-12,
+        np.array(signal.knot_values)[:, 0], gp.mean(knots)[:, 2], atol=1e-12
     )
 
 
 def test_mpc_step_pins_current_observation(unstable_prior):
     # the plan must pass through the current (t, z): exact-data conditioning
     cfg = make_cfg()
-    state = ControllerState()
     z_now = np.array([0.7, -0.2, 0.3])
-    state.observe(5, z_now)
-    _, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
-    at_now = diag.posterior.mean(np.array([0.5]))[0]
+    at_now = step_posterior(unstable_prior, cfg, Hyperparams(), history(5, z_now)).mean([0.5])[0]
     np.testing.assert_allclose(at_now, z_now, atol=1e-4)
 
 
 @pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
 def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, application):
-    # the Gram's lag table and the cross kernel at the mean's query times:
-    # the std at t_next reuses the mean's rows, and its prior variance is
-    # the one-point lag-0 term
+    # one dataset; the Gram's lag table and the cross kernel at the mean's
+    # query times: the std at t_next reuses the mean's rows, and its prior
+    # variance is the one-point lag-0 term
     cfg = make_cfg(control_application=application, subgrid_count=4)
-    state = ControllerState()
-    state.observe(0, np.array([1.0, 0.0, 0.0]))
-    calls = []
-    eval_blocks = OperatorKernel.eval_blocks
+    data = build_step_dataset(unstable_prior, cfg, history(0), virtual=True)
+    calls, datasets = [], []
+    eval_blocks, post_init = OperatorKernel.eval_blocks, Dataset.__post_init__
 
     def counted(self, ts, tps, hp):
         calls.append((np.atleast_1d(ts), np.atleast_1d(tps)))
         return eval_blocks(self, ts, tps, hp)
 
+    def built(self):
+        datasets.append(self)
+        post_init(self)
+
     monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
-    _, diag = mpc_step(unstable_prior, state, cfg, Hyperparams())
+    monkeypatch.setattr(Dataset, "__post_init__", built)
+    _, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    monkeypatch.undo()
+    assert len(datasets) == 1
     lags, cross, lag0 = calls
-    data_t = diag.dataset.t
-    assert np.array_equal(lags[0], np.unique(data_t[:, None] - data_t))
+    assert np.array_equal(lags[0], np.unique(data.t[:, None] - data.t))
     assert lags[1].tolist() == [0.0]
-    assert np.array_equal(cross[1], data_t)
+    assert np.array_equal(cross[1], data.t)
     assert lag0[0].tolist() == [0.0] and lag0[1].tolist() == [0.0]
-    fresh = PosteriorGp(unstable_prior, diag.dataset, Hyperparams()).std([diag.t_next])
-    assert np.array_equal(diag.std_next, fresh[0])
+    fresh = PosteriorGp(unstable_prior, data, Hyperparams()).std([0.1])
+    assert np.array_equal(std_next, fresh[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,42 +292,45 @@ def test_closed_loop_at_equilibrium_stays_put(unstable_prior):
     assert traj.control_error <= 1e-12
 
 
-def test_closed_loop_shapes_and_bookkeeping(unstable_prior):
+def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
     cfg = make_cfg()
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
-    hooks = []
+    seen = []
 
-    def hook(state, signal, diag):
-        hooks.append((state.k_now, len(diag.dataset)))
+    def step(prior, cfg, hp, z_hist):
+        seen.append(len(z_hist))
+        return mpc_step(prior, cfg, hp, z_hist)
 
-    traj = run_closed_loop(unstable_prior, plant, cfg, Hyperparams(), step_hook=hook)
+    monkeypatch.setattr(controller, "mpc_step", step)
+    traj = run_closed_loop(unstable_prior, plant, cfg, Hyperparams())
     assert traj.times.shape == (21,)
     assert traj.states.shape == (21, 2)
     assert traj.controls.shape == (21, 1)
     assert traj.stds.shape == (21, 3)
     np.testing.assert_array_equal(traj.states[0], [1.0, 0.0])
     np.testing.assert_array_equal(traj.controls[0], [0.0])
-    assert len(hooks) == 20
-    assert hooks[0][0] == 0
-    assert hooks[-1][0] == 19
+    # step k sees the observations of steps 0..k
+    assert seen == list(range(1, 21))
     assert traj.constraint_error is not None
     assert traj.control_error is not None
     assert np.all(traj.stds >= 0.0)
 
 
-def test_closed_loop_recorded_control_is_applied_value(unstable_prior):
-    cfg = make_cfg()
+@pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
+def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, application):
+    # the trajectory is the loop's only state: replaying step k on the
+    # recorded z[:k+1] gives back its control and std exactly; all four
+    # dataset blocks are in play
+    cfg = make_cfg(m_p=5, t_v=1.0, control_application=application, subgrid_count=4)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
-    signals = []
-    run = run_closed_loop(
-        unstable_prior,
-        plant,
-        cfg,
-        Hyperparams(),
-        step_hook=lambda s, sig, d: signals.append(sig),
-    )
-    for i, sig in enumerate(signals):
-        np.testing.assert_allclose(run.controls[i + 1], sig.value(run.times[i + 1]))
+    hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
+    traj = run_closed_loop(unstable_prior, plant, cfg, hp)
+    for k in range(cfg.n_steps):
+        signal, std_next = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
+        assert np.array_equal(traj.controls[k + 1], signal.value(traj.times[k + 1]))
+        assert np.array_equal(traj.stds[k + 1], std_next)
+    first = step_posterior(unstable_prior, cfg, hp, traj.z[:1]).std(traj.times[:1])[0]
+    assert np.array_equal(traj.stds[0], first)
 
 
 def _exact_piecewise_linear(a, b, x, signal):
@@ -329,11 +355,10 @@ def test_closed_loop_plant_substeps_follow_subgrid_knots(unstable_prior):
     # straddling substeps are off by about 1e-6 here)
     cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
-    signals = []
-    traj = run_closed_loop(
-        unstable_prior, plant, cfg, Hyperparams(), step_hook=lambda s, sig, d: signals.append(sig)
-    )
-    for i, sig in enumerate(signals):
+    hp = Hyperparams()
+    traj = run_closed_loop(unstable_prior, plant, cfg, hp)
+    for i in range(cfg.n_steps):
+        sig, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
         want = _exact_piecewise_linear(plant.A, plant.B, traj.states[i], sig)
         assert np.max(np.abs(traj.states[i + 1] - want)) <= 1e-9
 

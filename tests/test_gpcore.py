@@ -508,7 +508,7 @@ def past_fit():
     # the step-0 fit of the bundled regulation_past experiment, as `run` does it
     cfg = load_config(CONFIG_DIR / "regulation_past.json")
     prior = build_prior(cfg.system, cfg.x_ref)
-    data = initial_dataset(prior, cfg.controller, include_virtual=False)
+    data = initial_dataset(prior, cfg.controller)
     return prior, data, {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
 
 

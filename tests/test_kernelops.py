@@ -13,14 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lodempc.kernelops import (
     GaussPolyTerm,
     Hyperparams,
     OperatorKernel,
-    apply_operator_pair,
+    apply_symbol,
     build_operator_kernel,
     se_kernel,
 )
@@ -152,7 +152,9 @@ small_ops = st.builds(
 @settings(max_examples=25)
 @given(small_ops, small_ops)
 def test_operator_pair_matches_oracle(op_t, op_tp):
-    term = apply_operator_pair(op_t, op_tp, se_kernel())
+    # op_tp(d/dt') is op_tp(-d/du): the pair is the one symbol op_t(s) * op_tp(-s)
+    reflected = Poly(tuple(-c if k % 2 else c for k, c in enumerate(op_tp.coeffs)))
+    term = apply_symbol(op_t * reflected, se_kernel())
     assert_symbolically_equal(term, oracle_apply((op_t, op_tp)))
 
 
@@ -282,7 +284,13 @@ def is_controllable(a, b) -> bool:
     return np.linalg.matrix_rank(ctrb) == n
 
 
-@settings(max_examples=8, deadline=None)
+# No explain phase: after shrinking a failure it re-runs about 170 variants,
+# each with an exact Smith reduction, which is most of the time to fail.
+@settings(
+    max_examples=8,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 @given(controllable_systems)
 def test_random_system_entries_match_oracle_column_sums(system):
     a, b = system
