@@ -21,6 +21,7 @@ from .gpcore import (
     Dataset,
     DatasetError,
     FactorizationError,
+    FitReport,
     PosteriorGp,
     assemble_gram,
     log_marginal_likelihood,

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     prior = build_prior(cfg.system, cfg.x_ref)
     dataset = initial_dataset(prior, cfg.controller)
     start = time.perf_counter()
-    hp = optimize_hyperparams(
+    hp, fit = optimize_hyperparams(
         prior, dataset, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter
     )
     plant = Plant(cfg.system.A, cfg.system.B)
@@ -106,6 +107,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             "lengthscale_sq": hp.lengthscale_sq,
             "jitter": hp.jitter,
         },
+        "fit": None if fit is None else asdict(fit),
         "final_state": [float(v) for v in traj.states[-1]],
     }
     (out / cfg.metrics_json).write_text(json.dumps(metrics, indent=2) + "\n")
@@ -128,7 +130,7 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
         [ctrl.x0 + ctrl.u0, prior.prior_mean],
         np.zeros((2, nz)),
     )
-    hp = optimize_hyperparams(
+    hp, _ = optimize_hyperparams(
         prior, endpoints, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter
     )
     gp = PosteriorGp(prior, endpoints, hp)

@@ -37,8 +37,10 @@ OPTIONAL_SECTIONS = ("flags", "outputs")
 HYPERPARAM_NAMES = ("signal_variance", "lengthscale_sq")
 
 
-def _reject_unknown(keys, known, where: str) -> None:
-    unknown = [key for key in keys if key not in known]
+def _reject_unknown(obj, known, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = [key for key in obj if key not in known]
     if unknown:
         raise ConfigError(
             f"unknown key {unknown[0]!r} in {where}; expected one of {', '.join(known)}"
@@ -70,8 +72,6 @@ def _section(doc: dict, name: str) -> dict:
         sec = doc[name]
     except KeyError:
         raise ConfigError(f"missing config section {name!r}") from None
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
     _reject_unknown(sec, SECTIONS[name], f"section {name!r}")
     return sec
 
@@ -83,16 +83,38 @@ def _get(sec: dict, name: str, where: str):
         raise ConfigError(f"missing field {name!r} in section {where!r}") from None
 
 
+def _number(convert, value, field: str):
+    """convert(value), a ConfigError naming ``field`` if that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+
+
+def _pair(value, field: str) -> tuple:
+    """(lo, hi) as floats, a ConfigError naming ``field`` if not a pair."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a [lo, hi] pair, got {value!r}") from None
+    return _number(float, lo, field), _number(float, hi, field)
+
+
 def _grid_times(spec) -> tuple:
     if isinstance(spec, dict):
         _reject_unknown(spec, ("start", "stop", "count", "times"), "constraint_grid")
     if isinstance(spec, dict) and {"start", "stop", "count"} <= set(spec):
-        count = int(spec["count"])
+        count = _number(int, spec["count"], "constraint_grid count")
         if count < 1:
             raise ConfigError("constraint_grid count must be >= 1")
-        return tuple(np.linspace(float(spec["start"]), float(spec["stop"]), count))
+        start = _number(float, spec["start"], "constraint_grid start")
+        stop = _number(float, spec["stop"], "constraint_grid stop")
+        return tuple(np.linspace(start, stop, count))
     if isinstance(spec, dict) and "times" in spec:
-        return tuple(float(t) for t in spec["times"])
+        times = spec["times"]
+        if not isinstance(times, list):
+            raise ConfigError(f"constraint_grid times must be a list, got {times!r}")
+        return tuple(_number(float, t, "constraint_grid times") for t in times)
     raise ConfigError(
         "constraint_grid must give either {start, stop, count} or {times}"
     )
@@ -131,7 +153,7 @@ def load_config(path) -> ExperimentConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system definition: {exc}") from None
 
-    t0 = float(_get(hor_sec, "t0", "horizon"))
+    t0 = _number(float, _get(hor_sec, "t0", "horizon"), "horizon.t0")
     grid = _grid_times(_get(data_sec, "constraint_grid", "datasets"))
     t_v = data_sec.get("virtual_start")
 
@@ -169,8 +191,7 @@ def load_config(path) -> ExperimentConfig:
     hp_bounds = {}
     for name in HYPERPARAM_NAMES:
         if name in bounds_raw:
-            lo, hi = bounds_raw[name]
-            lo, hi = float(lo), float(hi)
+            lo, hi = _pair(bounds_raw[name], f"hyperparams.bounds.{name}")
             if not (0 < lo < hi):
                 raise ConfigError(f"hyperparameter bounds for {name} must satisfy 0 < lo < hi")
             hp_bounds[name] = (lo, hi)
@@ -180,11 +201,11 @@ def load_config(path) -> ExperimentConfig:
         _reject_unknown(fixed_raw, HYPERPARAM_NAMES, "hyperparams.fixed")
         hp_fixed = {}
         for name, value in fixed_raw.items():
-            value = float(value)
+            value = _number(float, value, f"hyperparams.fixed.{name}")
             if not value > 0:
                 raise ConfigError(f"fixed hyperparameter {name} must be positive")
             hp_fixed[name] = value
-    jitter = float(hp_sec.get("jitter", 1e-8))
+    jitter = _number(float, hp_sec.get("jitter", 1e-8), "hyperparams.jitter")
     if jitter < 0:
         raise ConfigError("jitter must be >= 0")
 
@@ -194,7 +215,7 @@ def load_config(path) -> ExperimentConfig:
         hp_bounds=hp_bounds,
         hp_fixed=hp_fixed,
         jitter=jitter,
-        seed=int(doc.get("seed", 0)),
+        seed=_number(int, doc.get("seed", 0), "seed"),
         output_dir=str(out_sec.get("directory", ".")),
         trajectory_csv=str(out_sec.get("trajectory_csv", "trajectory.csv")),
         metrics_json=str(out_sec.get("metrics_json", "metrics.json")),

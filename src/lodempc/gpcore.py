@@ -8,8 +8,8 @@ substituting a small jitter variance on the noise diagonal; Cholesky
 factorization escalates that jitter multiplicatively when the Gram matrix
 is numerically indefinite and errors out past a hard cap rather than
 silently repairing.  Hyperparameters are chosen by a deterministic
-multi-start simplex descent from a fixed probe grid, so repeated runs are
-bit-identical.
+multi-start L-BFGS-B search on the closed-form likelihood gradient, seeded
+from a fixed probe grid, so repeated runs are bit-identical.
 
 Index convention for Gram matrices: the observed (row, channel) slots of
 the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 from .kernelops import Hyperparams
@@ -35,10 +36,12 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "FactorizationError",
+    "FitReport",
     "PosteriorGp",
     "assemble_gram",
     "gram_index",
     "log_marginal_likelihood",
+    "log_marginal_likelihood_grad",
     "optimize_hyperparams",
     "DEFAULT_HYPERPARAM_BOUNDS",
 ]
@@ -54,8 +57,11 @@ DEFAULT_HYPERPARAM_BOUNDS = {
 
 #: Log-spaced probes per free hyperparameter axis of the fit's start grid.
 PROBES_PER_AXIS = 5
-#: Best-scoring probes that seed a Nelder-Mead descent each.
+#: Best-scoring probes that seed an L-BFGS-B descent each.
 N_STARTS = 3
+#: A fitted parameter this close to a box edge, in log space, is reported
+#: as ending on it.
+AT_BOUND_TOL = 1e-9
 
 
 class DatasetError(ValueError):
@@ -170,10 +176,15 @@ def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None
         raise ValueError("dataset has no unmasked entries")
     lags, flat = gram_index(data) if index is None else index
     gram = prior.kernel.eval_blocks(lags, [0.0], hp).take(flat)
-    noise = data.noise_var.ravel()[sel]
-    gram[np.diag_indices(sel.size)] += np.where(noise > 0, noise, hp.jitter)
+    gram[np.diag_indices(sel.size)] += _noise_diagonal(data, hp.jitter)
     residual = data.values.ravel()[sel] - prior.prior_mean[sel % prior.n_z]
     return gram, residual
+
+
+def _noise_diagonal(data: Dataset, jitter: float) -> np.ndarray:
+    """The noise variance of each observed slot, jitter for an exact one."""
+    noise = data.noise_var.ravel()[data.slots]
+    return np.where(noise > 0, noise, jitter)
 
 
 def _cho_with_escalation(gram: np.ndarray, jitter: float):
@@ -297,15 +308,80 @@ class PosteriorGp:
         return flat.T.reshape(count, tq.size, self._nz)
 
 
+def _score(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index):
+    """log_marginal_likelihood with the pieces its gradient reuses:
+    (value, lower Cholesky factor, alpha, residual, jitter boost)."""
+    gram, residual = assemble_gram(prior, data, hp, index)
+    (factor, _), boost = _cho_with_escalation(gram, hp.jitter)
+    alpha = cho_solve((factor, True), residual)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return float(-0.5 * residual @ alpha - 0.5 * logdet), factor, alpha, residual, boost
+
+
 def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None):
     """Marginal log-likelihood of the residual z - mu, constant term omitted:
     -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det (K + Sigma); a float.
     ``index`` is as in :func:`assemble_gram`."""
-    gram, residual = assemble_gram(prior, data, hp, index)
-    cho, _ = _cho_with_escalation(gram, hp.jitter)
-    alpha = cho_solve(cho, residual)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return float(-0.5 * residual @ alpha - 0.5 * logdet)
+    return _score(prior, data, hp, index)[0]
+
+
+def log_marginal_likelihood_grad(
+    prior: LodeGpPrior, data: Dataset, hp: Hyperparams, wrt, index=None
+):
+    """(value, gradient): :func:`log_marginal_likelihood` and its partial
+    derivatives in log(name) for each hyperparameter name in ``wrt``, in
+    that order.
+
+    With K the factored matrix (Gram, noise diagonal and any jitter boost,
+    the boost held constant), dl/dtheta = 1/2 alpha^T dK alpha
+    - 1/2 tr(K^-1 dK) (Rasmussen & Williams 2006, eq. 5.9), K^-1 by LAPACK
+    potri from the Cholesky factor.  For log signal_variance, dK is K less
+    its noise-and-boost diagonal D, so both terms are O(n):
+    r^T alpha - alpha^T D alpha and n - diag(K^-1) . D.  For log
+    lengthscale_sq, dK = -lam dK/dlam is gathered from the kernel's lam
+    derivative at each distinct lag, like the Gram."""
+    index = gram_index(data) if index is None else index
+    value, factor, alpha, residual, boost = _score(prior, data, hp, index)
+    kinv, info = dpotri(factor, lower=1, overwrite_c=1)
+    if info:
+        raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")
+    grad = []
+    for name in wrt:
+        if name == "signal_variance":
+            noise = _noise_diagonal(data, hp.jitter) + boost
+            fit = residual @ alpha - noise @ alpha**2
+            trace = alpha.size - kinv.diagonal() @ noise
+        else:
+            lags, flat = index
+            dk = prior.kernel.eval_blocks_dlam(lags, [0.0], hp).take(flat)
+            dk *= -hp.lam
+            fit = alpha @ (dk @ alpha)
+            # potri fills the lower triangle only.  Clear the upper one in
+            # place, a column at a time, so that no third n x n buffer is
+            # made, and count the symmetric off-diagonal terms twice.  dk is
+            # symmetric, so kinv.T (C order, as dk) pairs the same terms.
+            # einsum, not a BLAS dot: a threaded ddot of n^2 terms can cost
+            # milliseconds.
+            for j in range(1, alpha.size):
+                kinv[:j, j] = 0.0
+            lower = np.einsum("ij,ij->", kinv.T, dk)
+            trace = 2.0 * lower - kinv.diagonal() @ dk.diagonal()
+        grad.append(0.5 * fit - 0.5 * trace)
+    return value, np.array(grad, dtype=float)
+
+
+@dataclass(frozen=True)
+class FitReport:
+    """How a hyperparameter fit ended: the best log marginal likelihood, the
+    value-only probe evaluations and value-and-gradient descent evaluations
+    it took, the number of descents, and each free parameter that ended on
+    a box edge (name -> "lower" or "upper")."""
+
+    log_marginal_likelihood: float
+    value_evals: int
+    value_and_gradient_evals: int
+    starts: int
+    at_bound: dict
 
 
 def optimize_hyperparams(
@@ -314,14 +390,16 @@ def optimize_hyperparams(
     bounds: dict | None = None,
     fixed: dict | None = None,
     jitter: float = 1e-8,
-) -> Hyperparams:
+) -> tuple[Hyperparams, FitReport | None]:
     """Maximize the marginal log-likelihood over (log signal_variance,
-    log lengthscale_sq) inside box bounds.
+    log lengthscale_sq) inside box bounds; returns (hyperparams, report).
 
     Deterministic multi-start scheme: a fixed log-spaced probe grid is
-    scored, the best probes seed Nelder-Mead descents, and the best end
-    point wins (ties by probe order).  Probes whose factorization fails
-    score -inf.  ``fixed`` pins parameters by name.
+    scored by value alone, the best probes seed L-BFGS-B descents on the
+    value and its closed-form gradient, and the best point any descent saw
+    wins (ties by probe order).  A failed factorization scores -inf.
+    ``fixed`` pins parameters by name; with all of them pinned no
+    likelihood is evaluated and the report is None.
     """
     limits = dict(DEFAULT_HYPERPARAM_BOUNDS)
     if bounds:
@@ -330,7 +408,10 @@ def optimize_hyperparams(
     names = ["signal_variance", "lengthscale_sq"]
     free = [n for n in names if n not in fixed]
 
-    def make_hp(values: dict) -> Hyperparams:
+    def make_hp(log_free) -> Hyperparams:
+        values = dict(fixed)
+        for name, lv in zip(free, log_free):
+            values[name] = math.exp(lv)
         return Hyperparams(
             signal_variance=values["signal_variance"],
             lengthscale_sq=values["lengthscale_sq"],
@@ -338,17 +419,30 @@ def optimize_hyperparams(
         )
 
     if not free:
-        return make_hp(fixed)
+        return make_hp(()), None
     index = gram_index(data)
 
     def objective(log_free: np.ndarray) -> float:
-        values = dict(fixed)
-        for name, lv in zip(free, log_free):
-            values[name] = math.exp(lv)
         try:
-            return -log_marginal_likelihood(prior, data, make_hp(values), index)
+            return -log_marginal_likelihood(prior, data, make_hp(log_free), index)
         except FactorizationError:
             return math.inf
+
+    descent_evals = 0
+    seen = (math.inf, None)  # the current descent's best (objective, log point)
+
+    def objective_and_grad(log_free: np.ndarray):
+        nonlocal descent_evals, seen
+        descent_evals += 1
+        try:
+            value, grad = log_marginal_likelihood_grad(
+                prior, data, make_hp(log_free), free, index
+            )
+        except FactorizationError:
+            return math.inf, np.zeros(len(free))
+        if -value < seen[0]:
+            seen = (-value, np.array(log_free))
+        return -value, -grad
 
     axes = [
         np.log(np.geomspace(limits[name][0], limits[name][1], PROBES_PER_AXIS))
@@ -357,28 +451,37 @@ def optimize_hyperparams(
     probes = [np.array(p) for p in itertools.product(*axes)]
     scores = [objective(p) for p in probes]
     order = sorted(range(len(probes)), key=lambda k: (scores[k], k))
-    ranked = [k for k in order[:N_STARTS] if math.isfinite(scores[k])]
-    starts = [probes[k] for k in ranked]
+    starts = [probes[k] for k in order[:N_STARTS] if math.isfinite(scores[k])]
     if not starts:
         # Every probe failed to factorize; fall back to the box center.
-        mid = [0.5 * (lo + hi) for lo, hi in (axes[i][[0, -1]] for i in range(len(free)))]
-        starts = [np.array(mid)]
+        starts = [np.array([0.5 * (ax[0] + ax[-1]) for ax in axes])]
 
-    log_bounds = [tuple(axes[i][[0, -1]]) for i in range(len(free))]
-    # A probe's score is reused; only the box center has none yet.
-    best_x, best_f = starts[0], scores[ranked[0]] if ranked else objective(starts[0])
+    log_bounds = [(ax[0], ax[-1]) for ax in axes]
+    best_f, best_x = math.inf, starts[0]
     for start in starts:
-        res = minimize(
-            objective,
+        seen = (math.inf, start)
+        minimize(
+            objective_and_grad,
             start,
-            method="Nelder-Mead",
+            jac=True,
+            method="L-BFGS-B",
             bounds=log_bounds,
-            options={"xatol": 1e-4, "fatol": 1e-9, "maxiter": 400},
+            options={"maxiter": 200},
         )
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
+        if seen[0] < best_f:
+            best_f, best_x = seen
 
-    values = dict(fixed)
-    for name, lv in zip(free, best_x):
-        values[name] = float(math.exp(lv))
-    return make_hp(values)
+    at_bound = {}
+    for name, lv, (lo, hi) in zip(free, best_x, log_bounds):
+        if lv - lo <= AT_BOUND_TOL:
+            at_bound[name] = "lower"
+        elif hi - lv <= AT_BOUND_TOL:
+            at_bound[name] = "upper"
+    report = FitReport(
+        log_marginal_likelihood=-best_f,
+        value_evals=len(probes),
+        value_and_gradient_evals=descent_evals,
+        starts=len(starts),
+        at_bound=at_bound,
+    )
+    return make_hp(best_x), report

@@ -14,7 +14,9 @@ Only entries i <= j are built; entry (j, i) is entry (i, j) mirrored u -> -u
 (odd u powers negated, term order kept), so K_ji(u) is bit-equal to K_ij(-u).
 An :class:`OperatorKernel` compiles its Fraction coefficients to floats once,
 when it is built; grid evaluation never touches a Fraction, and runs one
-Horner pass over all entries.
+Horner pass over all entries.  The family is also closed under d/dlam, so
+the lam derivative that the likelihood gradient needs is a second compiled
+table, derived from the first one's floats on first use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +197,22 @@ class OperatorKernel:
     def entry(self, i: int, j: int) -> GaussPolyTerm:
         return self.entries[i][j]
 
+    @cached_property
+    def _compiled_dlam(self):
+        """The compiled table of d/dlam of every entry, from the float terms
+        alone: d/dlam [c u^a lam^b g] = (b c lam^(b-1) u^a - (c/2) lam^b u^(a+2)) g.
+        Built on first use, which only a fit with a free lengthscale makes."""
+        width, slot, lam_pow, value = self._compiled
+        entry, a = np.divmod(slot, width)
+        slot = entry * (width + 2) + a
+        has_lam = lam_pow > 0
+        return (
+            width + 2,
+            np.concatenate([slot[has_lam], slot + 2]),
+            np.concatenate([lam_pow[has_lam] - 1, lam_pow]),
+            np.concatenate([(lam_pow * value)[has_lam], -0.5 * value]),
+        )
+
     def eval_blocks(self, ts, tps, hp: Hyperparams) -> np.ndarray:
         """All channel-pair blocks over two time grids.
 
@@ -202,9 +221,16 @@ class OperatorKernel:
         bit-equal to K_ij(-u), so swapping the grids transposes the result
         exactly, and on equal grids it is exactly symmetric.
         """
+        return self._evaluate(self._compiled, ts, tps, hp)
+
+    def eval_blocks_dlam(self, ts, tps, hp: Hyperparams) -> np.ndarray:
+        """d/dlam of :meth:`eval_blocks`, lam = 1/lengthscale_sq, same shape."""
+        return self._evaluate(self._compiled_dlam, ts, tps, hp)
+
+    def _evaluate(self, compiled, ts, tps, hp: Hyperparams) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         tps = np.atleast_1d(np.asarray(tps, dtype=float))
-        width, slot, lam_pow, value = self._compiled
+        width, slot, lam_pow, value = compiled
         lam, nz = hp.lam, self.size
         # Collapse the lam powers of all entries in one pass; bincount adds
         # each u coefficient's terms in coefficient order.

@@ -51,7 +51,7 @@ def bundled_runs():
         prior = build_prior(cfg.system, cfg.controller.x_ref)
         start = time.perf_counter()
         fit_data = initial_dataset(prior, cfg.controller)
-        hp = optimize_hyperparams(
+        hp, _ = optimize_hyperparams(
             prior,
             fit_data,
             bounds=cfg.hp_bounds,

@@ -186,11 +186,35 @@ def test_run_writes_artifacts_and_exits_zero(config_path, tmp_path, capsys):
         "control_error",
         "wall_time_s",
         "hyperparams",
+        "fit",
         "final_state",
     }
     assert metrics["hyperparams"]["signal_variance"] == 0.5
+    assert metrics["fit"] is None  # both hyperparameters fixed
     assert abs(metrics["final_state"][0]) < 0.5  # pulled toward the origin
     assert "run complete" in capsys.readouterr().out
+
+
+def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
+    # regulation_baseline from this x0 fits signal_variance at its lower bound
+    doc = json.loads((CONFIG_DIR / "regulation_baseline.json").read_text())
+    doc["initial"]["x0"] = [-0.1031697133354561, -0.1382360249113248]
+    doc["outputs"]["directory"] = str(tmp_path / "out")
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    fit = metrics["fit"]
+    assert set(fit) == {
+        "log_marginal_likelihood",
+        "value_evals",
+        "value_and_gradient_evals",
+        "starts",
+        "at_bound",
+    }
+    assert fit["at_bound"] == {"signal_variance": "lower"}
+    assert metrics["hyperparams"]["signal_variance"] == pytest.approx(0.01, rel=1e-9)
+    assert np.isfinite(fit["log_marginal_likelihood"])
+    assert (fit["value_evals"], fit["starts"]) == (25, 3)
+    assert fit["value_and_gradient_evals"] > 0
 
 
 def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypatch):
@@ -226,6 +250,36 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
     doc["outputs"]["directory"] = str(tmp_path / "out")
     assert main(["run", str(write_doc(tmp_path, doc))]) == 1
     assert "unknown key 'control_aplication' in section 'flags'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("seed",), "seven", "seed"),
+        (("horizon", "t0"), "zero", "horizon.t0"),
+        (("datasets", "constraint_grid", "count"), "ten", "constraint_grid count"),
+        (("datasets", "constraint_grid", "start"), "0.1s", "constraint_grid start"),
+        (("datasets", "constraint_grid", "stop"), None, "constraint_grid stop"),
+        (("datasets", "constraint_grid"), {"times": [0.2, "later"]}, "constraint_grid times"),
+        (("datasets", "constraint_grid"), {"times": 0.5}, "constraint_grid times"),
+        (("hyperparams", "bounds"), {"signal_variance": [0.01]}, "hyperparams.bounds.signal_variance"),
+        (("hyperparams", "bounds"), {"lengthscale_sq": ["a", 1.0]}, "hyperparams.bounds.lengthscale_sq"),
+        (("hyperparams", "fixed", "signal_variance"), "big", "hyperparams.fixed.signal_variance"),
+        (("hyperparams", "jitter"), "1e-9x", "hyperparams.jitter"),
+        (("hyperparams", "bounds"), 5, "hyperparams.bounds"),
+        (("hyperparams", "fixed"), [0.5, 1.0], "hyperparams.fixed"),
+    ],
+)
+def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):
+    doc = base_doc(tmp_path / "out")
+    where = doc
+    for name in path[:-1]:
+        where = where[name]
+    where[path[-1]] = value
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be")
+    assert "Traceback" not in err
 
 
 def test_run_exit_one_on_infeasible_reference(tmp_path):

@@ -1,6 +1,8 @@
 """Datasets, Gram assembly, exact conditioning, marginal likelihood,
 hyperparameter search, and posterior sampling."""
 
+import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from lodempc.gpcore import (
     assemble_gram,
     gram_index,
     log_marginal_likelihood,
+    log_marginal_likelihood_grad,
     optimize_hyperparams,
 )
 from lodempc.kernelops import Hyperparams
@@ -448,59 +451,10 @@ def test_mll_prefers_generating_lengthscale(unstable_prior):
 
 
 # ---------------------------------------------------------------------------
-# Hyperparameter search
+# Marginal likelihood gradient
 # ---------------------------------------------------------------------------
 
-
-def test_optimizer_is_deterministic(unstable_prior):
-    ds = rows(
-        hard(0.0, (1.0, 0.0, 0.0)),
-        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
-        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
-    )
-    a = optimize_hyperparams(unstable_prior, ds)
-    b = optimize_hyperparams(unstable_prior, ds)
-    assert (a.signal_variance, a.lengthscale_sq) == (b.signal_variance, b.lengthscale_sq)
-
-
-def test_optimizer_recovers_generating_scales(unstable_prior):
-    hp_true = Hyperparams(signal_variance=2.0, lengthscale_sq=0.5, jitter=1e-10)
-    grid = np.linspace(0.0, 8.0, 33)
-    draw = PosteriorGp(unstable_prior, Dataset(), hp_true).sample(grid, 1, seed=5)[0]
-    ds = Dataset(grid, draw, np.full(draw.shape, 0.01))
-    hp = optimize_hyperparams(unstable_prior, ds, jitter=1e-10)
-    # one realization only: accept the right order of magnitude
-    assert 0.2 < hp.signal_variance < 20.0
-    assert 0.1 < hp.lengthscale_sq < 2.5
-
-
-def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
-    # probes, then the Nelder-Mead evaluations: no start is scored twice
-    ds = rows(
-        hard(0.0, (1.0, 0.0, 0.0)),
-        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
-        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
-    )
-    calls, nfev = [0], [0]
-
-    def counted_lml(*args):
-        calls[0] += 1
-        return log_marginal_likelihood(*args)
-
-    def counted_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        nfev[0] += res.nfev
-        return res
-
-    expected = optimize_hyperparams(unstable_prior, ds)
-    monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
-    monkeypatch.setattr(gpcore, "minimize", counted_minimize)
-    hp = optimize_hyperparams(unstable_prior, ds)
-    assert calls[0] == 5 * 5 + nfev[0]
-    assert (hp.signal_variance, hp.lengthscale_sq) == (
-        expected.signal_variance,
-        expected.lengthscale_sq,
-    )
+BOTH = ("signal_variance", "lengthscale_sq")
 
 
 @pytest.fixture(scope="module")
@@ -512,9 +466,176 @@ def past_fit():
     return prior, data, {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
 
 
+
+def log_central_difference(prior, data, hp, name, step=1e-5):
+    """Central difference of log_marginal_likelihood in log(name)."""
+    def at(sign):
+        values = {"signal_variance": hp.signal_variance, "lengthscale_sq": hp.lengthscale_sq}
+        values[name] *= math.exp(sign * step)
+        return log_marginal_likelihood(prior, data, Hyperparams(**values, jitter=hp.jitter))
+
+    return (at(1) - at(-1)) / (2 * step)
+
+
+@pytest.mark.parametrize("sv, ls2", [(1.0, 0.5), (0.05, 3.0), (5.0, 0.1)])
+def test_gradient_matches_central_differences(past_fit, sv, ls2):
+    prior, data, options = past_fit
+    hp = Hyperparams(sv, ls2, jitter=options["jitter"])
+    value, grad = log_marginal_likelihood_grad(prior, data, hp, BOTH)
+    assert value == log_marginal_likelihood(prior, data, hp)
+    want = [log_central_difference(prior, data, hp, name) for name in BOTH]
+    np.testing.assert_allclose(grad, want, rtol=1e-6)
+    # one parameter at a time, in the order asked
+    assert log_marginal_likelihood_grad(prior, data, hp, BOTH[::-1])[1].tolist() == grad[::-1].tolist()
+    assert log_marginal_likelihood_grad(prior, data, hp, ["lengthscale_sq"])[1] == grad[1]
+
+
+def boosted_dataset():
+    """Two exact rows observing only x at t = 0 lead the slots, so with no
+    jitter the factorization meets the pivot s^2 - (s^2 / s)^2 of their
+    equal entries s^2.  While the signal variance is an exact square (of a
+    float of at most 26 significant bits) that pivot is exactly zero, the
+    factorization fails, and the escalated boost 1e-9 is added.  The data
+    are scaled so that the boost is not tiny against the Gram."""
+    nan = float("nan")
+    rng = np.random.default_rng(0)
+    times = [0.0, 0.0, *np.linspace(0.3, 3.0, 8)]
+    values = [[0.01, nan], [0.01, nan], *rng.normal(0.0, 0.02, (8, 2)).tolist()]
+    noise = [[0.0, 0.0], [0.0, 0.0], *[[1e-5, 2e-5]] * 8]
+    return Dataset(times, values, noise)
+
+
+@pytest.mark.parametrize("ls2", [0.3, 1.0, 4.0])
+def test_gradient_matches_central_differences_with_jitter_boost(integrator_prior, ls2):
+    data = boosted_dataset()
+    index = gram_index(data)
+    # x^2 + z^2 = 2 y^2 (p = 9000, q = 1): three exact squares, evenly spaced
+    p, q = 9000, 1
+    roots = (p * p - 2 * p * q - q * q, p * p + q * q, p * p + 2 * p * q - q * q)
+    lo, mid, hi = (float(r * r) * 2.0**-66 for r in roots)
+    assert hi - mid == mid - lo
+
+    def hp(sv, ls2=ls2):
+        return Hyperparams(sv, ls2, jitter=0.0)
+
+    # the same boost at the point and at both steps of each difference
+    points = [hp(lo), hp(mid), hp(hi), hp(mid, ls2 * math.exp(1e-5)), hp(mid, ls2 * math.exp(-1e-5))]
+    assert [gpcore._score(integrator_prior, data, h, index)[4] for h in points] == [1e-9] * 5
+
+    value, grad = log_marginal_likelihood_grad(integrator_prior, data, hp(mid), BOTH)
+    assert value == log_marginal_likelihood(integrator_prior, data, hp(mid))
+    lml = functools.partial(log_marginal_likelihood, integrator_prior, data)
+    by_sv = mid * (lml(hp(hi)) - lml(hp(lo))) / (hi - lo)
+    by_ls = log_central_difference(integrator_prior, data, hp(mid), "lengthscale_sq")
+    np.testing.assert_allclose(grad, [by_sv, by_ls], rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Hyperparameter search
+# ---------------------------------------------------------------------------
+
+
+def test_optimizer_is_deterministic(unstable_prior):
+    ds = rows(
+        hard(0.0, (1.0, 0.0, 0.0)),
+        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
+        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
+    )
+    a, fit_a = optimize_hyperparams(unstable_prior, ds)
+    b, fit_b = optimize_hyperparams(unstable_prior, ds)
+    assert (a.signal_variance, a.lengthscale_sq) == (b.signal_variance, b.lengthscale_sq)
+    assert fit_a == fit_b
+
+
+def test_optimizer_recovers_generating_scales(unstable_prior):
+    hp_true = Hyperparams(signal_variance=2.0, lengthscale_sq=0.5, jitter=1e-10)
+    grid = np.linspace(0.0, 8.0, 33)
+    draw = PosteriorGp(unstable_prior, Dataset(), hp_true).sample(grid, 1, seed=5)[0]
+    ds = Dataset(grid, draw, np.full(draw.shape, 0.01))
+    hp, _ = optimize_hyperparams(unstable_prior, ds, jitter=1e-10)
+    # one realization only: accept the right order of magnitude
+    assert 0.2 < hp.signal_variance < 20.0
+    assert 0.1 < hp.lengthscale_sq < 2.5
+
+
+def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
+    # the probes by value alone, each once; then each descent starts at one
+    # of the three best probes, by value and gradient; the report counts
+    # every call
+    ds = rows(
+        hard(0.0, (1.0, 0.0, 0.0)),
+        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
+        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
+    )
+    calls, descents = [], []
+
+    def counted_lml(prior, data, hp, index=None):
+        calls.append(("value", hp.signal_variance, hp.lengthscale_sq))
+        return log_marginal_likelihood(prior, data, hp, index)
+
+    def counted_grad(prior, data, hp, wrt, index=None):
+        calls.append(("gradient", hp.signal_variance, hp.lengthscale_sq))
+        return log_marginal_likelihood_grad(prior, data, hp, wrt, index)
+
+    def counted_minimize(fun, x0, **kwargs):
+        descents.append(len(calls))
+        return minimize(fun, x0, **kwargs)
+
+    expected, expected_fit = optimize_hyperparams(unstable_prior, ds)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", counted_grad)
+    monkeypatch.setattr(gpcore, "minimize", counted_minimize)
+    hp, fit = optimize_hyperparams(unstable_prior, ds)
+    assert (hp, fit) == (expected, expected_fit)
+
+    probes = calls[: descents[0]]
+    assert all(kind == "value" for kind, *_ in probes)
+    assert len(probes) == len(set(probes)) == fit.value_evals == 5 * 5
+    descent_calls = calls[descents[0] :]
+    assert all(kind == "gradient" for kind, *_ in descent_calls)
+    assert len(descent_calls) == fit.value_and_gradient_evals
+    assert len(descents) == fit.starts == 3
+    scores = [log_marginal_likelihood(unstable_prior, ds, Hyperparams(sv, ls, jitter=1e-8))
+              for _, sv, ls in probes]
+    best = sorted(range(len(probes)), key=lambda k: (-scores[k], k))[: fit.starts]
+    assert [calls[k][1:] for k in descents] == [probes[k][1:] for k in best]
+
+
+def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior, monkeypatch):
+    # every descent evaluation with lengthscale_sq above 1 fails: those
+    # score -inf, and the fit ends at the best point that factorized
+    ds = rows(
+        hard(0.0, (1.0, 0.0, 0.0)),
+        (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
+        (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
+    )
+    finite = []
+
+    def failing_grad(prior, data, hp, wrt, index=None):
+        if hp.lengthscale_sq > 1.0:
+            raise FactorizationError("refused")
+        finite.append(log_marginal_likelihood(prior, data, hp, index))
+        return log_marginal_likelihood_grad(prior, data, hp, wrt, index)
+
+    objectives = []
+
+    def recorded_minimize(fun, x0, **kwargs):
+        objectives.append(fun)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", failing_grad)
+    monkeypatch.setattr(gpcore, "minimize", recorded_minimize)
+    hp, fit = optimize_hyperparams(unstable_prior, ds)
+    assert objectives[0](np.log([1.0, 2.0]))[0] == math.inf
+    assert hp.lengthscale_sq <= 1.0
+    assert math.isfinite(fit.log_marginal_likelihood)
+    assert fit.log_marginal_likelihood == max(finite)
+    assert fit.log_marginal_likelihood == log_marginal_likelihood(unstable_prior, ds, hp)
+
+
 def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
     prior, data, options = past_fit
-    index_calls, lml_calls = [0], [0]
+    index_calls, lml_calls, grad_calls = [0], [0], [0]
 
     def counted_index(*args):
         index_calls[0] += 1
@@ -524,38 +645,111 @@ def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
         lml_calls[0] += 1
         return log_marginal_likelihood(*args)
 
+    def counted_grad(*args):
+        grad_calls[0] += 1
+        return log_marginal_likelihood_grad(*args)
+
     monkeypatch.setattr(gpcore, "gram_index", counted_index)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
-    hp = optimize_hyperparams(prior, data, **options)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", counted_grad)
+    hp, fit = optimize_hyperparams(prior, data, **options)
     assert index_calls[0] == 1
-    assert lml_calls[0] == 386
-    # the fitted values of the direct joint-matrix Gram, bit for bit
-    assert hp.signal_variance == float.fromhex("0x1.27dc90623cb88p-2")
-    assert hp.lengthscale_sq == float.fromhex("0x1.d53a2caf7af19p-1")
+    assert lml_calls[0] == fit.value_evals == 25
+    assert grad_calls[0] == fit.value_and_gradient_evals == 36
+    assert (fit.starts, fit.at_bound) == (3, {})
+    # Bit for bit from run to run.  Across BLAS builds and thread counts only
+    # to rounding: the descent follows the gradient's last bits, and those
+    # depend on how the BLAS splits its sums (one OpenBLAS thread moves
+    # signal_variance by 1e-14 relative).
+    assert optimize_hyperparams(prior, data, **options) == (hp, fit)
+    assert hp.signal_variance == pytest.approx(float.fromhex("0x1.27dd37a5479f1p-2"), rel=1e-12)
+    assert hp.lengthscale_sq == pytest.approx(float.fromhex("0x1.d53abb6e32b2dp-1"), rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def nelder_mead_optima():
+    # by system, dataset and search box: the bundled configs share all three
+    return {}
+
+
+def nelder_mead_optimum(optima, prior, data, bounds, jitter):
+    """The best log marginal likelihood of a derivative-free search: the
+    three best points of the same 5x5 log grid, each refined by scipy's
+    Nelder-Mead in log space.  Kept in ``optima``, computed once per key."""
+    key = (prior.system.A.tobytes(), prior.system.B.tobytes(), data.t.tobytes(),
+           data.values.tobytes(), data.noise_var.tobytes(), tuple(sorted(bounds.items())), jitter)
+    if key in optima:
+        return optima[key]
+
+    def objective(x):
+        hp = Hyperparams(math.exp(x[0]), math.exp(x[1]), jitter=jitter)
+        try:
+            return -log_marginal_likelihood(prior, data, hp)
+        except FactorizationError:
+            return math.inf
+
+    axes = [np.log(np.geomspace(*bounds[name], 5)) for name in BOTH]
+    probes = sorted((objective(np.array(p)), p) for p in itertools.product(*axes))
+    box = [(ax[0], ax[-1]) for ax in axes]
+    best = min(
+        minimize(objective, np.array(p), method="Nelder-Mead", bounds=box,
+                 options={"xatol": 1e-4, "fatol": 1e-9, "maxiter": 400}).fun
+        for _, p in probes[:3]
+    )
+    optima[key] = -best
+    return -best
+
+
+@pytest.mark.parametrize("name", ["baseline", "past", "virtual"])
+def test_fit_reaches_the_nelder_mead_optimum(nelder_mead_optima, name):
+    cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
+    prior = build_prior(cfg.system, cfg.x_ref)
+    data = initial_dataset(prior, cfg.controller)
+    hp, fit = optimize_hyperparams(prior, data, bounds=cfg.hp_bounds, jitter=cfg.jitter)
+    assert fit.log_marginal_likelihood == log_marginal_likelihood(prior, data, hp)
+    oracle = nelder_mead_optimum(nelder_mead_optima, prior, data, cfg.hp_bounds, cfg.jitter)
+    assert fit.log_marginal_likelihood >= oracle - 1e-9 * abs(oracle)
+
+
+def test_fixed_lengthscale_fit_builds_no_lam_derivative(unstable_system):
+    ds = rows(hard(0.0, (1.0, 0.0, 0.0)), (1.5, (0.2, -0.1, 0.3), (0.05,) * 3))
+    prior = build_prior(unstable_system, x_ref=[0.0, 0.0])
+    hp, fit = optimize_hyperparams(prior, ds, fixed={"signal_variance": 0.5, "lengthscale_sq": 2.0})
+    assert fit is None and (hp.signal_variance, hp.lengthscale_sq) == (0.5, 2.0)
+    _, fit = optimize_hyperparams(prior, ds, fixed={"lengthscale_sq": 2.0})
+    assert fit.value_evals == 5 and fit.value_and_gradient_evals > 0
+    assert "_compiled_dlam" not in vars(prior.kernel)
+    optimize_hyperparams(prior, ds, fixed={"signal_variance": 0.5})
+    assert "_compiled_dlam" in vars(prior.kernel)
 
 
 def test_optimizer_respects_fixed_values(unstable_prior):
     ds = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(2.0, (0.0, 0.0, 0.0)))
-    both = optimize_hyperparams(
+    both, fit = optimize_hyperparams(
         unstable_prior,
         ds,
         fixed={"signal_variance": 1.5, "lengthscale_sq": 0.75},
         jitter=1e-9,
     )
+    assert fit is None
     assert both.signal_variance == 1.5
     assert both.lengthscale_sq == 0.75
     assert both.jitter == 1e-9
-    one = optimize_hyperparams(unstable_prior, ds, fixed={"signal_variance": 1.5})
+    one, fit = optimize_hyperparams(unstable_prior, ds, fixed={"signal_variance": 1.5})
     assert one.signal_variance == 1.5
     assert one.lengthscale_sq != 1.5
+    assert fit.value_evals == 5
 
 
 def test_optimizer_respects_bounds(unstable_prior):
     ds = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(4.0, (0.0, 1.0, 0.0)))
     bounds = {"signal_variance": (0.5, 2.0), "lengthscale_sq": (0.2, 0.4)}
-    hp = optimize_hyperparams(unstable_prior, ds, bounds=bounds)
+    hp, fit = optimize_hyperparams(unstable_prior, ds, bounds=bounds)
     assert 0.5 - 1e-9 <= hp.signal_variance <= 2.0 + 1e-9
     assert 0.2 - 1e-9 <= hp.lengthscale_sq <= 0.4 + 1e-9
+    for name, side in fit.at_bound.items():
+        edge = bounds[name][0 if side == "lower" else 1]
+        assert getattr(hp, name) == pytest.approx(edge, rel=1e-8)
 
 
 def test_optimizer_beats_probe_corners(unstable_prior):
@@ -564,7 +758,7 @@ def test_optimizer_beats_probe_corners(unstable_prior):
         (0.5, (0.6, -0.4, 0.1), (0.05,) * 3),
         (1.5, (0.1, -0.2, 0.05), (0.05,) * 3),
     )
-    hp = optimize_hyperparams(unstable_prior, ds)
+    hp, _ = optimize_hyperparams(unstable_prior, ds)
     best = log_marginal_likelihood(unstable_prior, ds, hp)
     for sv in (0.01, 100.0):
         for ls in (0.01, 100.0):

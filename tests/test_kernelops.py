@@ -411,3 +411,64 @@ def test_kernel_calls_convert_no_fractions(random4_kernel, monkeypatch):
     ts = np.linspace(0.0, 1.0, 4)
     random4_kernel.joint_matrix(ts, ts, hp)
     random4_kernel.joint_matrix(ts, ts + 0.3, hp)
+
+
+def test_lam_derivative_table_converts_no_fractions(random4_kernel, monkeypatch):
+    # a fresh kernel, so the derivative table is built under the patch
+    fresh = OperatorKernel(random4_kernel.entries)
+
+    def refuse(self):
+        raise AssertionError("Fraction converted to float for the lam derivative")
+
+    monkeypatch.setattr(Fraction, "__float__", refuse)
+    assert "_compiled_dlam" not in vars(fresh)
+    fresh.eval_blocks_dlam(np.linspace(-1.0, 1.0, 5), [0.0], Hyperparams(0.8, 0.7))
+    assert "_compiled_dlam" in vars(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The lam derivative, d/dlam of eval_blocks
+# ---------------------------------------------------------------------------
+
+
+def exact_dlam_value(term: GaussPolyTerm, u: float, lam: float) -> float:
+    """d/dlam of the term at the float (u, lam), summed in exact rationals term
+    by term, b c lam^(b-1) u^a - (c/2) lam^b u^(a+2), then rounded once and
+    scaled by the envelope."""
+    fu, flam = Fraction(u), Fraction(lam)
+    poly = sum(
+        (c * (b * flam ** (b - 1) * fu**a - flam**b * fu ** (a + 2) / 2)
+         for (a, b), c in term.coeffs.items()),
+        Fraction(0),
+    )
+    return float(poly) * math.exp(-0.5 * lam * u * u)
+
+
+@pytest.mark.parametrize("which", ["unstable_prior", "random4x2_prior"])
+def test_lam_derivative_matches_exact_terms(request, which):
+    kernel = request.getfixturevalue(which).kernel
+    lags = np.linspace(-3.0, 3.0, 13)
+    for ls2 in (0.4, 1.0, 2.5):
+        hp = Hyperparams(signal_variance=1.3, lengthscale_sq=ls2)
+        got = kernel.eval_blocks_dlam(lags, [0.0], hp)[..., 0]
+        want = np.empty_like(got)
+        for i, j, p in itertools.product(range(kernel.size), range(kernel.size), range(lags.size)):
+            want[i, j, p] = hp.signal_variance * exact_dlam_value(kernel.entry(i, j), lags[p], hp.lam)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("which", ["unstable_prior", "random4x2_prior"])
+def test_lam_derivative_matches_central_difference(request, which):
+    kernel = request.getfixturevalue(which).kernel
+    ts, tps = np.linspace(-3.0, 3.0, 13), np.array([-0.7, 0.0, 0.25, 2.0])
+    for ls2 in (0.4, 1.0, 2.5):
+        lam = 1.0 / ls2
+        step = 1e-5 * lam
+        at = lambda lam_: kernel.eval_blocks(ts, tps, Hyperparams(1.3, 1.0 / lam_))
+        central = (at(lam + step) - at(lam - step)) / (2 * step)
+        got = kernel.eval_blocks_dlam(ts, tps, Hyperparams(1.3, ls2))
+        np.testing.assert_allclose(got, central, rtol=1e-6, atol=1e-8 * np.abs(got).max())
+        # mirrored like the kernel: exactly symmetric on equal grids, which
+        # the gradient's trace over one triangle relies on
+        square = kernel.eval_blocks_dlam(ts, ts.copy(), Hyperparams(1.3, ls2))
+        assert np.array_equal(square, square.transpose(1, 0, 3, 2))
