@@ -2,21 +2,29 @@
 kernel.
 
 Writing ``u = t - t'`` and ``lam = 1/lengthscale_sq``, everything handled here
-is a polynomial ``p(u, lam)`` with exact rational coefficients multiplying the
-Gaussian envelope ``exp(-lam*u^2/2)``; the signal variance scales a whole
-entry at evaluation time.  The family is closed under
+is a polynomial ``p(u, lam)`` with exact coefficients (ints or Fractions)
+multiplying the Gaussian envelope ``exp(-lam*u^2/2)``; the signal variance
+scales a whole entry at evaluation time.  The family is closed under
 d/du [p * g] = (dp/du - lam*u*p) * g, and d/dt = d/du, d/dt' = -d/du.  So
 entry (i, j) of K = V(d/dt) k_se V(d/dt')^T is one exact symbol applied once:
 
     K_ij(u) = w_ij(d/du) k_se(u),    w_ij(s) = sum_c v_ic(s) * v_jc(-s).
 
-Only entries i <= j are built; entry (j, i) is entry (i, j) mirrored u -> -u
-(odd u powers negated, term order kept), so K_ji(u) is bit-equal to K_ij(-u).
-An :class:`OperatorKernel` compiles its Fraction coefficients to floats once,
-when it is built; grid evaluation never touches a Fraction, and runs one
-Horner pass over all entries.  The family is also closed under d/dlam, so
-the lam derivative that the likelihood gradient needs is a second compiled
-table, derived from the first one's floats on first use.
+The kernel is built over the integers: with D the common denominator of the
+nullspace columns' coefficients, D*v has integer coefficients, so each symbol
+is an integer polynomial W_ij = D^2 w_ij and every entry is an integer term
+over the one denominator D^2.  Only entries i <= j are built; entry (j, i) is
+entry (i, j) mirrored u -> -u (odd u powers negated, term order kept), so
+K_ji(u) is bit-equal to K_ij(-u).
+
+Floats enter in one place: an :class:`OperatorKernel` compiles each
+coefficient once, when it is built, as one correctly rounded int division
+n / D^2, which is the float of the reduced Fraction.  Grid evaluation runs
+one Horner pass over all entries on those floats.  Reduced Fractions are
+formed only when an entry is read exactly (:meth:`OperatorKernel.entry`,
+``describe``).  The family is also closed under d/dlam, so the lam
+derivative that the likelihood gradient needs is a second compiled table,
+derived from the first one's floats on first use.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .polyalg import Poly, PolyMatrix
+from .polyalg import PolyMatrix
 
 __all__ = [
     "Hyperparams",
@@ -73,18 +82,15 @@ class Hyperparams:
 class GaussPolyTerm:
     """``p(u, lam) * exp(-lam*u^2/2)`` with p stored exactly.
 
-    ``coeffs`` maps (u_power, lam_power) to a nonzero Fraction.  Treat
-    instances as immutable; all operations return new terms.
+    ``coeffs`` maps (u_power, lam_power) to a nonzero exact coefficient, an
+    int or a Fraction; ints stay ints under every operation with int
+    factors.  Treat instances as immutable; all operations return new terms.
     """
 
     coeffs: dict
 
     def __post_init__(self) -> None:
-        clean = {
-            (int(a), int(b)): Fraction(c)
-            for (a, b), c in self.coeffs.items()
-            if c != 0
-        }
+        clean = {(int(a), int(b)): c for (a, b), c in self.coeffs.items() if c}
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
@@ -98,11 +104,11 @@ class GaussPolyTerm:
     def plus(self, other: "GaussPolyTerm") -> "GaussPolyTerm":
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return GaussPolyTerm(out)
 
     def scaled(self, factor) -> "GaussPolyTerm":
-        factor = Fraction(factor)
+        """The term times an exact factor, an int or a Fraction."""
         return GaussPolyTerm({key: c * factor for key, c in self.coeffs.items()})
 
     def diff_first(self) -> "GaussPolyTerm":
@@ -148,19 +154,15 @@ class GaussPolyTerm:
 
 def se_kernel() -> GaussPolyTerm:
     """The base squared-exponential kernel, i.e. p = 1."""
-    return GaussPolyTerm({(0, 0): Fraction(1)})
+    return GaussPolyTerm({(0, 0): 1})
 
 
-def _reflected(op: Poly) -> Poly:
-    """op(-s): the symbol of op(d/dt') written in d/du."""
-    return Poly(tuple(-c if k % 2 else c for k, c in enumerate(op.coeffs)))
-
-
-def apply_symbol(symbol: Poly, base: GaussPolyTerm) -> GaussPolyTerm:
-    """w(d/du) applied to base, for the symbol w(s) = sum_k w_k s^k.  An
-    operator pair op_t(d/dt), op_tp(d/dt') is the symbol op_t(s) * op_tp(-s)."""
+def apply_symbol(symbol: Sequence, base: GaussPolyTerm) -> GaussPolyTerm:
+    """w(d/du) applied to base, for the symbol w(s) = sum_k w_k s^k given by
+    its coefficients (w_0, w_1, ...).  An operator pair op_t(d/dt),
+    op_tp(d/dt') is the symbol op_t(s) * op_tp(-s)."""
     acc, cur = GaussPolyTerm.zero(), base
-    for k, c in enumerate(symbol.coeffs):
+    for k, c in enumerate(symbol):
         if k:
             cur = cur.diff_first()
         if c:
@@ -171,22 +173,28 @@ def apply_symbol(symbol: Poly, base: GaussPolyTerm) -> GaussPolyTerm:
 @dataclass(frozen=True, eq=False)
 class OperatorKernel:
     """Matrix-valued kernel K(t, t') = V(d/dt) k_se V(d/dt')^T, entrywise in
-    closed form.  ``entries[i][j]`` is the (i, j) channel-pair term."""
+    closed form over one common denominator.  ``entries[i][j]`` is the (i, j)
+    channel-pair term times ``denominator``, with int coefficients;
+    :meth:`entry` gives the exact term."""
 
     entries: tuple[tuple[GaussPolyTerm, ...], ...]
+    denominator: int
 
     def __post_init__(self) -> None:
         # Compile once: each entry's terms, in coefficient order, as (slot,
         # lam power, float value); entry k's ascending u coefficients fill
         # row k of one zero-padded (entries, width) buffer per evaluation.
+        # n / denominator is int true division, correctly rounded, so each
+        # value is the float of the reduced Fraction.
         terms = [term for row in self.entries for term in row]
+        den = self.denominator
         width = 1 + max((a for term in terms for a, _ in term.coeffs), default=0)
         slot, lam_pow, value = [], [], []
         for k, term in enumerate(terms):
             for (a, b), c in term.coeffs.items():
                 slot.append(k * width + a)
                 lam_pow.append(b)
-                value.append(float(c))
+                value.append(c / den)
         slot, lam_pow = (np.array(col, dtype=np.intp) for col in (slot, lam_pow))
         object.__setattr__(self, "_compiled", (width, slot, lam_pow, np.array(value)))
 
@@ -195,7 +203,8 @@ class OperatorKernel:
         return len(self.entries)
 
     def entry(self, i: int, j: int) -> GaussPolyTerm:
-        return self.entries[i][j]
+        """The exact (i, j) term, its coefficients reduced Fractions."""
+        return self.entries[i][j].scaled(Fraction(1, self.denominator))
 
     @cached_property
     def _compiled_dlam(self):
@@ -261,7 +270,7 @@ class OperatorKernel:
         lines = []
         for i in range(self.size):
             for j in range(self.size):
-                lines.append(f"K[{i + 1},{j + 1}] = {self.entries[i][j]}")
+                lines.append(f"K[{i + 1},{j + 1}] = {self.entry(i, j)}")
         return "\n".join(lines)
 
 
@@ -270,17 +279,39 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
 
     ``v_cols`` holds the nullspace columns of the system operator; entry
     (i, j) of the result is w_ij(d/du) k_se(u) with the symbol
-    w_ij(s) = sum over columns c of v[i,c](s) * v[j,c](-s).  Entries below
-    the diagonal are mirrors of those above it.
+    w_ij(s) = sum over columns c of v[i,c](s) * v[j,c](-s).  With D the lcm
+    of the coefficients' denominators, P = D*v is an integer matrix and
+    D^2 w_ij the integer symbol sum_c P[i,c](s) * P[j,c](-s), so the entries
+    are built in int arithmetic over the denominator D^2.  Entries below the
+    diagonal are mirrors of those above it.
     """
     if v_cols.cols == 0:
         raise ValueError("operator matrix has no columns: empty nullspace")
     nz, columns = v_cols.rows, range(v_cols.cols)
+    den = math.lcm(*(c.denominator for poly in v_cols.entries for c in poly.coeffs))
+    ints = [
+        [[c.numerator * (den // c.denominator) for c in v_cols[i, col].coeffs] for col in columns]
+        for i in range(nz)
+    ]
     entries = [[None] * nz for _ in range(nz)]
     for i in range(nz):
         for j in range(i, nz):
-            symbol = sum((v_cols[i, c] * _reflected(v_cols[j, c]) for c in columns), Poly())
-            entries[i][j] = apply_symbol(symbol, se_kernel())
+            entries[i][j] = apply_symbol(_int_symbol(ints[i], ints[j]), se_kernel())
             if j > i:
                 entries[j][i] = entries[i][j].mirrored()
-    return OperatorKernel(tuple(tuple(row) for row in entries))
+    return OperatorKernel(tuple(tuple(row) for row in entries), den * den)
+
+
+def _int_symbol(p_row: list, q_row: list) -> list:
+    """Coefficients of sum_c p_c(s) * q_c(-s) for int coefficient lists, with
+    trailing zeros stripped."""
+    out = [0] * max((len(p) + len(q) - 1 for p, q in zip(p_row, q_row)), default=0)
+    for p, q in zip(p_row, q_row):
+        q = [-b if l % 2 else b for l, b in enumerate(q)]
+        for k, a in enumerate(p):
+            if a:
+                for l, b in enumerate(q):
+                    out[k + l] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return out

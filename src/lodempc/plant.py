@@ -9,6 +9,7 @@ stepping isolates controller behavior from integrator error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -49,12 +50,18 @@ class ControlSignal:
             tuple(tuple(float(x) for x in row) for row in np.atleast_2d(values)),
         )
 
+    @cached_property
+    def _knot_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Knot times and each channel's knot values as arrays, built once:
+        RK4 samples a signal 40 times per step."""
+        vals = np.asarray(self.knot_values)
+        return np.asarray(self.knot_times), tuple(vals[:, j].copy() for j in range(vals.shape[1]))
+
     def value(self, t: float) -> np.ndarray:
         if self.kind == "constant":
             return np.asarray(self.knot_values[0])
-        knots = np.asarray(self.knot_times)
-        vals = np.asarray(self.knot_values)
-        return np.array([np.interp(t, knots, vals[:, j]) for j in range(vals.shape[1])])
+        knots, channels = self._knot_arrays
+        return np.array([np.interp(t, knots, vals) for vals in channels])
 
 
 def step_exact(A, B, x, u_const, h: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def base_doc(out_dir):
@@ -397,6 +398,20 @@ def test_algebra_prints_decomposition(tmp_path, capsys):
     assert "nullspace columns of H =" in out
     assert "-1 - d + d^2" in out
     assert "K[1,1] = (1) exp(-lam u^2/2)" in out
+
+
+@pytest.mark.parametrize(
+    "config, golden",
+    [
+        (CONFIG_DIR / "regulation_baseline.json", "algebra_regulation_baseline.txt"),
+        (GOLDEN_DIR / "algebra_two_input.json", "algebra_two_input.txt"),
+    ],
+)
+def test_algebra_output_matches_golden_text(config, golden, capsys):
+    # Recorded from the kernel built in Fraction arithmetic: the exact
+    # entries printed from the integer build must read the same.
+    assert main(["algebra", str(config)]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text()
 
 
 def test_algebra_scalar_integrator_nullspace(config_path, capsys):

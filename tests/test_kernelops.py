@@ -154,7 +154,7 @@ small_ops = st.builds(
 def test_operator_pair_matches_oracle(op_t, op_tp):
     # op_tp(d/dt') is op_tp(-d/du): the pair is the one symbol op_t(s) * op_tp(-s)
     reflected = Poly(tuple(-c if k % 2 else c for k, c in enumerate(op_tp.coeffs)))
-    term = apply_symbol(op_t * reflected, se_kernel())
+    term = apply_symbol((op_t * reflected).coeffs, se_kernel())
     assert_symbolically_equal(term, oracle_apply((op_t, op_tp)))
 
 
@@ -414,16 +414,102 @@ def test_kernel_calls_convert_no_fractions(random4_kernel, monkeypatch):
 
 
 def test_lam_derivative_table_converts_no_fractions(random4_kernel, monkeypatch):
-    # a fresh kernel, so the derivative table is built under the patch
-    fresh = OperatorKernel(random4_kernel.entries)
-
     def refuse(self):
-        raise AssertionError("Fraction converted to float for the lam derivative")
+        raise AssertionError("Fraction converted to float while compiling")
 
     monkeypatch.setattr(Fraction, "__float__", refuse)
+    # a fresh kernel, so its compile and its derivative table run under the
+    # patch: floats come from int divisions by the common denominator
+    fresh = OperatorKernel(random4_kernel.entries, random4_kernel.denominator)
     assert "_compiled_dlam" not in vars(fresh)
     fresh.eval_blocks_dlam(np.linspace(-1.0, 1.0, 5), [0.0], Hyperparams(0.8, 0.7))
     assert "_compiled_dlam" in vars(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The integer build against the Fraction build, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def fraction_compiled(v: PolyMatrix):
+    """The compiled (width, slot, lam_pow, value) tables by the Fraction
+    route: each symbol w_ij a Poly over the reduced column coefficients,
+    applied with apply_symbol, lower entries mirrored, and every nonzero
+    coefficient compiled on its own as float(Fraction)."""
+    nz = v.rows
+    entries = [[None] * nz for _ in range(nz)]
+    for i in range(nz):
+        for j in range(i, nz):
+            symbol = Poly()
+            for c in range(v.cols):
+                reflected = Poly(tuple(-x if k % 2 else x for k, x in enumerate(v[j, c].coeffs)))
+                symbol = symbol + v[i, c] * reflected
+            entries[i][j] = apply_symbol(symbol.coeffs, se_kernel())
+            if j > i:
+                entries[j][i] = entries[i][j].mirrored()
+    terms = [term for row in entries for term in row]
+    width = 1 + max((a for term in terms for a, _ in term.coeffs), default=0)
+    slot, lam_pow, value = [], [], []
+    for k, term in enumerate(terms):
+        for (a, b), c in term.coeffs.items():
+            if c:
+                slot.append(k * width + a)
+                lam_pow.append(b)
+                value.append(float(Fraction(c)))
+    return width, np.array(slot, dtype=np.intp), np.array(lam_pow, dtype=np.intp), np.array(value)
+
+
+def assert_compiled_like_fractions(a, b) -> None:
+    prior = build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * a.shape[0])
+    width, slot, lam_pow, value = prior.kernel._compiled
+    want_width, want_slot, want_lam_pow, want_value = fraction_compiled(prior.v_cols)
+    assert width == want_width
+    # equal slot and lam-power sequences: the same terms in the same order
+    assert np.array_equal(slot, want_slot) and np.array_equal(lam_pow, want_lam_pow)
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(np.signbit(value), np.signbit(want_value))
+
+
+def matrix_entries(one_decimal: bool, count: int):
+    entry = st.integers(-20, 20).map(lambda k: k / 10) if one_decimal else st.integers(-2, 2).map(float)
+    return st.lists(entry, min_size=count, max_size=count)
+
+
+bench_systems = st.tuples(
+    st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=2), st.booleans()
+).flatmap(
+    lambda dims: st.tuples(
+        matrix_entries(dims[2], dims[0] ** 2), matrix_entries(dims[2], dims[0] * dims[1])
+    ).map(
+        lambda flat: (
+            np.array(flat[0]).reshape(dims[0], dims[0]),
+            np.array(flat[1]).reshape(dims[0], dims[1]),
+        )
+    )
+)
+
+
+@settings(max_examples=12, deadline=None, phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(bench_systems)
+def test_integer_build_compiles_the_floats_of_the_fraction_build(system):
+    a, b = system
+    assume(is_controllable(a, b))
+    assert_compiled_like_fractions(a, b)
+
+
+def test_integer_build_compiles_the_floats_of_the_fraction_build_on_dense6():
+    # the benchmark's dense 6-state system, whose nullspace coefficients
+    # have numerators of about 1,200 digits
+    a = np.array([
+        [-0.2, -0.5, -0.8, -0.4, -0.2, 0.7],
+        [-0.1, -1.8, -0.3, 0.2, 0.7, 0.5],
+        [1.0, -0.7, -0.1, -0.9, 0.1, -0.5],
+        [-0.6, 0.3, -0.4, -0.8, -0.5, -0.7],
+        [0.5, -0.1, 0.4, 0.4, 0.0, -0.2],
+        [-0.6, 0.3, 0.9, 1.0, 0.8, -0.5],
+    ])
+    b = np.array([[-0.3], [-0.2], [-1.0], [-0.7], [-0.4], [-0.3]])
+    assert_compiled_like_fractions(a, b)
 
 
 # ---------------------------------------------------------------------------
