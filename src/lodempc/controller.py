@@ -14,7 +14,8 @@ traj.z[:k+1])`` gives step ``k`` back bit for bit.
 :class:`ControllerConfig` maps each constraint grid time to its lattice
 index once, so "after now" is an integer comparison.  Hyperparameters are
 chosen once, offline, on :func:`initial_dataset`, and stay frozen for the
-whole run.
+whole run, so the kernel at every lag a step can meet is evaluated once, in
+one lag table over the lattice and the grid (:func:`run_lag_table`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpcore import Dataset, PosteriorGp
+from .gpcore import Dataset, LagTable, PosteriorGp
 from .kernelops import Hyperparams
 from .lodegp import LodeGpPrior
 from .metrics import constraint_violation, control_error
@@ -37,6 +38,7 @@ __all__ = [
     "initial_dataset",
     "mpc_step",
     "run_closed_loop",
+    "run_lag_table",
     "posterior_from_trajectory",
 ]
 
@@ -46,6 +48,11 @@ TIME_TOL = 1e-9
 
 #: State norm beyond which the closed loop is declared divergent.
 DIVERGENCE_LIMIT = 1e6
+
+#: A run's lag table holds R^2 int64 indices over its R distinct times (32 MB
+#: at this cap).  A run with more builds none; its steps gather from tables
+#: over their own times, with the same floats.
+MAX_TABLE_TIMES = 2048
 
 
 class PlantDivergenceError(RuntimeError):
@@ -193,14 +200,16 @@ def initial_dataset(prior: LodeGpPrior, cfg: ControllerConfig) -> Dataset:
 
 
 def mpc_step(
-    prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist
+    prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist, table=None
 ) -> tuple[ControlSignal, np.ndarray]:
     """Step k = len(z_hist) - 1: condition on its dataset and return the
     control for [t_k, t_k + dt] and the posterior std at t_k + dt.
 
     A pure function of its arguments: ``mpc_step(prior, cfg, hp,
-    traj.z[:k+1])`` replays step k of a run bit for bit."""
-    gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp)
+    traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``
+    (:func:`run_lag_table`) only saves work: the Gram has the same floats
+    with or without it."""
+    gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp, table)
     t_now = cfg.grid_time(len(z_hist) - 1)
     t_next = t_now + cfg.dt
     if cfg.control_application == "hold_endpoint":
@@ -211,6 +220,18 @@ def mpc_step(
     return signal, gp.std(np.array([t_next]))[0]
 
 
+def run_lag_table(
+    prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams
+) -> LagTable | None:
+    """The lag table of a run: every time a step can condition on (the dt
+    lattice t0 + k*dt and the constraint grid), with the kernel at ``hp``.
+    Each is the float the step datasets hold, so the table is exact.  None
+    past ``MAX_TABLE_TIMES`` distinct times."""
+    lattice = cfg.t0 + np.arange(cfg.n_steps + 1) * cfg.dt
+    times = np.unique(np.concatenate([lattice, cfg._grid_t]))
+    return LagTable(times, prior.kernel, hp) if times.size <= MAX_TABLE_TIMES else None
+
+
 def run_closed_loop(
     prior: LodeGpPrior, plant: Plant, cfg: ControllerConfig, hp: Hyperparams
 ) -> Trajectory:
@@ -218,7 +239,9 @@ def run_closed_loop(
 
     The trajectory z = (x, u) is the loop's only state: step k is
     ``mpc_step(prior, cfg, hp, z[:k+1])``, and its control and std fill
-    row k + 1."""
+    row k + 1.  Every step gathers its Gram from one lag table built here,
+    so no step evaluates the kernel for its Gram (unless the run has more
+    than ``MAX_TABLE_TIMES`` times)."""
     if plant.n_x != prior.system.n_x or plant.n_u != prior.system.n_u:
         raise ValueError("plant dimensions do not match the prior's system")
     n_steps, n_x = cfg.n_steps, cfg.n_x
@@ -231,10 +254,11 @@ def run_closed_loop(
     stds = np.zeros((n_steps + 1, cfg.n_z))
     z[0] = cfg.x0 + cfg.u0
     # Row 0's std is step 0's posterior at t0; the prior's if there is no step.
+    table = run_lag_table(prior, cfg, hp)
     first = build_step_dataset(prior, cfg, z[:1], virtual=True) if n_steps else Dataset()
-    stds[0] = PosteriorGp(prior, first, hp).std(times[:1])[0]
+    stds[0] = PosteriorGp(prior, first, hp, table).std(times[:1])[0]
     for k in range(n_steps):
-        signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1])
+        signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1], table)
         x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt, substeps=substeps)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(

@@ -14,7 +14,9 @@ from a fixed probe grid, so repeated runs are bit-identical.
 Index convention for Gram matrices: the observed (row, channel) slots of
 the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
 kernel is stationary, so a Gram is gathered from the kernel evaluated once
-per distinct float lag of the dataset (:func:`gram_index`).
+per distinct float lag of a :class:`LagTable`.  The fit's table holds the
+times of its dataset; the closed loop's holds every time a step can
+condition on, with the kernel frozen at the run's hyperparameters.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ __all__ = [
     "FactorizationError",
     "FitReport",
     "PosteriorGp",
+    "LagTable",
     "assemble_gram",
-    "gram_index",
     "log_marginal_likelihood",
     "log_marginal_likelihood_grad",
     "optimize_hyperparams",
@@ -143,24 +145,62 @@ def _reject_conflicts(t, values, noise) -> None:
         )
 
 
-def gram_index(data: Dataset):
-    """(lags, index): the distinct lags t_p - t_q of the dataset, and for each
-    pair of observed slots (p, i), (q, j) the flat position of K_ij(t_p - t_q)
-    in eval_blocks(lags, [0]).  The fit builds it once per dataset."""
-    n, nz = len(data), data.n_channels
-    lags, inv = np.unique(data.t[:, None] - data.t, return_inverse=True)
-    row, chan = np.divmod(data.slots, nz)
-    index = inv.reshape(n, n).take(row, axis=0).take(row, axis=1)
-    index += chan[:, None] * (nz * lags.size)
-    index += chan * lags.size
-    return lags, index
+class LagTable:
+    """Every lag between a set of times: ``times`` distinct and ascending,
+    ``lags`` the distinct floats ``times[a] - times[b]`` and ``index[a, b]``
+    the position of that lag in ``lags``.  A dataset finds its rows by exact
+    lookup (:meth:`rows`), so every Gram entry sees the float ``t_p - t_q``
+    that ``joint_matrix(t, t)`` sees.  Given ``kernel`` and ``hp``, the
+    kernel at the lags is evaluated once, and kept for Grams at ``hp``."""
+
+    def __init__(self, times, kernel=None, hp: Hyperparams | None = None):
+        self.times = np.unique(np.asarray(times, dtype=float))
+        self.lags, inv = np.unique(self.times[:, None] - self.times, return_inverse=True)
+        self.index = inv.reshape(self.times.size, self.times.size)
+        self._frozen = None
+        if hp is not None:
+            self._frozen = (kernel, hp, self.kernel_blocks(kernel, hp))
+
+    def kernel_blocks(self, kernel, hp: Hyperparams, dlam: bool = False) -> np.ndarray:
+        """The kernel (its lam derivative with ``dlam``) at every lag, laid
+        out for :meth:`gram`: shape (n_z, lags, n_z), [i, l, j] = K_ij(lags[l])."""
+        frozen = self._frozen
+        if not dlam and frozen is not None and frozen[0] is kernel and frozen[1] == hp:
+            return frozen[2]
+        evaluate = kernel.eval_blocks_dlam if dlam else kernel.eval_blocks
+        return np.ascontiguousarray(evaluate(self.lags, [0.0], hp)[..., 0].transpose(0, 2, 1))
+
+    def rows(self, t) -> np.ndarray:
+        """The row of each time in ``t``; a time not in the table raises."""
+        rows = np.searchsorted(self.times, t)
+        found = self.times.take(rows, mode="clip")
+        if not np.array_equal(found, t):
+            missing = np.asarray(t)[found != t][0]
+            raise ValueError(f"time {missing!r} is not in the lag table")
+        return rows
+
+    def gram(self, blocks: np.ndarray, data: Dataset) -> np.ndarray:
+        """The Gram over the observed slots of ``data`` gathered from
+        ``blocks`` (:meth:`kernel_blocks`): entry ((p, i), (q, j)) is
+        blocks[i, index of t_p - t_q, j].  One row take per channel i fills
+        every (row, channel) slot; masked slots are then dropped."""
+        rows = self.rows(data.t)
+        sub = self.index.take(rows, axis=0).take(rows, axis=1)
+        n, nz = rows.size, data.n_channels
+        full = np.empty((n, nz, n, nz))
+        for i in range(nz):
+            full[:, i] = blocks[i].take(sub, axis=0)
+        full = full.reshape(n * nz, n * nz)
+        sel = data.slots
+        return full if sel.size == n * nz else full[np.ix_(sel, sel)]
 
 
-def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None):
+def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
     """Gram matrix over the observed slots plus the noise diagonal (zeros
     replaced by jitter), and the residual z - prior_mean.
 
-    The Gram is a gather through ``index`` (``gram_index(data)`` if None).
+    The Gram is gathered through ``table``, a :class:`LagTable` holding
+    every time of the dataset (one over the dataset's own times if None).
     Each entry sees the same float t_p - t_q as in joint_matrix(t, t), so
     the two are bit-equal, with no lattice or time tolerance.
 
@@ -174,8 +214,8 @@ def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None
     sel = data.slots
     if sel.size == 0:
         raise ValueError("dataset has no unmasked entries")
-    lags, flat = gram_index(data) if index is None else index
-    gram = prior.kernel.eval_blocks(lags, [0.0], hp).take(flat)
+    table = LagTable(data.t) if table is None else table
+    gram = table.gram(table.kernel_blocks(prior.kernel, hp), data)
     gram[np.diag_indices(sel.size)] += _noise_diagonal(data, hp.jitter)
     residual = data.values.ravel()[sel] - prior.prior_mean[sel % prior.n_z]
     return gram, residual
@@ -204,6 +244,12 @@ def _cho_with_escalation(gram: np.ndarray, jitter: float):
                 ) from None
 
 
+def _solve(cho, rhs: np.ndarray) -> np.ndarray:
+    """cho_solve on a factor that cho_factor has checked: only the right-hand
+    side is scanned for non-finite entries, O(n*m) rather than O(n^2)."""
+    return cho_solve(cho, np.asarray_chkfinite(rhs), check_finite=False)
+
+
 class PosteriorGp:
     """Prior conditioned on a dataset at fixed hyperparameters.
 
@@ -211,9 +257,10 @@ class PosteriorGp:
     the sampling path for unconditioned processes.  Queries always return
     every channel, regardless of training masks.  ``jitter_boost`` is the
     diagonal boost the factorization needed (0.0 for none or no data).
+    ``table`` is as in :func:`assemble_gram`.
     """
 
-    def __init__(self, prior: LodeGpPrior, data: Dataset, hp: Hyperparams):
+    def __init__(self, prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
         self.prior = prior
         self.data = data
         self.hp = hp
@@ -224,9 +271,9 @@ class PosteriorGp:
             self.jitter_boost = 0.0
             self._alpha = np.zeros(0)
         else:
-            gram, residual = assemble_gram(prior, data, hp)
+            gram, residual = assemble_gram(prior, data, hp, table)
             self._cho, self.jitter_boost = _cho_with_escalation(gram, hp.jitter)
-            self._alpha = cho_solve(self._cho, residual)
+            self._alpha = _solve(self._cho, residual)
 
     @property
     def representer_weights(self) -> np.ndarray:
@@ -285,7 +332,7 @@ class PosteriorGp:
             kx = self._cross(tq)
             for m in range(tq.size):
                 kqx = kx[m * self._nz : (m + 1) * self._nz]
-                var[m] -= np.diagonal(kqx @ cho_solve(self._cho, kqx.T))
+                var[m] -= np.diagonal(kqx @ _solve(self._cho, kqx.T))
         return np.sqrt(np.clip(var, 0.0, None))
 
     def sample(self, t_query, count: int, seed: int) -> np.ndarray:
@@ -308,25 +355,25 @@ class PosteriorGp:
         return flat.T.reshape(count, tq.size, self._nz)
 
 
-def _score(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index):
+def _score(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table):
     """log_marginal_likelihood with the pieces its gradient reuses:
     (value, lower Cholesky factor, alpha, residual, jitter boost)."""
-    gram, residual = assemble_gram(prior, data, hp, index)
+    gram, residual = assemble_gram(prior, data, hp, table)
     (factor, _), boost = _cho_with_escalation(gram, hp.jitter)
-    alpha = cho_solve((factor, True), residual)
+    alpha = _solve((factor, True), residual)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     return float(-0.5 * residual @ alpha - 0.5 * logdet), factor, alpha, residual, boost
 
 
-def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, index=None):
+def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
     """Marginal log-likelihood of the residual z - mu, constant term omitted:
     -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det (K + Sigma); a float.
-    ``index`` is as in :func:`assemble_gram`."""
-    return _score(prior, data, hp, index)[0]
+    ``table`` is as in :func:`assemble_gram`."""
+    return _score(prior, data, hp, table)[0]
 
 
 def log_marginal_likelihood_grad(
-    prior: LodeGpPrior, data: Dataset, hp: Hyperparams, wrt, index=None
+    prior: LodeGpPrior, data: Dataset, hp: Hyperparams, wrt, table=None
 ):
     """(value, gradient): :func:`log_marginal_likelihood` and its partial
     derivatives in log(name) for each hyperparameter name in ``wrt``, in
@@ -339,9 +386,9 @@ def log_marginal_likelihood_grad(
     its noise-and-boost diagonal D, so both terms are O(n):
     r^T alpha - alpha^T D alpha and n - diag(K^-1) . D.  For log
     lengthscale_sq, dK = -lam dK/dlam is gathered from the kernel's lam
-    derivative at each distinct lag, like the Gram."""
-    index = gram_index(data) if index is None else index
-    value, factor, alpha, residual, boost = _score(prior, data, hp, index)
+    derivative at each distinct lag, through the same table as the Gram."""
+    table = LagTable(data.t) if table is None else table
+    value, factor, alpha, residual, boost = _score(prior, data, hp, table)
     kinv, info = dpotri(factor, lower=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")
@@ -352,8 +399,7 @@ def log_marginal_likelihood_grad(
             fit = residual @ alpha - noise @ alpha**2
             trace = alpha.size - kinv.diagonal() @ noise
         else:
-            lags, flat = index
-            dk = prior.kernel.eval_blocks_dlam(lags, [0.0], hp).take(flat)
+            dk = table.gram(table.kernel_blocks(prior.kernel, hp, dlam=True), data)
             dk *= -hp.lam
             fit = alpha @ (dk @ alpha)
             # potri fills the lower triangle only.  Clear the upper one in
@@ -420,11 +466,11 @@ def optimize_hyperparams(
 
     if not free:
         return make_hp(()), None
-    index = gram_index(data)
+    table = LagTable(data.t)
 
     def objective(log_free: np.ndarray) -> float:
         try:
-            return -log_marginal_likelihood(prior, data, make_hp(log_free), index)
+            return -log_marginal_likelihood(prior, data, make_hp(log_free), table)
         except FactorizationError:
             return math.inf
 
@@ -436,7 +482,7 @@ def optimize_hyperparams(
         descent_evals += 1
         try:
             value, grad = log_marginal_likelihood_grad(
-                prior, data, make_hp(log_free), free, index
+                prior, data, make_hp(log_free), free, table
             )
         except FactorizationError:
             return math.inf, np.zeros(len(free))

@@ -52,16 +52,20 @@ class ControlSignal:
 
     @cached_property
     def _knot_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Knot times and each channel's knot values as arrays, built once:
-        RK4 samples a signal 40 times per step."""
+        """Knot times and each channel's knot values as arrays, built once."""
         vals = np.asarray(self.knot_values)
         return np.asarray(self.knot_times), tuple(vals[:, j].copy() for j in range(vals.shape[1]))
 
     def value(self, t: float) -> np.ndarray:
+        return self.values(np.array([t], dtype=float))[0]
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """The signal at every time of the 1-D array ``ts``, shape
+        (len(ts), n_u): one ``np.interp`` per channel."""
         if self.kind == "constant":
-            return np.asarray(self.knot_values[0])
+            return np.tile(self.knot_values[0], (ts.size, 1))
         knots, channels = self._knot_arrays
-        return np.array([np.interp(t, knots, vals) for vals in channels])
+        return np.array([np.interp(ts, knots, vals) for vals in channels]).T.copy()
 
 
 def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
@@ -87,15 +91,17 @@ def step_rk4(A, B, x, u_signal: ControlSignal, t: float, h: float) -> np.ndarray
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    x = np.asarray(x, dtype=float)
+    u = u_signal.values(np.array([t, t + 0.5 * h, t + h]))
+    return _rk4(A, B, np.asarray(x, dtype=float), u, h)
 
-    def f(ti, xi):
-        return A @ xi + B @ u_signal.value(ti)
 
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
+def _rk4(A, B, x, u, h: float) -> np.ndarray:
+    """The classical RK4 formula for dx/dt = A x + B u(t) over one step h,
+    with ``u`` the input at its start, midpoint and end (rows 0, 1, 2)."""
+    k1 = A @ x + B @ u[0]
+    k2 = A @ (x + 0.5 * h * k1) + B @ u[1]
+    k3 = A @ (x + 0.5 * h * k2) + B @ u[1]
+    k4 = A @ (x + h * k3) + B @ u[2]
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -130,8 +136,12 @@ class Plant:
             return step_exact(self.A, self.B, x, signal.value(t), h)
         x = np.asarray(x, dtype=float)
         sub = h / substeps
+        # The input at every RK4 stage time, sampled once: substep k starts
+        # at t + k*sub, the floats step_rk4 would be given.
+        start = t + np.arange(substeps) * sub
+        u = signal.values(np.stack([start, start + 0.5 * sub, start + sub], axis=1).ravel())
         for k in range(substeps):
-            x = step_rk4(self.A, self.B, x, signal, t + k * sub, sub)
+            x = _rk4(self.A, self.B, x, u[3 * k : 3 * k + 3], sub)
         return x
 
 

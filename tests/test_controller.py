@@ -1,5 +1,8 @@
 """Receding-horizon loop: config validation, dataset assembly, stepping."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,8 +16,10 @@ from lodempc.controller import (
     mpc_step,
     posterior_from_trajectory,
     run_closed_loop,
+    run_lag_table,
 )
-from lodempc.gpcore import Dataset, PosteriorGp
+from lodempc.config import load_config
+from lodempc.gpcore import Dataset, PosteriorGp, assemble_gram
 from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant, step_exact
@@ -248,9 +253,11 @@ def test_mpc_step_pins_current_observation(unstable_prior):
 def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, application):
     # one dataset; the Gram's lag table and the cross kernel at the mean's
     # query times: the std at t_next reuses the mean's rows, and its prior
-    # variance is the one-point lag-0 term
+    # variance is the one-point lag-0 term.  With the run's table, whose
+    # kernel is frozen at these hyperparameters, the Gram evaluates none.
     cfg = make_cfg(control_application=application, subgrid_count=4)
     data = build_step_dataset(unstable_prior, cfg, history(0), virtual=True)
+    table = run_lag_table(unstable_prior, cfg, Hyperparams())
     calls, datasets = [], []
     eval_blocks, post_init = OperatorKernel.eval_blocks, Dataset.__post_init__
 
@@ -265,15 +272,20 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
     monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
     monkeypatch.setattr(Dataset, "__post_init__", built)
     _, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
-    monkeypatch.undo()
     assert len(datasets) == 1
     lags, cross, lag0 = calls
+    calls.clear()
+    _, std_tabled = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
+    monkeypatch.undo()
+    assert len(datasets) == 2
     assert np.array_equal(lags[0], np.unique(data.t[:, None] - data.t))
     assert lags[1].tolist() == [0.0]
-    assert np.array_equal(cross[1], data.t)
-    assert lag0[0].tolist() == [0.0] and lag0[1].tolist() == [0.0]
+    for cross, lag0 in ((cross, lag0), calls):
+        assert np.array_equal(cross[1], data.t)
+        assert lag0[0].tolist() == [0.0] and lag0[1].tolist() == [0.0]
     fresh = PosteriorGp(unstable_prior, data, Hyperparams()).std([0.1])
     assert np.array_equal(std_next, fresh[0])
+    assert np.array_equal(std_tabled, fresh[0])
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +309,9 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     seen = []
 
-    def step(prior, cfg, hp, z_hist):
+    def step(prior, cfg, hp, z_hist, table):
         seen.append(len(z_hist))
-        return mpc_step(prior, cfg, hp, z_hist)
+        return mpc_step(prior, cfg, hp, z_hist, table)
 
     monkeypatch.setattr(controller, "mpc_step", step)
     traj = run_closed_loop(unstable_prior, plant, cfg, Hyperparams())
@@ -319,8 +331,8 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
 @pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
 def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, application):
     # the trajectory is the loop's only state: replaying step k on the
-    # recorded z[:k+1] gives back its control and std exactly; all four
-    # dataset blocks are in play
+    # recorded z[:k+1], without the run's lag table, gives back its control
+    # and std exactly; all four dataset blocks are in play
     cfg = make_cfg(m_p=5, t_v=1.0, control_application=application, subgrid_count=4)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
@@ -331,6 +343,87 @@ def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, application):
         assert np.array_equal(traj.stds[k + 1], std_next)
     first = step_posterior(unstable_prior, cfg, hp, traj.z[:1]).std(traj.times[:1])[0]
     assert np.array_equal(traj.stds[0], first)
+
+
+def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkeypatch):
+    # a run past MAX_TABLE_TIMES builds no table, and its steps gather from
+    # tables over their own times: the same trajectory, bit for bit
+    cfg = make_cfg(m_p=5, t_v=1.0, control_application="subgrid_interpolation", subgrid_count=4)
+    plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
+    hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
+    assert run_lag_table(unstable_prior, cfg, hp) is not None
+    with_table = run_closed_loop(unstable_prior, plant, cfg, hp)
+    monkeypatch.setattr(controller, "MAX_TABLE_TIMES", 20)
+    assert run_lag_table(unstable_prior, cfg, hp) is None
+    without = run_closed_loop(unstable_prior, plant, cfg, hp)
+    for name in ("times", "states", "controls", "stds"):
+        assert np.array_equal(getattr(with_table, name), getattr(without, name)), name
+
+
+def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
+    # the run's table is evaluated once; each step then evaluates only its
+    # cross kernel and its lag-0 variance, as does row 0's std
+    cfg = make_cfg()
+    plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
+    calls = []
+    eval_blocks = OperatorKernel.eval_blocks
+
+    def counted(self, ts, tps, hp):
+        calls.append(np.atleast_1d(ts).size)
+        return eval_blocks(self, ts, tps, hp)
+
+    monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
+    run_closed_loop(unstable_prior, plant, cfg, Hyperparams())
+    monkeypatch.undo()
+    table = run_lag_table(unstable_prior, cfg, Hyperparams())
+    assert calls[0] == table.lags.size
+    assert len(calls) == 1 + 2 * (cfg.n_steps + 1)
+    # the lattice floats and the grid's own, which are not all lattice floats
+    lattice = [cfg.grid_time(k) for k in range(cfg.n_steps + 1)]
+    assert table.times.tolist() == sorted(set(lattice) | set(cfg.constraint_grid))
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+#: The benchmark's dense 6-state system, seed 0 (hyperparameters fixed).
+DENSE6 = {
+    "system": {
+        "A": [[-0.2, -0.5, -0.8, -0.4, -0.2, 0.7], [-0.1, -1.8, -0.3, 0.2, 0.7, 0.5],
+              [1.0, -0.7, -0.1, -0.9, 0.1, -0.5], [-0.6, 0.3, -0.4, -0.8, -0.5, -0.7],
+              [0.5, -0.1, 0.4, 0.4, 0.0, -0.2], [-0.6, 0.3, 0.9, 1.0, 0.8, -0.5]],
+        "B": [[-0.3], [-0.2], [-1.0], [-0.7], [-0.4], [-0.3]],
+    },
+    "reference": {"x_ref": [0.0] * 6},
+    "initial": {"x0": [-0.8287016657127513, -0.5263789868078006, 0.6025489304127938,
+                       0.16432407212873557, -0.8117427155192016, -0.1337461195270524],
+                "u0": [0.0]},
+    "horizon": {"t0": 0.0, "t_end": 10.0, "dt": 0.1},
+    "bounds": {"z_min": [-1.0] * 6 + [-2.5], "z_max": [1.0] * 6 + [2.5]},
+    "datasets": {"constraint_grid": {"start": 0.1, "stop": 10.0, "count": 100}, "past_window": 20},
+    "hyperparams": {"fixed": {"signal_variance": 1.0, "lengthscale_sq": 1.0}, "jitter": 1e-09},
+    "flags": {"control_application": "subgrid_interpolation"},
+}
+
+
+def test_run_table_gathers_every_step_gram_bit_for_bit(tmp_path):
+    # every step dataset of the bundled trio and of the dense 6-state
+    # benchmark system: the run's table gives the Gram and residual of a
+    # table over the step's own times.  The Gram depends on the dataset's
+    # times, masks and noise alone, so random histories stand in for runs.
+    (tmp_path / "dense6.json").write_text(json.dumps(DENSE6))
+    paths = [CONFIG_DIR / f"regulation_{name}.json" for name in ("baseline", "past", "virtual")]
+    rng = np.random.default_rng(3)
+    for path in [*paths, tmp_path / "dense6.json"]:
+        exp = load_config(path)
+        cfg, prior = exp.controller, build_prior(exp.system, exp.x_ref)
+        hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
+        table = run_lag_table(prior, cfg, hp)
+        assert table.times.size == 128, path.name
+        z = rng.normal(0.0, 1.0, (cfg.n_steps + 1, cfg.n_z))
+        for k in range(cfg.n_steps):
+            data = build_step_dataset(prior, cfg, z[: k + 1], virtual=True)
+            for got, want in zip(assemble_gram(prior, data, hp, table), assemble_gram(prior, data, hp)):
+                assert np.array_equal(got, want), (path.name, k)
 
 
 def _exact_piecewise_linear(a, b, x, signal):

@@ -18,9 +18,9 @@ from lodempc.gpcore import (
     Dataset,
     DatasetError,
     FactorizationError,
+    LagTable,
     PosteriorGp,
     assemble_gram,
-    gram_index,
     log_marginal_likelihood,
     log_marginal_likelihood_grad,
     optimize_hyperparams,
@@ -173,8 +173,14 @@ def random_dataset(rng, times, nz):
 GATHER_HPS = [Hyperparams(0.8, 0.3, jitter=1e-9), Hyperparams(1.7, 2.5)]
 
 
+@pytest.fixture(scope="module")
+def double_integrator_prior():
+    # three channels, like unstable_prior, and a different kernel
+    return build_prior(LinearSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]]), x_ref=[0.0, 0.0])
+
+
 @pytest.mark.parametrize("hp", GATHER_HPS)
-def test_gathered_gram_is_joint_matrix_bit_for_bit(unstable_prior, hp):
+def test_gathered_gram_is_joint_matrix_bit_for_bit(unstable_prior, double_integrator_prior, hp):
     a = (0.5, (0.2, None, -0.1), (0.0, 0.0, 0.05))
     cases = {
         "masked channels": rows(
@@ -196,9 +202,23 @@ def test_gathered_gram_is_joint_matrix_bit_for_bit(unstable_prior, hp):
         ),
     }
     for name, data in cases.items():
+        want = joint_matrix_gram(unstable_prior, data, hp)
         gram, _ = assemble_gram(unstable_prior, data, hp)
-        assert np.array_equal(gram, joint_matrix_gram(unstable_prior, data, hp)), name
+        assert np.array_equal(gram, want), name
         assert np.array_equal(gram, gram.T), name
+        # a table over more times than the dataset holds gathers the same
+        # floats, with the kernel evaluated per call or frozen at hp; frozen
+        # at other hyperparameters or for another kernel, it evaluates anew
+        times = np.concatenate([data.t, [-1.0, 0.05, 0.1 + 0.2 + 1e-15, 7.0]])
+        other_hp = GATHER_HPS[hp is GATHER_HPS[0]]
+        for table in (
+            LagTable(times),
+            LagTable(times, unstable_prior.kernel, hp),
+            LagTable(times, unstable_prior.kernel, other_hp),
+            LagTable(times, double_integrator_prior.kernel, hp),
+        ):
+            gram, _ = assemble_gram(unstable_prior, data, hp, table)
+            assert np.array_equal(gram, want), name
 
 
 @pytest.mark.parametrize("hp", GATHER_HPS)
@@ -212,24 +232,41 @@ def test_gathered_gram_on_random_systems_is_bit_for_bit(request, which, hp):
         gram, _ = assemble_gram(prior, data, hp)
         assert np.array_equal(gram, joint_matrix_gram(prior, data, hp))
         assert np.array_equal(gram, gram.T)
+        table = LagTable(np.concatenate([times, rng.uniform(-1.0, 3.0, 5)]), prior.kernel, hp)
+        assert np.array_equal(assemble_gram(prior, data, hp, table)[0], gram)
 
 
 def test_gram_index_points_into_the_lag_table(unstable_prior):
-    data = rows((0.0, (1.0, None, 0.5), (0.0,) * 3), (0.25, (None, 2.0, None), (0.1,) * 3))
-    lags, index = gram_index(data)
-    assert lags.tolist() == [-0.25, 0.0, 0.25]
-    # slots (row 0, ch 0), (row 0, ch 2), (row 1, ch 1); 3 lags per block
-    want = [
-        [(0 * 3 + 0) * 3 + 1, (0 * 3 + 2) * 3 + 1, (0 * 3 + 1) * 3 + 0],
-        [(2 * 3 + 0) * 3 + 1, (2 * 3 + 2) * 3 + 1, (2 * 3 + 1) * 3 + 0],
-        [(1 * 3 + 0) * 3 + 2, (1 * 3 + 2) * 3 + 2, (1 * 3 + 1) * 3 + 1],
-    ]
-    assert index.tolist() == want
+    data = rows((0.25, (1.0, None, 0.5), (0.0,) * 3), (0.0, (None, 2.0, None), (0.1,) * 3))
+    table = LagTable([0.25, 0.0, 0.25, 1.0])
+    assert table.times.tolist() == [0.0, 0.25, 1.0]
+    assert table.lags.tolist() == [-1.0, -0.75, -0.25, 0.0, 0.25, 0.75, 1.0]
+    assert table.index.tolist() == [[3, 2, 0], [4, 3, 1], [6, 5, 3]]
+    assert table.rows(data.t).tolist() == [0, 1]
     hp = Hyperparams(0.9, 0.6)
-    given = assemble_gram(unstable_prior, data, hp, (lags, index))
+    blocks = table.kernel_blocks(unstable_prior.kernel, hp)
+    assert blocks.shape == (3, 7, 3)
+    assert np.array_equal(blocks[:, 4], unstable_prior.kernel.eval_blocks(0.25, 0.0, hp)[..., 0, 0])
+    # slots (row 0, ch 1) at t = 0, then (row 1, ch 0) and (row 1, ch 2) at t = 0.25
+    want = [[blocks[i, table.index[a, b], j] for b, j in [(0, 1), (1, 0), (1, 2)]]
+            for a, i in [(0, 1), (1, 0), (1, 2)]]
+    assert table.gram(blocks, data).tolist() == want
+    given = assemble_gram(unstable_prior, data, hp, table)
     built = assemble_gram(unstable_prior, data, hp)
     for got, want in zip(given, built):
         assert np.array_equal(got, want)
+
+
+def test_lag_table_rejects_a_time_it_does_not_hold(unstable_prior):
+    # exact lookup: a time one ulp off a table time is not in the table
+    table = LagTable([0.0, 0.1, 0.2], unstable_prior.kernel, Hyperparams())
+    assert table.rows(np.array([0.2, 0.0, 0.2])).tolist() == [2, 0, 2]
+    for t in (np.nextafter(0.2, 0.0), np.nextafter(0.1, 1.0), -0.5, 0.25):
+        data = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(t, (0.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="not in the lag table"):
+            assemble_gram(unstable_prior, data, Hyperparams(), table)
+        with pytest.raises(ValueError, match="not in the lag table"):
+            PosteriorGp(unstable_prior, data, Hyperparams(), table)
 
 
 def test_assemble_gram_rejects_empty_and_mismatched(integrator_prior, unstable_prior):
@@ -508,7 +545,7 @@ def boosted_dataset():
 @pytest.mark.parametrize("ls2", [0.3, 1.0, 4.0])
 def test_gradient_matches_central_differences_with_jitter_boost(integrator_prior, ls2):
     data = boosted_dataset()
-    index = gram_index(data)
+    table = LagTable(data.t)
     # x^2 + z^2 = 2 y^2 (p = 9000, q = 1): three exact squares, evenly spaced
     p, q = 9000, 1
     roots = (p * p - 2 * p * q - q * q, p * p + q * q, p * p + 2 * p * q - q * q)
@@ -520,7 +557,7 @@ def test_gradient_matches_central_differences_with_jitter_boost(integrator_prior
 
     # the same boost at the point and at both steps of each difference
     points = [hp(lo), hp(mid), hp(hi), hp(mid, ls2 * math.exp(1e-5)), hp(mid, ls2 * math.exp(-1e-5))]
-    assert [gpcore._score(integrator_prior, data, h, index)[4] for h in points] == [1e-9] * 5
+    assert [gpcore._score(integrator_prior, data, h, table)[4] for h in points] == [1e-9] * 5
 
     value, grad = log_marginal_likelihood_grad(integrator_prior, data, hp(mid), BOTH)
     assert value == log_marginal_likelihood(integrator_prior, data, hp(mid))
@@ -569,13 +606,13 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
     )
     calls, descents = [], []
 
-    def counted_lml(prior, data, hp, index=None):
+    def counted_lml(prior, data, hp, table=None):
         calls.append(("value", hp.signal_variance, hp.lengthscale_sq))
-        return log_marginal_likelihood(prior, data, hp, index)
+        return log_marginal_likelihood(prior, data, hp, table)
 
-    def counted_grad(prior, data, hp, wrt, index=None):
+    def counted_grad(prior, data, hp, wrt, table=None):
         calls.append(("gradient", hp.signal_variance, hp.lengthscale_sq))
-        return log_marginal_likelihood_grad(prior, data, hp, wrt, index)
+        return log_marginal_likelihood_grad(prior, data, hp, wrt, table)
 
     def counted_minimize(fun, x0, **kwargs):
         descents.append(len(calls))
@@ -611,11 +648,11 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
     )
     finite = []
 
-    def failing_grad(prior, data, hp, wrt, index=None):
+    def failing_grad(prior, data, hp, wrt, table=None):
         if hp.lengthscale_sq > 1.0:
             raise FactorizationError("refused")
-        finite.append(log_marginal_likelihood(prior, data, hp, index))
-        return log_marginal_likelihood_grad(prior, data, hp, wrt, index)
+        finite.append(log_marginal_likelihood(prior, data, hp, table))
+        return log_marginal_likelihood_grad(prior, data, hp, wrt, table)
 
     objectives = []
 
@@ -637,9 +674,10 @@ def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
     prior, data, options = past_fit
     index_calls, lml_calls, grad_calls = [0], [0], [0]
 
-    def counted_index(*args):
-        index_calls[0] += 1
-        return gram_index(*args)
+    class CountedTable(LagTable):
+        def __init__(self, *args):
+            index_calls[0] += 1
+            super().__init__(*args)
 
     def counted_lml(*args):
         lml_calls[0] += 1
@@ -649,7 +687,7 @@ def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
         grad_calls[0] += 1
         return log_marginal_likelihood_grad(*args)
 
-    monkeypatch.setattr(gpcore, "gram_index", counted_index)
+    monkeypatch.setattr(gpcore, "LagTable", CountedTable)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", counted_grad)
     hp, fit = optimize_hyperparams(prior, data, **options)

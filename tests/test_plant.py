@@ -196,6 +196,49 @@ def test_plant_advance_matches_dense_simulation():
     assert np.max(np.abs(coarse - fine)) <= 1e-9
 
 
+def rk4_by_value(a, b, x, sig, t, h, substeps):
+    """RK4 over [t, t + h] in substeps, sampling the signal with one value()
+    call per stage, in the textbook order."""
+    sub = h / substeps
+    for k in range(substeps):
+        tk = t + k * sub
+        k1 = a @ x + b @ sig.value(tk)
+        k2 = a @ (x + 0.5 * sub * k1) + b @ sig.value(tk + 0.5 * sub)
+        k3 = a @ (x + 0.5 * sub * k2) + b @ sig.value(tk + 0.5 * sub)
+        k4 = a @ (x + sub * k3) + b @ sig.value(tk + sub)
+        x = x + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("n_u", [1, 2])
+def test_plant_advance_samples_the_input_once_with_the_same_floats(n_u):
+    # one np.interp per channel over every stage time gives the floats of
+    # per-stage value() calls, and Plant.advance, a step_rk4 loop and the
+    # textbook loop agree bit for bit
+    rng = np.random.default_rng(7 + n_u)
+    for _ in range(20):
+        n_x = int(rng.integers(1, 5))
+        a, b = rng.normal(0.0, 1.0, (n_x, n_x)), rng.normal(0.0, 1.0, (n_x, n_u))
+        x0 = rng.normal(0.0, 1.0, n_x)
+        t, h = float(rng.uniform(-1.0, 5.0)), float(rng.uniform(0.01, 0.5))
+        count = int(rng.integers(1, 6))
+        substeps = count * int(rng.integers(1, 5))
+        knots = np.linspace(t, t + h, count + 1)
+        sig = ControlSignal.piecewise_linear(knots, rng.normal(0.0, 1.0, (count + 1, n_u)))
+        want = rk4_by_value(a, b, x0, sig, t, h, substeps)
+        got = Plant(a, b).advance(x0, sig, t, h, substeps=substeps)
+        assert np.array_equal(got, want)
+        x, sub = x0, h / substeps
+        for k in range(substeps):
+            x = step_rk4(a, b, x, sig, t + k * sub, sub)
+        assert np.array_equal(x, want)
+    # a batch of times gives the floats of scalar np.interp calls
+    stage = np.array([t, t + 0.3 * h, t + h, t + 2 * h])
+    values = np.array(sig.knot_values)
+    scalar = [[np.interp(s, knots, values[:, c]) for c in range(n_u)] for s in stage]
+    assert np.array_equal(sig.values(stage), scalar)
+
+
 def test_uncontrolled_benchmark_diverges():
     # open-loop contrast: from (1, 0) with u = 0 the norm passes 100 by t = 4
     out = step_exact(A_BENCH, B_BENCH, [1.0, 0.0], [0.0], 4.0)
