@@ -45,7 +45,7 @@ from .lodegp import (
     steady_state_input,
 )
 from .metrics import constraint_violation, control_error
-from .plant import ControlSignal, Plant, Trajectory, step_exact, step_rk4
+from .plant import ControlSignal, Plant, Trajectory, step_exact
 from .polyalg import (
     Poly,
     PolyMatrix,

@@ -134,7 +134,7 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
         prior, endpoints, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter
     )
     gp = PosteriorGp(prior, endpoints, hp)
-    grid = np.array([ctrl.grid_time(i) for i in range(ctrl.n_steps + 1)])
+    grid = ctrl.lattice
     draws = gp.sample(grid, count, seed)
 
     names = cfg.system.channel_names
@@ -150,21 +150,30 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
 
 
 def cmd_algebra(cfg: ExperimentConfig) -> int:
-    h = build_h(cfg.system)
-    dec = smith_normal_form(h)
-    print("H = [A - d*I | B] =")
-    print(_indent(h.to_text()))
-    print("D (Smith normal form) =")
-    print(_indent(dec.D.to_text()))
-    require_controllable(dec)
-    null = right_nullspace_columns(h, dec)
-    print("nullspace columns of H =")
-    print(_indent(null.to_text()))
-    kernel = build_operator_kernel(null)
-    steady_state_input(cfg.system, cfg.x_ref)  # an infeasible x_ref exits 1, as in `run`
-    print("kernel entries (u = t - t', lam = 1/lengthscale_sq, scaled by signal variance):")
-    print(_indent(kernel.describe()))
-    return 0
+    # Exact numerators can pass Python's int-to-str digit limit (1,226 digits
+    # on a dense 6-state system): lift it while printing.  Some 3.10 builds
+    # have no limit to lift.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
+    try:
+        h = build_h(cfg.system)
+        dec = smith_normal_form(h)
+        print("H = [A - d*I | B] =")
+        print(_indent(h.to_text()))
+        print("D (Smith normal form) =")
+        print(_indent(dec.D.to_text()))
+        require_controllable(dec)
+        null = right_nullspace_columns(h, dec)
+        print("nullspace columns of H =")
+        print(_indent(null.to_text()))
+        kernel = build_operator_kernel(null)
+        steady_state_input(cfg.system, cfg.x_ref)  # an infeasible x_ref exits 1, as in `run`
+        print("kernel entries (u = t - t', lam = 1/lengthscale_sq, scaled by signal variance):")
+        print(_indent(kernel.describe()))
+        return 0
+    finally:
+        set_limit(limit)
 
 
 def _indent(text: str) -> str:

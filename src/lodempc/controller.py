@@ -11,11 +11,12 @@ over the next interval is applied to the plant, and the new row is appended.
 Inspecting a step means replaying it: ``mpc_step(prior, cfg, hp,
 traj.z[:k+1])`` gives step ``k`` back bit for bit.
 
-:class:`ControllerConfig` maps each constraint grid time to its lattice
-index once, so "after now" is an integer comparison.  Hyperparameters are
-chosen once, offline, on :func:`initial_dataset`, and stay frozen for the
-whole run, so the kernel at every lag a step can meet is evaluated once, in
-one lag table over the lattice and the grid (:func:`run_lag_table`).
+:class:`ControllerConfig` holds the lattice times ``t0 + k*dt`` and maps
+each constraint grid time to its lattice index once, so "after now" is an
+integer comparison.  Hyperparameters are chosen once, offline, on
+:func:`initial_dataset`, and stay frozen for the whole run, so the kernel
+at every lag a step can meet is evaluated once, in one lag table over the
+lattice and the grid (:func:`run_lag_table`).
 """
 
 from __future__ import annotations
@@ -120,8 +121,11 @@ class ControllerConfig:
             raise ValueError(
                 f"constraint grid time {grid_t[off][0]} does not lie on the dt lattice"
             )
-        # Derived once: each grid point's lattice index, and whether a
-        # virtual point (rather than a soft one) sits there.
+        # Derived once: the lattice times, each grid point's lattice index,
+        # and whether a virtual point (rather than a soft one) sits there.
+        lattice = self.t0 + np.arange(self.n_steps + 1) * self.dt
+        lattice.setflags(write=False)
+        object.__setattr__(self, "lattice", lattice)
         t_v = math.inf if self.t_v is None else self.t_v + TIME_TOL
         object.__setattr__(self, "_grid_t", grid_t)
         object.__setattr__(self, "_grid_k", grid_k.astype(int))
@@ -143,9 +147,6 @@ class ControllerConfig:
     def n_steps(self) -> int:
         return round((self.t_end - self.t0) / self.dt)
 
-    def grid_time(self, i: int) -> float:
-        return self.t0 + i * self.dt
-
 
 def build_step_dataset(
     prior: LodeGpPrior, cfg: ControllerConfig, z_hist, virtual: bool
@@ -162,15 +163,17 @@ def build_step_dataset(
       step k and ``t_v``.  Without it those times keep soft points.
     """
     z_hist = np.asarray(z_hist, dtype=float)
-    if z_hist.ndim != 2 or not len(z_hist) or z_hist.shape[1] != cfg.n_z:
-        raise ValueError(f"z_hist must have shape (k+1, {cfg.n_z}), got {z_hist.shape}")
+    if z_hist.ndim != 2 or not 0 < len(z_hist) <= cfg.lattice.size or z_hist.shape[1] != cfg.n_z:
+        raise ValueError(
+            f"z_hist must have shape (k+1, {cfg.n_z}) with k <= {cfg.n_steps}, got {z_hist.shape}"
+        )
     k_now = len(z_hist) - 1
     ahead = cfg._grid_k > k_now
     pinned = ahead & cfg._grid_virtual if virtual else np.zeros_like(ahead)
     soft = ahead & ~pinned
     past = np.arange(k_now - min(cfg.m_p, k_now), k_now)
     t = np.concatenate(
-        [[cfg.grid_time(k_now)], cfg._grid_t[soft], cfg.t0 + past * cfg.dt, cfg._grid_t[pinned]]
+        [cfg.lattice[k_now : k_now + 1], cfg._grid_t[soft], cfg.lattice[past], cfg._grid_t[pinned]]
     )
     values = np.empty((t.size, cfg.n_z))
     noise = np.zeros((t.size, cfg.n_z))
@@ -203,20 +206,23 @@ def mpc_step(
     prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist, table=None
 ) -> tuple[ControlSignal, np.ndarray]:
     """Step k = len(z_hist) - 1: condition on its dataset and return the
-    control for [t_k, t_k + dt] and the posterior std at t_k + dt.
+    control for [t_k, t_k + dt] and the posterior std at t_k + dt.  The
+    control is the posterior mean of the input channels at its knots: t_k +
+    dt alone (``hold_endpoint``, a held input) or ``subgrid_count + 1``
+    knots spread evenly over the interval.
 
     A pure function of its arguments: ``mpc_step(prior, cfg, hp,
     traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``
     (:func:`run_lag_table`) only saves work: the Gram has the same floats
     with or without it."""
     gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp, table)
-    t_now = cfg.grid_time(len(z_hist) - 1)
+    t_now = cfg.lattice[len(z_hist) - 1]
     t_next = t_now + cfg.dt
     if cfg.control_application == "hold_endpoint":
-        signal = ControlSignal.constant(t_next, gp.mean(np.array([t_next]))[0, cfg.n_x :])
+        knots = np.array([t_next])
     else:
         knots = np.linspace(t_now, t_next, cfg.subgrid_count + 1)
-        signal = ControlSignal.piecewise_linear(knots, gp.mean(knots)[:, cfg.n_x :])
+    signal = ControlSignal(knots, gp.mean(knots)[:, cfg.n_x :])
     return signal, gp.std(np.array([t_next]))[0]
 
 
@@ -227,8 +233,7 @@ def run_lag_table(
     lattice t0 + k*dt and the constraint grid), with the kernel at ``hp``.
     Each is the float the step datasets hold, so the table is exact.  None
     past ``MAX_TABLE_TIMES`` distinct times."""
-    lattice = cfg.t0 + np.arange(cfg.n_steps + 1) * cfg.dt
-    times = np.unique(np.concatenate([lattice, cfg._grid_t]))
+    times = np.unique(np.concatenate([cfg.lattice, cfg._grid_t]))
     return LagTable(times, prior.kernel, hp) if times.size <= MAX_TABLE_TIMES else None
 
 
@@ -245,11 +250,7 @@ def run_closed_loop(
     if plant.n_x != prior.system.n_x or plant.n_u != prior.system.n_u:
         raise ValueError("plant dimensions do not match the prior's system")
     n_steps, n_x = cfg.n_steps, cfg.n_x
-    # At least ten RK4 substeps per interval, each inside one knot interval
-    # of a piecewise-linear input: RK4 loses its order across a knot kink.
-    substeps = -(-10 // cfg.subgrid_count) * cfg.subgrid_count
-
-    times = np.array([cfg.grid_time(i) for i in range(n_steps + 1)])
+    times = cfg.lattice.copy()
     z = np.zeros((n_steps + 1, cfg.n_z))
     stds = np.zeros((n_steps + 1, cfg.n_z))
     z[0] = cfg.x0 + cfg.u0
@@ -259,7 +260,7 @@ def run_closed_loop(
     stds[0] = PosteriorGp(prior, first, hp, table).std(times[:1])[0]
     for k in range(n_steps):
         signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1], table)
-        x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt, substeps=substeps)
+        x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(
                 f"state norm {np.linalg.norm(x):.3e} at t={times[k + 1]:.6g} "

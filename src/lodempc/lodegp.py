@@ -101,8 +101,6 @@ class LodeGpPrior:
     mean at the reference equilibrium."""
 
     system: LinearSystem
-    H: PolyMatrix
-    decomposition: SmithDecomposition
     v_cols: PolyMatrix
     kernel: OperatorKernel
     prior_mean: np.ndarray
@@ -183,11 +181,4 @@ def build_prior(system: LinearSystem, x_ref) -> LodeGpPrior:
     kernel = build_operator_kernel(v_cols)
     u_ref = steady_state_input(system, x_ref)
     prior_mean = np.concatenate([np.asarray(x_ref, dtype=float), u_ref])
-    return LodeGpPrior(
-        system=system,
-        H=h,
-        decomposition=dec,
-        v_cols=v_cols,
-        kernel=kernel,
-        prior_mean=prior_mean,
-    )
+    return LodeGpPrior(system=system, v_cols=v_cols, kernel=kernel, prior_mean=prior_mean)

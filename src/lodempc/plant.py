@@ -1,60 +1,44 @@
 """Ground-truth simulator for dx/dt = A x + B u(t).
 
-Constant-input intervals are stepped exactly through the matrix exponential
-of the augmented matrix [[A, B], [0, 0]] (scaling-and-squaring); arbitrary
-signals are integrated with classical RK4 on a fixed substep.  Exact
-stepping isolates controller behavior from integrator error.
+The input over one interval is a :class:`ControlSignal`.  A held input (one
+knot) is stepped exactly through the matrix exponential of the augmented
+matrix [[A, B], [0, 0]] (scaling-and-squaring); a piecewise-linear input is
+integrated with classical RK4 on substeps that each lie inside one knot
+interval.  Exact stepping isolates controller behavior from integrator error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
-__all__ = ["ControlSignal", "Plant", "Trajectory", "step_exact", "step_rk4"]
+__all__ = ["ControlSignal", "Plant", "Trajectory", "step_exact"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """Control over one interval: either a constant vector or a piecewise-
-    linear interpolation of knot values (clamped outside the knot range)."""
+    """The input u(t) as knots: ``knot_times`` (K,) strictly increasing and
+    ``knot_values`` (K, n_u), linear between knots and held outside them, so
+    one knot is a held input.  Both are read-only arrays."""
 
-    kind: str  # "constant" | "piecewise_linear"
-    knot_times: tuple[float, ...]
-    knot_values: tuple[tuple[float, ...], ...]
+    knot_times: np.ndarray
+    knot_values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "piecewise_linear"):
-            raise ValueError(f"unknown control signal kind {self.kind!r}")
-        if not self.knot_times:
-            raise ValueError("control signal needs at least one knot")
-        if len(self.knot_times) != len(self.knot_values):
-            raise ValueError("knot_times and knot_values must align")
-        if self.kind == "piecewise_linear" and len(self.knot_times) < 2:
-            raise ValueError("piecewise-linear signal needs at least two knots")
-        if any(b <= a for a, b in zip(self.knot_times, self.knot_times[1:])):
-            raise ValueError("knot times must be strictly increasing")
-
-    @classmethod
-    def constant(cls, t: float, u) -> "ControlSignal":
-        return cls("constant", (float(t),), (tuple(float(x) for x in np.atleast_1d(u)),))
-
-    @classmethod
-    def piecewise_linear(cls, times, values) -> "ControlSignal":
-        return cls(
-            "piecewise_linear",
-            tuple(float(t) for t in times),
-            tuple(tuple(float(x) for x in row) for row in np.atleast_2d(values)),
-        )
-
-    @cached_property
-    def _knot_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Knot times and each channel's knot values as arrays, built once."""
-        vals = np.asarray(self.knot_values)
-        return np.asarray(self.knot_times), tuple(vals[:, j].copy() for j in range(vals.shape[1]))
+        times = np.array(self.knot_times, dtype=float)
+        values = np.array(self.knot_values, dtype=float)
+        if times.ndim != 1 or not times.size or np.any(np.diff(times) <= 0):
+            raise ValueError(f"knot times must be 1-D, non-empty and strictly increasing: {times}")
+        if values.ndim != 2 or values.shape[0] != times.size:
+            raise ValueError(
+                f"knot_values must have shape ({times.size}, n_u), got {values.shape}"
+            )
+        times.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "knot_times", times)
+        object.__setattr__(self, "knot_values", values)
 
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([t], dtype=float))[0]
@@ -62,10 +46,9 @@ class ControlSignal:
     def values(self, ts: np.ndarray) -> np.ndarray:
         """The signal at every time of the 1-D array ``ts``, shape
         (len(ts), n_u): one ``np.interp`` per channel."""
-        if self.kind == "constant":
-            return np.tile(self.knot_values[0], (ts.size, 1))
-        knots, channels = self._knot_arrays
-        return np.array([np.interp(ts, knots, vals) for vals in channels]).T.copy()
+        return np.array(
+            [np.interp(ts, self.knot_times, channel) for channel in self.knot_values.T]
+        ).T.copy()
 
 
 def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
@@ -83,16 +66,6 @@ def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
     return phi[:n_x, :n_x] @ np.asarray(x, dtype=float) + phi[:n_x, n_x:] @ np.atleast_1d(
         np.asarray(u_const, dtype=float)
     )
-
-
-def step_rk4(A, B, x, u_signal: ControlSignal, t: float, h: float) -> np.ndarray:
-    """One classical RK4 step sampling the control signal at t, t+h/2, t+h."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    u = u_signal.values(np.array([t, t + 0.5 * h, t + h]))
-    return _rk4(A, B, np.asarray(x, dtype=float), u, h)
 
 
 def _rk4(A, B, x, u, h: float) -> np.ndarray:
@@ -128,16 +101,19 @@ class Plant:
     def n_u(self) -> int:
         return self.B.shape[1]
 
-    def advance(self, x, signal: ControlSignal, t: float, h: float, substeps: int = 10) -> np.ndarray:
-        """Integrate over [t, t+h]: exactly for constant signals, RK4 on
-        h/substeps otherwise (RK4 keeps its order only on substeps that lie
-        inside one knot interval)."""
-        if signal.kind == "constant":
-            return step_exact(self.A, self.B, x, signal.value(t), h)
+    def advance(self, x, signal: ControlSignal, t: float, h: float) -> np.ndarray:
+        """Integrate over [t, t+h]: exactly for a held (one-knot) signal,
+        otherwise RK4 on at least ten substeps, a multiple of the signal's
+        knot intervals, so that substeps of knots spread evenly over [t, t+h]
+        never straddle a kink (RK4 loses its order across one)."""
+        if signal.knot_times.size == 1:
+            return step_exact(self.A, self.B, x, signal.knot_values[0], h)
+        intervals = signal.knot_times.size - 1
+        substeps = -(-10 // intervals) * intervals
         x = np.asarray(x, dtype=float)
         sub = h / substeps
         # The input at every RK4 stage time, sampled once: substep k starts
-        # at t + k*sub, the floats step_rk4 would be given.
+        # at t + k*sub.
         start = t + np.arange(substeps) * sub
         u = signal.values(np.stack([start, start + 0.5 * sub, start + sub], axis=1).ravel())
         for k in range(substeps):

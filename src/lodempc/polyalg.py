@@ -216,9 +216,6 @@ class PolyMatrix:
     def row(self, i: int) -> tuple[Poly, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Poly, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)

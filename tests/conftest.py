@@ -1,5 +1,6 @@
 """Shared fixtures: the 2-state unstable benchmark system and its GP prior,
-and seeded random controllable 4-state priors."""
+and seeded random controllable 4-state priors.  Shared helpers: the dense
+6-state benchmark config and a textbook RK4 oracle for the plant."""
 
 import numpy as np
 import pytest
@@ -56,3 +57,37 @@ def random4_prior():
 def random4x2_prior():
     # Two inputs: a nullspace of two columns, summed in every entry.
     return random_controllable_prior(2015, 4, 2)
+
+
+#: The benchmark's dense 6-state system, seed 0 (hyperparameters fixed).
+DENSE6 = {
+    "system": {
+        "A": [[-0.2, -0.5, -0.8, -0.4, -0.2, 0.7], [-0.1, -1.8, -0.3, 0.2, 0.7, 0.5],
+              [1.0, -0.7, -0.1, -0.9, 0.1, -0.5], [-0.6, 0.3, -0.4, -0.8, -0.5, -0.7],
+              [0.5, -0.1, 0.4, 0.4, 0.0, -0.2], [-0.6, 0.3, 0.9, 1.0, 0.8, -0.5]],
+        "B": [[-0.3], [-0.2], [-1.0], [-0.7], [-0.4], [-0.3]],
+    },
+    "reference": {"x_ref": [0.0] * 6},
+    "initial": {"x0": [-0.8287016657127513, -0.5263789868078006, 0.6025489304127938,
+                       0.16432407212873557, -0.8117427155192016, -0.1337461195270524],
+                "u0": [0.0]},
+    "horizon": {"t0": 0.0, "t_end": 10.0, "dt": 0.1},
+    "bounds": {"z_min": [-1.0] * 6 + [-2.5], "z_max": [1.0] * 6 + [2.5]},
+    "datasets": {"constraint_grid": {"start": 0.1, "stop": 10.0, "count": 100}, "past_window": 20},
+    "hyperparams": {"fixed": {"signal_variance": 1.0, "lengthscale_sq": 1.0}, "jitter": 1e-09},
+    "flags": {"control_application": "subgrid_interpolation"},
+}
+
+
+def rk4_by_value(a, b, x, sig, t, h, substeps=1):
+    """Classical RK4 over [t, t + h] in ``substeps`` equal substeps, sampling
+    the signal with one value() call per stage, in the textbook order."""
+    sub = h / substeps
+    for k in range(substeps):
+        tk = t + k * sub
+        k1 = a @ x + b @ sig.value(tk)
+        k2 = a @ (x + 0.5 * sub * k1) + b @ sig.value(tk + 0.5 * sub)
+        k3 = a @ (x + 0.5 * sub * k2) + b @ sig.value(tk + 0.5 * sub)
+        k4 = a @ (x + sub * k3) + b @ sig.value(tk + sub)
+        x = x + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x

@@ -28,8 +28,10 @@ from lodempc.gpcore import (
 )
 from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_h, build_prior
-from lodempc.plant import ControlSignal, Plant, step_exact, step_rk4
+from lodempc.plant import ControlSignal, Plant, step_exact
 from lodempc.polyalg import ONE, ZERO, PolyMatrix, smith_normal_form
+
+from conftest import rk4_by_value
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BENCH = LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]])
@@ -113,7 +115,7 @@ def test_criterion_2_realizations_satisfy_the_dynamics(bundled_runs):
     symbolic = {}
     residuals = {}
     for name, run in bundled_runs.items():
-        prod = run.prior.H @ run.prior.v_cols
+        prod = build_h(run.prior.system) @ run.prior.v_cols
         symbolic[name] = prod.is_zero
         if not prod.is_zero:
             problems.append(f"{name}: H*V != 0")
@@ -307,20 +309,15 @@ def test_criterion_8_integrator_cross_oracle():
     u = [1.3]
 
     exact = step_exact(plant.A, plant.B, x, u, 0.1)
-    sig = ControlSignal.constant(0.0, u)
-    got = x.copy()
-    for k in range(20):
-        got = step_rk4(plant.A, plant.B, got, sig, k * 0.005, 0.005)
+    sig = ControlSignal([0.0], [u])
+    got = rk4_by_value(plant.A, plant.B, x, sig, 0.0, 0.1, 20)
     agree = float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
 
     horizon = 0.8
     target = step_exact(plant.A, plant.B, x, u, horizon)
 
     def rk4_error(steps: int) -> float:
-        y = x.copy()
-        h = horizon / steps
-        for k in range(steps):
-            y = step_rk4(plant.A, plant.B, y, sig, k * h, h)
+        y = rk4_by_value(plant.A, plant.B, x, sig, 0.0, horizon, steps)
         return float(np.max(np.abs(y - target)))
 
     ratio = rk4_error(4) / rk4_error(8)

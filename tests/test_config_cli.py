@@ -2,6 +2,8 @@
 determinism."""
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 
 from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
+
+from conftest import DENSE6
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -228,6 +232,20 @@ def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypa
     assert a == b
 
 
+def test_run_closes_the_loop_on_two_inputs(tmp_path, monkeypatch):
+    # no outputs section and no flags: each step holds a two-channel input
+    for name in ("a", "b"):
+        monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / name))
+        assert main(["run", str(GOLDEN_DIR / "algebra_two_input.json")]) == 0
+    csv = tmp_path / "a" / "trajectory.csv"
+    assert csv.read_text().splitlines()[0] == (
+        "t,x1,x2,x3,u1,u2,std_x1,std_x2,std_x3,std_u1,std_u2"
+    )
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (11, 11) and np.isfinite(rows).all()
+    assert csv.read_bytes() == (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+
 def test_output_dir_env_override(config_path, tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(override))
@@ -412,6 +430,21 @@ def test_algebra_output_matches_golden_text(config, golden, capsys):
     # entries printed from the integer build must read the same.
     assert main(["algebra", str(config)]) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_algebra_prints_integers_past_the_digit_limit(tmp_path, capsys):
+    # the dense 6-state system's nullspace numerators run to 1,226 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["algebra", str(write_doc(tmp_path, DENSE6))]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, re.findall(r"\d+", capsys.readouterr().out))) > 640
 
 
 def test_algebra_scalar_integrator_nullspace(config_path, capsys):

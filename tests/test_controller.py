@@ -24,6 +24,8 @@ from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant, step_exact
 
+from conftest import DENSE6
+
 
 def make_cfg(**overrides):
     base = dict(
@@ -50,7 +52,11 @@ def test_config_derived_quantities():
     cfg = make_cfg()
     assert (cfg.n_x, cfg.n_u, cfg.n_z) == (2, 1, 3)
     assert cfg.n_steps == 20
-    assert cfg.grid_time(3) == pytest.approx(0.3)
+    # the lattice floats t0 + k*dt, computed once and read-only
+    assert cfg.lattice.tolist() == [cfg.t0 + k * cfg.dt for k in range(21)]
+    assert cfg.lattice[3] == pytest.approx(0.3)
+    with pytest.raises(ValueError):
+        cfg.lattice[0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -106,7 +112,10 @@ def test_d_init_is_single_exact_point(unstable_prior):
     np.testing.assert_array_equal(ds.noise_var[now], [[0.0, 0.0, 0.0]])
 
 
-@pytest.mark.parametrize("z_hist", [np.zeros((0, 3)), np.zeros((2, 2)), np.zeros(3)])
+# the last: more rows than the 21 lattice times of make_cfg's horizon
+@pytest.mark.parametrize(
+    "z_hist", [np.zeros((0, 3)), np.zeros((2, 2)), np.zeros(3), np.zeros((22, 3))]
+)
 def test_step_dataset_rejects_malformed_history(unstable_prior, z_hist):
     with pytest.raises(ValueError, match="z_hist"):
         build_step_dataset(unstable_prior, make_cfg(), z_hist, virtual=True)
@@ -144,12 +153,12 @@ def test_d_past_window_and_exclusion_of_current(unstable_prior):
     np.testing.assert_array_equal(ds.noise_var[past], np.zeros((3, 3)))
     for cfg, z_hist in ((make_cfg(m_p=0), history(5)), (make_cfg(m_p=5), history(0))):
         ds = build_step_dataset(unstable_prior, cfg, z_hist, virtual=True)
-        assert ds.t.min() == pytest.approx(cfg.grid_time(len(z_hist) - 1))
+        assert ds.t.min() == cfg.lattice[len(z_hist) - 1]
 
 
 def virtual_rows(ds, k_now, cfg):
     """Times and values of the exact rows after step k_now."""
-    ahead = (ds.t > cfg.grid_time(k_now) + 1e-9) & np.all(ds.noise_var == 0.0, axis=1)
+    ahead = (ds.t > cfg.lattice[k_now] + 1e-9) & np.all(ds.noise_var == 0.0, axis=1)
     return ds.t[ahead], ds.values[ahead]
 
 
@@ -219,8 +228,9 @@ def step_posterior(prior, cfg, hp, z_hist):
 def test_mpc_step_hold_returns_constant_signal(unstable_prior):
     cfg = make_cfg()
     signal, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
-    assert signal.kind == "constant"
-    assert signal.knot_times == pytest.approx((0.1,))
+    # one knot, at t_next: a held input
+    assert signal.knot_times.tolist() == [0.1]
+    assert signal.knot_values.shape == (1, 1)
     # the held value is the posterior mean of the control channel at t_next
     gp = step_posterior(unstable_prior, cfg, Hyperparams(), history(0))
     np.testing.assert_allclose(signal.value(0.1), [gp.mean(np.array([0.1]))[0, 2]])
@@ -230,8 +240,7 @@ def test_mpc_step_hold_returns_constant_signal(unstable_prior):
 def test_mpc_step_subgrid_returns_piecewise_linear(unstable_prior):
     cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
     signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
-    assert signal.kind == "piecewise_linear"
-    assert len(signal.knot_times) == 5
+    assert signal.knot_values.shape == (5, 1)
     assert signal.knot_times[0] == pytest.approx(0.0)
     assert signal.knot_times[-1] == pytest.approx(0.1)
     knots = np.array(signal.knot_times)
@@ -379,31 +388,10 @@ def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     assert calls[0] == table.lags.size
     assert len(calls) == 1 + 2 * (cfg.n_steps + 1)
     # the lattice floats and the grid's own, which are not all lattice floats
-    lattice = [cfg.grid_time(k) for k in range(cfg.n_steps + 1)]
-    assert table.times.tolist() == sorted(set(lattice) | set(cfg.constraint_grid))
+    assert table.times.tolist() == sorted(set(cfg.lattice.tolist()) | set(cfg.constraint_grid))
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-#: The benchmark's dense 6-state system, seed 0 (hyperparameters fixed).
-DENSE6 = {
-    "system": {
-        "A": [[-0.2, -0.5, -0.8, -0.4, -0.2, 0.7], [-0.1, -1.8, -0.3, 0.2, 0.7, 0.5],
-              [1.0, -0.7, -0.1, -0.9, 0.1, -0.5], [-0.6, 0.3, -0.4, -0.8, -0.5, -0.7],
-              [0.5, -0.1, 0.4, 0.4, 0.0, -0.2], [-0.6, 0.3, 0.9, 1.0, 0.8, -0.5]],
-        "B": [[-0.3], [-0.2], [-1.0], [-0.7], [-0.4], [-0.3]],
-    },
-    "reference": {"x_ref": [0.0] * 6},
-    "initial": {"x0": [-0.8287016657127513, -0.5263789868078006, 0.6025489304127938,
-                       0.16432407212873557, -0.8117427155192016, -0.1337461195270524],
-                "u0": [0.0]},
-    "horizon": {"t0": 0.0, "t_end": 10.0, "dt": 0.1},
-    "bounds": {"z_min": [-1.0] * 6 + [-2.5], "z_max": [1.0] * 6 + [2.5]},
-    "datasets": {"constraint_grid": {"start": 0.1, "stop": 10.0, "count": 100}, "past_window": 20},
-    "hyperparams": {"fixed": {"signal_variance": 1.0, "lengthscale_sq": 1.0}, "jitter": 1e-09},
-    "flags": {"control_application": "subgrid_interpolation"},
-}
-
 
 def test_run_table_gathers_every_step_gram_bit_for_bit(tmp_path):
     # every step dataset of the bundled trio and of the dense 6-state

@@ -144,7 +144,7 @@ def test_build_prior_shapes_and_mean(unstable_prior):
 
 
 def test_build_prior_annihilates_kernel_columns(unstable_prior):
-    assert (unstable_prior.H @ unstable_prior.v_cols).is_zero
+    assert (build_h(unstable_prior.system) @ unstable_prior.v_cols).is_zero
 
 
 def test_build_prior_nonzero_reference():
@@ -159,4 +159,4 @@ def test_build_prior_two_inputs():
     prior = build_prior(sys_, x_ref=[0.0, 0.0])
     assert prior.n_z == 4
     assert prior.v_cols.cols == 2
-    assert (prior.H @ prior.v_cols).is_zero
+    assert (build_h(sys_) @ prior.v_cols).is_zero

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lodempc.plant import ControlSignal, Plant, Trajectory, step_exact, step_rk4
+from lodempc.plant import ControlSignal, Plant, Trajectory, step_exact
+
+from conftest import rk4_by_value
 
 
 A_BENCH = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -20,32 +22,45 @@ B_BENCH = np.array([[0.0], [1.0]])
 
 
 def test_constant_signal_value_everywhere():
-    sig = ControlSignal.constant(0.0, [2.5])
+    # one knot is a held input
+    sig = ControlSignal([0.0], [[2.5]])
     np.testing.assert_allclose(sig.value(-3.0), [2.5])
     np.testing.assert_allclose(sig.value(7.0), [2.5])
 
 
 def test_piecewise_linear_interpolates_and_clamps():
-    sig = ControlSignal.piecewise_linear([0.0, 1.0, 2.0], [[0.0], [2.0], [2.0]])
+    sig = ControlSignal([0.0, 1.0, 2.0], [[0.0], [2.0], [2.0]])
     np.testing.assert_allclose(sig.value(0.5), [1.0])
     np.testing.assert_allclose(sig.value(1.5), [2.0])
-    # clamped outside the knot range
+    # held outside the knot range
     np.testing.assert_allclose(sig.value(-1.0), [0.0])
     np.testing.assert_allclose(sig.value(3.0), [2.0])
 
 
 def test_piecewise_linear_multichannel():
-    sig = ControlSignal.piecewise_linear([0.0, 1.0], [[0.0, 10.0], [1.0, 20.0]])
+    sig = ControlSignal([0.0, 1.0], [[0.0, 10.0], [1.0, 20.0]])
     np.testing.assert_allclose(sig.value(0.25), [0.25, 12.5])
 
 
 def test_signal_validation():
+    for times, values in [
+        ([], np.zeros((0, 1))),  # no knots
+        ([0.0, 0.0], [[1.0], [2.0]]),  # knot times repeat
+        ([0.0, 1.0, 0.5], [[1.0], [2.0], [3.0]]),  # knot times go back
+        ([0.0, 1.0], [[1.0]]),  # fewer value rows than knots
+        ([0.0], [[1.0], [2.0]]),  # more value rows than knots
+        ([0.0, 1.0], [1.0, 2.0]),  # values not one row per knot
+        ([[0.0, 1.0]], [[1.0], [2.0]]),  # knot times not 1-D
+    ]:
+        with pytest.raises(ValueError):
+            ControlSignal(times, values)
+    # the knots are read-only copies
+    times, values = np.array([0.0, 1.0]), np.array([[1.0], [2.0]])
+    sig = ControlSignal(times, values)
+    times[0], values[0, 0] = -1.0, 5.0
+    assert sig.knot_times.tolist() == [0.0, 1.0] and sig.knot_values.tolist() == [[1.0], [2.0]]
     with pytest.raises(ValueError):
-        ControlSignal("wiggle", (0.0,), ((1.0,),))
-    with pytest.raises(ValueError):
-        ControlSignal.piecewise_linear([0.0], [[1.0]])
-    with pytest.raises(ValueError):
-        ControlSignal.piecewise_linear([0.0, 0.0], [[1.0], [2.0]])
+        sig.knot_values[0, 0] = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +110,7 @@ def test_step_exact_accepts_flat_b():
 
 
 def rk4_constant(a, b, x, u, h, steps):
-    sig = ControlSignal.constant(0.0, u)
-    sub = h / steps
-    for k in range(steps):
-        x = step_rk4(a, b, x, sig, k * sub, sub)
-    return np.asarray(x)
+    return rk4_by_value(np.asarray(a), np.asarray(b), x, ControlSignal([0.0], [u]), 0.0, h, steps)
 
 
 def test_integrator_routes_agree_on_constant_input():
@@ -151,18 +162,16 @@ def test_rk4_halving_shows_fourth_order():
 
 def test_rk4_exact_on_polynomial_dynamics():
     # the double integrator's solution is cubic in t, inside RK4's order
-    a = [[0.0, 1.0], [0.0, 0.0]]
-    b = [[0.0], [1.0]]
-    sig = ControlSignal.constant(0.0, [2.0])
-    got = step_rk4(a, b, [0.0, 0.0], sig, 0.0, 1.0)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.0], [1.0]])
+    got = rk4_constant(a, b, np.zeros(2), [2.0], 1.0, steps=1)
     np.testing.assert_allclose(got, [1.0, 2.0], rtol=1e-13)
 
 
 def test_rk4_linearity_in_state():
-    sig = ControlSignal.constant(0.0, [0.0])
-    x1 = step_rk4(A_BENCH, B_BENCH, [1.0, 0.0], sig, 0.0, 0.1)
-    x2 = step_rk4(A_BENCH, B_BENCH, [0.0, 1.0], sig, 0.0, 0.1)
-    x12 = step_rk4(A_BENCH, B_BENCH, [2.0, 3.0], sig, 0.0, 0.1)
+    x1 = rk4_constant(A_BENCH, B_BENCH, np.array([1.0, 0.0]), [0.0], 0.1, steps=1)
+    x2 = rk4_constant(A_BENCH, B_BENCH, np.array([0.0, 1.0]), [0.0], 0.1, steps=1)
+    x12 = rk4_constant(A_BENCH, B_BENCH, np.array([2.0, 3.0]), [0.0], 0.1, steps=1)
     np.testing.assert_allclose(x12, 2 * x1 + 3 * x2, rtol=1e-12)
 
 
@@ -173,65 +182,58 @@ def test_rk4_linearity_in_state():
 
 def test_plant_advance_constant_uses_exact_path():
     plant = Plant(A_BENCH, B_BENCH)
-    sig = ControlSignal.constant(0.0, [0.4])
+    sig = ControlSignal([0.0], [[0.4]])
     got = plant.advance([1.0, 0.0], sig, 0.0, 0.1)
     want = step_exact(A_BENCH, B_BENCH, [1.0, 0.0], [0.4], 0.1)
     np.testing.assert_array_equal(got, want)
+    # one knot anywhere is a held input: random systems, one or two inputs,
+    # the knot before, inside or after [t, t + h]
+    rng = np.random.default_rng(11)
+    for n_u in (1, 2, 1, 2):
+        n_x = int(rng.integers(1, 5))
+        a, b = rng.normal(0.0, 1.0, (n_x, n_x)), rng.normal(0.0, 1.0, (n_x, n_u))
+        x0, u = rng.normal(0.0, 1.0, n_x), rng.normal(0.0, 1.0, n_u)
+        t, h = float(rng.uniform(-1.0, 5.0)), float(rng.uniform(0.01, 0.5))
+        for knot in (t - 1.0, t + 0.5 * h, t + h, t + 2.0 * h):
+            got = Plant(a, b).advance(x0, ControlSignal([knot], [u]), t, h)
+            assert np.array_equal(got, step_exact(a, b, x0, u, h))
 
 
 def test_plant_advance_piecewise_linear_converges_to_analytic():
     # scalar dx/dt = u(t) with u linear in t integrates to a quadratic
     plant = Plant([[0.0]], [[1.0]])
-    sig = ControlSignal.piecewise_linear([0.0, 1.0], [[0.0], [2.0]])
-    got = plant.advance([0.0], sig, 0.0, 1.0, substeps=10)
+    sig = ControlSignal([0.0, 1.0], [[0.0], [2.0]])
+    got = plant.advance([0.0], sig, 0.0, 1.0)
     # integral of 2t over [0,1] = 1
     assert got == pytest.approx([1.0], rel=1e-12)
 
 
 def test_plant_advance_matches_dense_simulation():
     plant = Plant(A_BENCH, B_BENCH)
-    sig = ControlSignal.piecewise_linear([0.0, 0.05, 0.1], [[0.0], [1.0], [-0.5]])
-    coarse = plant.advance([1.0, 0.0], sig, 0.0, 0.1, substeps=10)
-    fine = plant.advance([1.0, 0.0], sig, 0.0, 0.1, substeps=320)
+    sig = ControlSignal([0.0, 0.05, 0.1], [[0.0], [1.0], [-0.5]])
+    coarse = plant.advance([1.0, 0.0], sig, 0.0, 0.1)
+    fine = rk4_by_value(A_BENCH, B_BENCH, np.array([1.0, 0.0]), sig, 0.0, 0.1, substeps=320)
     assert np.max(np.abs(coarse - fine)) <= 1e-9
-
-
-def rk4_by_value(a, b, x, sig, t, h, substeps):
-    """RK4 over [t, t + h] in substeps, sampling the signal with one value()
-    call per stage, in the textbook order."""
-    sub = h / substeps
-    for k in range(substeps):
-        tk = t + k * sub
-        k1 = a @ x + b @ sig.value(tk)
-        k2 = a @ (x + 0.5 * sub * k1) + b @ sig.value(tk + 0.5 * sub)
-        k3 = a @ (x + 0.5 * sub * k2) + b @ sig.value(tk + 0.5 * sub)
-        k4 = a @ (x + sub * k3) + b @ sig.value(tk + sub)
-        x = x + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
 
 
 @pytest.mark.parametrize("n_u", [1, 2])
 def test_plant_advance_samples_the_input_once_with_the_same_floats(n_u):
     # one np.interp per channel over every stage time gives the floats of
-    # per-stage value() calls, and Plant.advance, a step_rk4 loop and the
-    # textbook loop agree bit for bit
+    # per-stage value() calls: Plant.advance over K knots is the textbook
+    # loop on the least multiple of K - 1 intervals that is at least ten
+    # substeps, bit for bit (1 -> 10, 3 -> 12, 4 -> 12, 10 -> 10, 13 -> 13)
     rng = np.random.default_rng(7 + n_u)
-    for _ in range(20):
+    for count in (1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 20, *rng.integers(1, 25, 8)):
         n_x = int(rng.integers(1, 5))
         a, b = rng.normal(0.0, 1.0, (n_x, n_x)), rng.normal(0.0, 1.0, (n_x, n_u))
         x0 = rng.normal(0.0, 1.0, n_x)
         t, h = float(rng.uniform(-1.0, 5.0)), float(rng.uniform(0.01, 0.5))
-        count = int(rng.integers(1, 6))
-        substeps = count * int(rng.integers(1, 5))
+        substeps = -(-10 // count) * count
+        assert 10 <= substeps < 10 + count and substeps % count == 0
         knots = np.linspace(t, t + h, count + 1)
-        sig = ControlSignal.piecewise_linear(knots, rng.normal(0.0, 1.0, (count + 1, n_u)))
-        want = rk4_by_value(a, b, x0, sig, t, h, substeps)
-        got = Plant(a, b).advance(x0, sig, t, h, substeps=substeps)
-        assert np.array_equal(got, want)
-        x, sub = x0, h / substeps
-        for k in range(substeps):
-            x = step_rk4(a, b, x, sig, t + k * sub, sub)
-        assert np.array_equal(x, want)
+        sig = ControlSignal(knots, rng.normal(0.0, 1.0, (count + 1, n_u)))
+        got = Plant(a, b).advance(x0, sig, t, h)
+        assert np.array_equal(got, rk4_by_value(a, b, x0, sig, t, h, substeps)), count
     # a batch of times gives the floats of scalar np.interp calls
     stage = np.array([t, t + 0.3 * h, t + h, t + 2 * h])
     values = np.array(sig.knot_values)
