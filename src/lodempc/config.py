@@ -91,6 +91,21 @@ def _number(convert, value, field: str):
         raise ConfigError(f"{field} must be a number, got {value!r}") from None
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer, a ConfigError naming ``field`` for anything else
+    (2.7, "3" or true), rather than a silent truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value, field: str) -> bool:
+    """A JSON true or false; bool("false") would be True."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def _pair(value, field: str) -> tuple:
     """(lo, hi) as floats, a ConfigError naming ``field`` if not a pair."""
     try:
@@ -104,7 +119,7 @@ def _grid_times(spec) -> tuple:
     if isinstance(spec, dict):
         _reject_unknown(spec, ("start", "stop", "count", "times"), "constraint_grid")
     if isinstance(spec, dict) and {"start", "stop", "count"} <= set(spec):
-        count = _number(int, spec["count"], "constraint_grid count")
+        count = _integer(spec["count"], "constraint_grid count")
         if count < 1:
             raise ConfigError("constraint_grid count must be >= 1")
         start = _number(float, spec["start"], "constraint_grid start")
@@ -156,6 +171,11 @@ def load_config(path) -> ExperimentConfig:
     t0 = _number(float, _get(hor_sec, "t0", "horizon"), "horizon.t0")
     grid = _grid_times(_get(data_sec, "constraint_grid", "datasets"))
     t_v = data_sec.get("virtual_start")
+    m_p = _integer(data_sec.get("past_window", 0), "datasets.past_window")
+    noise_is_variance = _flag(
+        flag_sec.get("constraint_noise_is_variance", False), "flags.constraint_noise_is_variance"
+    )
+    subgrid_count = _integer(flag_sec.get("subgrid_count", 10), "flags.subgrid_count")
 
     try:
         controller = ControllerConfig(
@@ -168,15 +188,13 @@ def load_config(path) -> ExperimentConfig:
             z_min=tuple(_get(box_sec, "z_min", "bounds")),
             z_max=tuple(_get(box_sec, "z_max", "bounds")),
             constraint_grid=grid,
-            m_p=int(data_sec.get("past_window", 0)),
+            m_p=m_p,
             t_v=None if t_v is None else float(t_v),
-            constraint_noise_is_variance=bool(
-                flag_sec.get("constraint_noise_is_variance", False)
-            ),
+            constraint_noise_is_variance=noise_is_variance,
             control_application=str(
                 flag_sec.get("control_application", "hold_endpoint")
             ),
-            subgrid_count=int(flag_sec.get("subgrid_count", 10)),
+            subgrid_count=subgrid_count,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad controller configuration: {exc}") from None
@@ -215,7 +233,7 @@ def load_config(path) -> ExperimentConfig:
         hp_bounds=hp_bounds,
         hp_fixed=hp_fixed,
         jitter=jitter,
-        seed=_number(int, doc.get("seed", 0), "seed"),
+        seed=_integer(doc.get("seed", 0), "seed"),
         output_dir=str(out_sec.get("directory", ".")),
         trajectory_csv=str(out_sec.get("trajectory_csv", "trajectory.csv")),
         metrics_json=str(out_sec.get("metrics_json", "metrics.json")),

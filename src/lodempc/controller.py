@@ -22,7 +22,7 @@ lattice and the grid (:func:`run_lag_table`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,19 +148,17 @@ class ControllerConfig:
         return round((self.t_end - self.t0) / self.dt)
 
 
-def build_step_dataset(
-    prior: LodeGpPrior, cfg: ControllerConfig, z_hist, virtual: bool
-) -> Dataset:
+def build_step_dataset(prior: LodeGpPrior, cfg: ControllerConfig, z_hist) -> Dataset:
     """The conditioning data of step k, where ``z_hist`` holds the observed
     z = (x, u) at steps 0..k, one row per step.  Four blocks, in this order:
 
     * the current observation z_hist[k] at t_k, exact (NaN masks a channel);
-    * soft box points at the grid times after step k that no virtual point
-      takes: value = box center, noise from the half-width (squared unless
-      the config says the half-width already is a variance);
+    * soft box points at the grid times after step k up to ``t_v``: value =
+      box center, noise from the half-width (squared unless the config says
+      the half-width already is a variance);
     * up to ``m_p`` observations before step k, exact;
-    * with ``virtual``, exact reference points at the grid times after both
-      step k and ``t_v``.  Without it those times keep soft points.
+    * exact reference points at the grid times after both step k and
+      ``t_v`` (none if ``t_v`` is None).
     """
     z_hist = np.asarray(z_hist, dtype=float)
     if z_hist.ndim != 2 or not 0 < len(z_hist) <= cfg.lattice.size or z_hist.shape[1] != cfg.n_z:
@@ -169,7 +167,7 @@ def build_step_dataset(
         )
     k_now = len(z_hist) - 1
     ahead = cfg._grid_k > k_now
-    pinned = ahead & cfg._grid_virtual if virtual else np.zeros_like(ahead)
+    pinned = ahead & cfg._grid_virtual
     soft = ahead & ~pinned
     past = np.arange(k_now - min(cfg.m_p, k_now), k_now)
     t = np.concatenate(
@@ -199,14 +197,15 @@ def initial_dataset(prior: LodeGpPrior, cfg: ControllerConfig) -> Dataset:
     the same problem shares one set of hyperparameters regardless of which
     dataset fragments the controller uses online.
     """
-    return build_step_dataset(prior, cfg, [cfg.x0 + cfg.u0], virtual=False)
+    return build_step_dataset(prior, replace(cfg, t_v=None), [cfg.x0 + cfg.u0])
 
 
 def mpc_step(
     prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist, table=None
-) -> tuple[ControlSignal, np.ndarray]:
+) -> tuple[ControlSignal, np.ndarray, PosteriorGp]:
     """Step k = len(z_hist) - 1: condition on its dataset and return the
-    control for [t_k, t_k + dt] and the posterior std at t_k + dt.  The
+    control for [t_k, t_k + dt], the posterior std at t_k + dt, and the
+    posterior itself (``posterior.data`` is what the step saw).  The
     control is the posterior mean of the input channels at its knots: t_k +
     dt alone (``hold_endpoint``, a held input) or ``subgrid_count + 1``
     knots spread evenly over the interval.
@@ -215,7 +214,7 @@ def mpc_step(
     traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``
     (:func:`run_lag_table`) only saves work: the Gram has the same floats
     with or without it."""
-    gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp, table)
+    gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist), hp, table)
     t_now = cfg.lattice[len(z_hist) - 1]
     t_next = t_now + cfg.dt
     if cfg.control_application == "hold_endpoint":
@@ -223,7 +222,7 @@ def mpc_step(
     else:
         knots = np.linspace(t_now, t_next, cfg.subgrid_count + 1)
     signal = ControlSignal(knots, gp.mean(knots)[:, cfg.n_x :])
-    return signal, gp.std(np.array([t_next]))[0]
+    return signal, gp.std(np.array([t_next]))[0], gp
 
 
 def run_lag_table(
@@ -244,7 +243,8 @@ def run_closed_loop(
 
     The trajectory z = (x, u) is the loop's only state: step k is
     ``mpc_step(prior, cfg, hp, z[:k+1])``, and its control and std fill
-    row k + 1.  Every step gathers its Gram from one lag table built here,
+    row k + 1; row 0's std is step 0's posterior at t0 (the prior's if there
+    is no step).  Every step gathers its Gram from one lag table built here,
     so no step evaluates the kernel for its Gram (unless the run has more
     than ``MAX_TABLE_TIMES`` times)."""
     if plant.n_x != prior.system.n_x or plant.n_u != prior.system.n_u:
@@ -254,12 +254,16 @@ def run_closed_loop(
     z = np.zeros((n_steps + 1, cfg.n_z))
     stds = np.zeros((n_steps + 1, cfg.n_z))
     z[0] = cfg.x0 + cfg.u0
-    # Row 0's std is step 0's posterior at t0; the prior's if there is no step.
+    if not n_steps:
+        stds[0] = PosteriorGp(prior, Dataset(), hp).std(times[:1])[0]
     table = run_lag_table(prior, cfg, hp)
-    first = build_step_dataset(prior, cfg, z[:1], virtual=True) if n_steps else Dataset()
-    stds[0] = PosteriorGp(prior, first, hp, table).std(times[:1])[0]
     for k in range(n_steps):
-        signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1], table)
+        signal, stds[k + 1], posterior = mpc_step(prior, cfg, hp, z[: k + 1], table)
+        if k == 0:
+            stds[0] = posterior.std(times[:1])[0]
+        # Released before the next step factors: a kept posterior holds its
+        # Cholesky factor beside the next one.
+        del posterior
         x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(

@@ -251,13 +251,15 @@ def _solve(cho, rhs: np.ndarray) -> np.ndarray:
 
 
 class PosteriorGp:
-    """Prior conditioned on a dataset at fixed hyperparameters.
+    """Prior conditioned on a dataset at fixed hyperparameters: the one
+    place a Gram is assembled, factored and solved.
 
     An empty dataset is allowed and reproduces the prior, which doubles as
     the sampling path for unconditioned processes.  Queries always return
-    every channel, regardless of training masks.  ``jitter_boost`` is the
-    diagonal boost the factorization needed (0.0 for none or no data).
-    ``table`` is as in :func:`assemble_gram`.
+    every channel, regardless of training masks.  ``residual`` is z - mu
+    over the observed slots, and ``jitter_boost`` the diagonal boost the
+    factorization needed (0.0 for none or no data).  ``table`` is as in
+    :func:`assemble_gram`.
     """
 
     def __init__(self, prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
@@ -269,11 +271,11 @@ class PosteriorGp:
         if not len(data):
             self._cho = None
             self.jitter_boost = 0.0
-            self._alpha = np.zeros(0)
+            self.residual = self._alpha = np.zeros(0)
         else:
-            gram, residual = assemble_gram(prior, data, hp, table)
+            gram, self.residual = assemble_gram(prior, data, hp, table)
             self._cho, self.jitter_boost = _cho_with_escalation(gram, hp.jitter)
-            self._alpha = _solve(self._cho, residual)
+            self._alpha = _solve(self._cho, self.residual)
 
     @property
     def representer_weights(self) -> np.ndarray:
@@ -355,21 +357,21 @@ class PosteriorGp:
         return flat.T.reshape(count, tq.size, self._nz)
 
 
-def _score(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table):
-    """log_marginal_likelihood with the pieces its gradient reuses:
-    (value, lower Cholesky factor, alpha, residual, jitter boost)."""
-    gram, residual = assemble_gram(prior, data, hp, table)
-    (factor, _), boost = _cho_with_escalation(gram, hp.jitter)
-    alpha = _solve((factor, True), residual)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return float(-0.5 * residual @ alpha - 0.5 * logdet), factor, alpha, residual, boost
+def _likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table):
+    """(posterior on ``data``, its log marginal likelihood).  An empty
+    dataset has no likelihood."""
+    if not len(data):
+        raise ValueError("cannot assemble a Gram matrix from an empty dataset")
+    gp = PosteriorGp(prior, data, hp, table)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(gp._cho[0]))))
+    return gp, float(-0.5 * gp.residual @ gp._alpha - 0.5 * logdet)
 
 
 def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
     """Marginal log-likelihood of the residual z - mu, constant term omitted:
     -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det (K + Sigma); a float.
     ``table`` is as in :func:`assemble_gram`."""
-    return _score(prior, data, hp, table)[0]
+    return _likelihood(prior, data, hp, table)[1]
 
 
 def log_marginal_likelihood_grad(
@@ -388,15 +390,17 @@ def log_marginal_likelihood_grad(
     lengthscale_sq, dK = -lam dK/dlam is gathered from the kernel's lam
     derivative at each distinct lag, through the same table as the Gram."""
     table = LagTable(data.t) if table is None else table
-    value, factor, alpha, residual, boost = _score(prior, data, hp, table)
-    kinv, info = dpotri(factor, lower=1, overwrite_c=1)
+    gp, value = _likelihood(prior, data, hp, table)
+    alpha = gp._alpha
+    # potri overwrites the posterior's factor, which is not queried again.
+    kinv, info = dpotri(gp._cho[0], lower=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")
     grad = []
     for name in wrt:
         if name == "signal_variance":
-            noise = _noise_diagonal(data, hp.jitter) + boost
-            fit = residual @ alpha - noise @ alpha**2
+            noise = _noise_diagonal(data, hp.jitter) + gp.jitter_boost
+            fit = gp.residual @ alpha - noise @ alpha**2
             trace = alpha.size - kinv.diagonal() @ noise
         else:
             dk = table.gram(table.kernel_blocks(prior.kernel, hp, dlam=True), data)

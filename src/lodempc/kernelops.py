@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyalg import PolyMatrix
+from .polyalg import PolyMatrix, signed_sum
 
 __all__ = [
     "Hyperparams",
@@ -124,32 +124,11 @@ class GaussPolyTerm:
         """The term at -u: odd u powers negated, term order kept."""
         return GaussPolyTerm({(a, b): -c if a % 2 else c for (a, b), c in self.coeffs.items()})
 
-    def evaluate(self, u: float, lam: float) -> float:
-        """Value at one (u, lam), summed term by term from the exact
-        coefficients: a reference that shares no code with grid evaluation."""
-        poly = sum(float(c) * u**a * lam**b for (a, b), c in self.coeffs.items())
-        return poly * math.exp(-0.5 * lam * u * u)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts: list[str] = []
-        for (a, b) in sorted(self.coeffs):
-            c = self.coeffs[(a, b)]
-            mag = abs(c)
-            pieces = []
-            if b:
-                pieces.append("lam" if b == 1 else f"lam^{b}")
-            if a:
-                pieces.append("u" if a == 1 else f"u^{a}")
-            if not pieces or mag != 1:
-                pieces.insert(0, str(mag))
-            body = " ".join(pieces)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return f"({' '.join(parts)}) exp(-lam u^2/2)"
+        terms = ((self.coeffs[a, b], (("lam", b), ("u", a))) for a, b in sorted(self.coeffs))
+        return f"({signed_sum(terms)}) exp(-lam u^2/2)"
 
 
 def se_kernel() -> GaussPolyTerm:

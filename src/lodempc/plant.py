@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .lodegp import LinearSystem
+
 __all__ = ["ControlSignal", "Plant", "Trajectory", "step_exact"]
 
 
@@ -78,28 +80,8 @@ def _rk4(A, B, x, u, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-@dataclass(frozen=True, eq=False)
-class Plant:
-    """Simulator bound to one (A, B) pair."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.B, dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-
-    @property
-    def n_x(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[1]
+class Plant(LinearSystem):
+    """Simulator of the system dx/dt = A x + B u, which validates (A, B)."""
 
     def advance(self, x, signal: ControlSignal, t: float, h: float) -> np.ndarray:
         """Integrate over [t, t+h]: exactly for a held (one-knot) signal,

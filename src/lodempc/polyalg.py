@@ -23,6 +23,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "D",
+    "signed_sum",
     "smith_normal_form",
     "right_nullspace_columns",
 ]
@@ -143,23 +144,23 @@ class Poly:
         return self.scaled(1 / self.leading_coeff)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "d" if k == 1 else f"d^{k}"
-                body = var if mag == 1 else f"{mag} {var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((c, (("d", k),)) for k, c in enumerate(self.coeffs) if c)
+
+
+def signed_sum(terms) -> str:
+    """An exact sum as text, "0" if empty.  ``terms`` are (nonzero
+    coefficient, powers) pairs, powers a sequence of (name, exponent).  The
+    first term carries a bare "-" if negative, the rest are joined by " + "
+    or " - ", and a unit magnitude before a monomial is left out:
+    "-1 + 3/2 d - d^2"."""
+    parts: list[str] = []
+    for c, powers in terms:
+        mag = abs(c)
+        var = " ".join(name if k == 1 else f"{name}^{k}" for name, k in powers if k)
+        body = str(mag) if not var else var if mag == 1 else f"{mag} {var}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 ZERO = Poly()
@@ -199,14 +200,6 @@ class PolyMatrix:
                 flat.append(e if isinstance(e, Poly) else Poly.const(e))
         return cls(n_rows, n_cols, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
-
     def __getitem__(self, key: tuple[int, int]) -> Poly:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -242,32 +235,9 @@ class PolyMatrix:
                 flat.append(acc)
         return PolyMatrix(self.rows, other.cols, tuple(flat))
 
-    def determinant(self) -> Poly:
-        """Exact determinant by cofactor expansion (intended for small dims)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return ONE
-        grid = [list(self.row(i)) for i in range(self.rows)]
-        return _det(grid)
-
     def to_text(self) -> str:
         """One row per line, entries separated by ';'."""
         return "\n".join("; ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-
-
-def _det(grid: list[list[Poly]]) -> Poly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    total = ZERO
-    for j, entry in enumerate(grid[0]):
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = entry * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Shared fixtures: the 2-state unstable benchmark system and its GP prior,
 and seeded random controllable 4-state priors.  Shared helpers: the dense
-6-state benchmark config and a textbook RK4 oracle for the plant."""
+6-state benchmark config, a textbook RK4 oracle for the plant, and the
+exact-algebra oracles the package does not need at run time (polynomial
+determinant and identity, a kernel term summed at one point)."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from lodempc import Hyperparams, LinearSystem, build_prior
+from lodempc.polyalg import ONE, ZERO, PolyMatrix
 
 settings.register_profile(
     "default",
@@ -91,3 +96,34 @@ def rk4_by_value(a, b, x, sig, t, h, substeps=1):
         k4 = a @ (x + sub * k3) + b @ sig.value(tk + sub)
         x = x + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def identity(n: int) -> PolyMatrix:
+    return PolyMatrix(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+
+
+def determinant(m: PolyMatrix):
+    """Exact determinant of a square PolyMatrix by cofactor expansion
+    (intended for small dims)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return _det([list(m.row(i)) for i in range(m.rows)]) if m.rows else ONE
+
+
+def _det(grid):
+    if len(grid) == 1:
+        return grid[0][0]
+    total = ZERO
+    for j, entry in enumerate(grid[0]):
+        if entry.is_zero:
+            continue
+        term = entry * _det([row[:j] + row[j + 1 :] for row in grid[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def evaluate_term(term, u: float, lam: float) -> float:
+    """A GaussPolyTerm at one (u, lam), summed term by term from the exact
+    coefficients: a reference that shares no code with grid evaluation."""
+    poly = sum(float(c) * u**a * lam**b for (a, b), c in term.coeffs.items())
+    return poly * math.exp(-0.5 * lam * u * u)

@@ -287,13 +287,23 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("hyperparams", "jitter"), "1e-9x", "hyperparams.jitter"),
         (("hyperparams", "bounds"), 5, "hyperparams.bounds"),
         (("hyperparams", "fixed"), [0.5, 1.0], "hyperparams.fixed"),
+        # integers and flags are taken as written, never truncated or cast
+        (("seed",), 1.5, "seed"),
+        (("seed",), True, "seed"),
+        (("datasets", "past_window"), 2.7, "datasets.past_window"),
+        (("datasets", "past_window"), True, "datasets.past_window"),
+        (("datasets", "past_window"), "3", "datasets.past_window"),
+        (("datasets", "constraint_grid", "count"), 99.5, "constraint_grid count"),
+        (("flags", "subgrid_count"), 4.9, "flags.subgrid_count"),
+        (("flags", "constraint_noise_is_variance"), "false", "flags.constraint_noise_is_variance"),
+        (("flags", "constraint_noise_is_variance"), 0, "flags.constraint_noise_is_variance"),
     ],
 )
 def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):
     doc = base_doc(tmp_path / "out")
     where = doc
     for name in path[:-1]:
-        where = where[name]
+        where = where.setdefault(name, {})
     where[path[-1]] = value
     assert main(["run", str(write_doc(tmp_path, doc))]) == 1
     err = capsys.readouterr().err

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import cho_factor, expm
 
-from lodempc import controller
+from lodempc import controller, gpcore
 from lodempc.controller import (
     ControllerConfig,
     PlantDivergenceError,
@@ -105,7 +105,7 @@ def soft_rows(ds):
 
 
 def test_d_init_is_single_exact_point(unstable_prior):
-    ds = build_step_dataset(unstable_prior, make_cfg(), history(5, (1.0, np.nan, 2.0)), virtual=True)
+    ds = build_step_dataset(unstable_prior, make_cfg(), history(5, (1.0, np.nan, 2.0)))
     now = np.isclose(ds.t, 0.5)
     assert np.count_nonzero(now) == 1
     np.testing.assert_array_equal(ds.values[now], [[1.0, np.nan, 2.0]])
@@ -118,11 +118,11 @@ def test_d_init_is_single_exact_point(unstable_prior):
 )
 def test_step_dataset_rejects_malformed_history(unstable_prior, z_hist):
     with pytest.raises(ValueError, match="z_hist"):
-        build_step_dataset(unstable_prior, make_cfg(), z_hist, virtual=True)
+        build_step_dataset(unstable_prior, make_cfg(), z_hist)
 
 
 def test_d_con_future_only_with_box_statistics(unstable_prior):
-    ds = build_step_dataset(unstable_prior, make_cfg(), history(15), virtual=True)
+    ds = build_step_dataset(unstable_prior, make_cfg(), history(15))
     t, values, noise = soft_rows(ds)
     # grid times strictly after step 15 (t = 1.5): 1.6 .. 2.0
     assert t == pytest.approx([1.6, 1.7, 1.8, 1.9, 2.0])
@@ -133,26 +133,26 @@ def test_d_con_future_only_with_box_statistics(unstable_prior):
 
 def test_d_con_variance_flag_uses_half_width_directly(unstable_prior):
     cfg = make_cfg(constraint_noise_is_variance=True)
-    _, _, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19), virtual=True))
+    _, _, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19)))
     np.testing.assert_array_equal(noise, [[1.0, 1.0, 2.5]])
 
 
 def test_d_con_asymmetric_box_center(unstable_prior):
     cfg = make_cfg(z_min=(-1.0, 0.0, -2.5), z_max=(3.0, 1.0, 2.5))
-    _, values, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19), virtual=True))
+    _, values, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19)))
     np.testing.assert_array_equal(values, [[1.0, 0.5, 0.0]])
     np.testing.assert_array_equal(noise, [[4.0, 0.25, 6.25]])
 
 
 def test_d_past_window_and_exclusion_of_current(unstable_prior):
-    ds = build_step_dataset(unstable_prior, make_cfg(m_p=3), history(5), virtual=True)
+    ds = build_step_dataset(unstable_prior, make_cfg(m_p=3), history(5))
     # three most recent strictly before now (step 5), exact
     past = ds.t < 0.5 - 1e-9
     assert ds.t[past] == pytest.approx([0.2, 0.3, 0.4])
     np.testing.assert_array_equal(ds.values[past][:, 0], [2.0, 3.0, 4.0])
     np.testing.assert_array_equal(ds.noise_var[past], np.zeros((3, 3)))
     for cfg, z_hist in ((make_cfg(m_p=0), history(5)), (make_cfg(m_p=5), history(0))):
-        ds = build_step_dataset(unstable_prior, cfg, z_hist, virtual=True)
+        ds = build_step_dataset(unstable_prior, cfg, z_hist)
         assert ds.t.min() == cfg.lattice[len(z_hist) - 1]
 
 
@@ -164,23 +164,23 @@ def virtual_rows(ds, k_now, cfg):
 
 def test_d_v_starts_after_both_t_v_and_now(unstable_prior):
     cfg = make_cfg(t_v=1.0)
-    t, values = virtual_rows(build_step_dataset(unstable_prior, cfg, history(0), virtual=True), 0, cfg)
+    t, values = virtual_rows(build_step_dataset(unstable_prior, cfg, history(0)), 0, cfg)
     assert t == pytest.approx(np.arange(1.1, 2.01, 0.1))
     np.testing.assert_array_equal(values, np.tile(unstable_prior.prior_mean, (10, 1)))
-    late, _ = virtual_rows(build_step_dataset(unstable_prior, cfg, history(17), virtual=True), 17, cfg)
+    late, _ = virtual_rows(build_step_dataset(unstable_prior, cfg, history(17)), 17, cfg)
     assert late == pytest.approx([1.8, 1.9, 2.0])
     # t_v need not lie on the dt lattice
     off = make_cfg(t_v=1.05)
-    t, _ = virtual_rows(build_step_dataset(unstable_prior, off, history(0), virtual=True), 0, off)
+    t, _ = virtual_rows(build_step_dataset(unstable_prior, off, history(0)), 0, off)
     assert t[0] == pytest.approx(1.1)
     plain = make_cfg()
-    t, _ = virtual_rows(build_step_dataset(unstable_prior, plain, history(0), virtual=True), 0, plain)
+    t, _ = virtual_rows(build_step_dataset(unstable_prior, plain, history(0)), 0, plain)
     assert t.size == 0
 
 
 def test_step_dataset_virtual_replaces_soft(unstable_prior):
     cfg = make_cfg(t_v=1.0)
-    ds = build_step_dataset(unstable_prior, cfg, history(0), virtual=True)
+    ds = build_step_dataset(unstable_prior, cfg, history(0))
     soft_t, _, _ = soft_rows(ds)
     virtual_t, _ = virtual_rows(ds, 0, cfg)
     assert len(soft_t) == 10  # 0.1 .. 1.0
@@ -196,10 +196,11 @@ def test_step_dataset_virtual_replaces_soft(unstable_prior):
 
 
 def test_initial_dataset_virtual_switch(unstable_prior):
-    # the fit dataset is step 0's without virtual points
+    # the fit dataset is step 0's without virtual points: t_v alone places
+    # them, so it is step 0 of the config without t_v
     cfg = make_cfg(t_v=1.0, m_p=5)
     z0 = [cfg.x0 + cfg.u0]
-    with_v = build_step_dataset(unstable_prior, cfg, z0, virtual=True)
+    with_v = build_step_dataset(unstable_prior, cfg, z0)
     without_v = initial_dataset(unstable_prior, cfg)
     late = with_v.t > 1.0
     assert np.all(with_v.noise_var[late] == 0.0)
@@ -207,12 +208,14 @@ def test_initial_dataset_virtual_switch(unstable_prior):
     assert np.all(without_v.noise_var[without_v.t > 0.0] > 0.0)
     np.testing.assert_array_equal(with_v.t, without_v.t)
     np.testing.assert_array_equal(without_v.values[0], z0[0])
-    # the flag is a no-op when there are no virtual points to begin with
-    plain = make_cfg()
-    a = build_step_dataset(unstable_prior, plain, z0, virtual=True)
-    b = initial_dataset(unstable_prior, plain)
-    for name in ("t", "values", "noise_var"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    # with or without t_v, the fit dataset is step 0 of the same config
+    # without it
+    plain = make_cfg(m_p=5)
+    a = build_step_dataset(unstable_prior, plain, z0)
+    for c in (cfg, plain):
+        b = initial_dataset(unstable_prior, c)
+        for name in ("t", "values", "noise_var"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +223,28 @@ def test_initial_dataset_virtual_switch(unstable_prior):
 # ---------------------------------------------------------------------------
 
 
-def step_posterior(prior, cfg, hp, z_hist):
-    """The posterior that mpc_step conditions, built the same way."""
-    return PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist, virtual=True), hp)
-
-
 def test_mpc_step_hold_returns_constant_signal(unstable_prior):
     cfg = make_cfg()
-    signal, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    signal, std_next, gp = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     # one knot, at t_next: a held input
     assert signal.knot_times.tolist() == [0.1]
     assert signal.knot_values.shape == (1, 1)
-    # the held value is the posterior mean of the control channel at t_next
-    gp = step_posterior(unstable_prior, cfg, Hyperparams(), history(0))
+    # the held value is the mean of the control channel at t_next, of the
+    # posterior that the step returns, on the step's own dataset
     np.testing.assert_allclose(signal.value(0.1), [gp.mean(np.array([0.1]))[0, 2]])
     assert std_next.shape == (3,)
+    data = build_step_dataset(unstable_prior, cfg, history(0))
+    for name in ("t", "values", "noise_var"):
+        np.testing.assert_array_equal(getattr(gp.data, name), getattr(data, name))
 
 
 def test_mpc_step_subgrid_returns_piecewise_linear(unstable_prior):
     cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
-    signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    signal, _, gp = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert signal.knot_values.shape == (5, 1)
     assert signal.knot_times[0] == pytest.approx(0.0)
     assert signal.knot_times[-1] == pytest.approx(0.1)
     knots = np.array(signal.knot_times)
-    gp = step_posterior(unstable_prior, cfg, Hyperparams(), history(0))
     np.testing.assert_allclose(
         np.array(signal.knot_values)[:, 0], gp.mean(knots)[:, 2], atol=1e-12
     )
@@ -254,7 +254,8 @@ def test_mpc_step_pins_current_observation(unstable_prior):
     # the plan must pass through the current (t, z): exact-data conditioning
     cfg = make_cfg()
     z_now = np.array([0.7, -0.2, 0.3])
-    at_now = step_posterior(unstable_prior, cfg, Hyperparams(), history(5, z_now)).mean([0.5])[0]
+    gp = mpc_step(unstable_prior, cfg, Hyperparams(), history(5, z_now))[2]
+    at_now = gp.mean([0.5])[0]
     np.testing.assert_allclose(at_now, z_now, atol=1e-4)
 
 
@@ -265,7 +266,7 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
     # variance is the one-point lag-0 term.  With the run's table, whose
     # kernel is frozen at these hyperparameters, the Gram evaluates none.
     cfg = make_cfg(control_application=application, subgrid_count=4)
-    data = build_step_dataset(unstable_prior, cfg, history(0), virtual=True)
+    data = build_step_dataset(unstable_prior, cfg, history(0))
     table = run_lag_table(unstable_prior, cfg, Hyperparams())
     calls, datasets = [], []
     eval_blocks, post_init = OperatorKernel.eval_blocks, Dataset.__post_init__
@@ -280,11 +281,11 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
 
     monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
     monkeypatch.setattr(Dataset, "__post_init__", built)
-    _, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    _, std_next, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert len(datasets) == 1
     lags, cross, lag0 = calls
     calls.clear()
-    _, std_tabled = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
+    _, std_tabled, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
     monkeypatch.undo()
     assert len(datasets) == 2
     assert np.array_equal(lags[0], np.unique(data.t[:, None] - data.t))
@@ -338,20 +339,30 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
 
 
 @pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
-def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, application):
+def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch, application):
     # the trajectory is the loop's only state: replaying step k on the
     # recorded z[:k+1], without the run's lag table, gives back its control
-    # and std exactly; all four dataset blocks are in play
+    # and std exactly; all four dataset blocks are in play.  The run factors
+    # each step's Gram once: row 0's std is read off step 0's posterior.
     cfg = make_cfg(m_p=5, t_v=1.0, control_application=application, subgrid_count=4)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
+    factored = []
+
+    def counted(a, **kw):
+        factored.append(a.shape)
+        return cho_factor(a, **kw)
+
+    monkeypatch.setattr(gpcore, "cho_factor", counted)
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)
+    monkeypatch.undo()
+    assert len(factored) == cfg.n_steps
     for k in range(cfg.n_steps):
-        signal, std_next = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
+        signal, std_next, gp = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
         assert np.array_equal(traj.controls[k + 1], signal.value(traj.times[k + 1]))
         assert np.array_equal(traj.stds[k + 1], std_next)
-    first = step_posterior(unstable_prior, cfg, hp, traj.z[:1]).std(traj.times[:1])[0]
-    assert np.array_equal(traj.stds[0], first)
+        if k == 0:
+            assert np.array_equal(traj.stds[0], gp.std(traj.times[:1])[0])
 
 
 def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkeypatch):
@@ -409,7 +420,7 @@ def test_run_table_gathers_every_step_gram_bit_for_bit(tmp_path):
         assert table.times.size == 128, path.name
         z = rng.normal(0.0, 1.0, (cfg.n_steps + 1, cfg.n_z))
         for k in range(cfg.n_steps):
-            data = build_step_dataset(prior, cfg, z[: k + 1], virtual=True)
+            data = build_step_dataset(prior, cfg, z[: k + 1])
             for got, want in zip(assemble_gram(prior, data, hp, table), assemble_gram(prior, data, hp)):
                 assert np.array_equal(got, want), (path.name, k)
 
@@ -439,7 +450,7 @@ def test_closed_loop_plant_substeps_follow_subgrid_knots(unstable_prior):
     hp = Hyperparams()
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)
     for i in range(cfg.n_steps):
-        sig, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
+        sig, _, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
         want = _exact_piecewise_linear(plant.A, plant.B, traj.states[i], sig)
         assert np.max(np.abs(traj.states[i + 1] - want)) <= 1e-9
 

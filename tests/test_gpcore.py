@@ -273,6 +273,11 @@ def test_assemble_gram_rejects_empty_and_mismatched(integrator_prior, unstable_p
     hp = Hyperparams()
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, Dataset(), hp)
+    # the empty posterior is the prior, but it has no likelihood
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(integrator_prior, Dataset(), hp)
+    with pytest.raises(ValueError):
+        log_marginal_likelihood_grad(integrator_prior, Dataset(), hp, ["signal_variance"])
     ds3 = rows(hard(0.0, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, ds3, hp)
@@ -557,7 +562,7 @@ def test_gradient_matches_central_differences_with_jitter_boost(integrator_prior
 
     # the same boost at the point and at both steps of each difference
     points = [hp(lo), hp(mid), hp(hi), hp(mid, ls2 * math.exp(1e-5)), hp(mid, ls2 * math.exp(-1e-5))]
-    assert [gpcore._score(integrator_prior, data, h, table)[4] for h in points] == [1e-9] * 5
+    assert [PosteriorGp(integrator_prior, data, h, table).jitter_boost for h in points] == [1e-9] * 5
 
     value, grad = log_marginal_likelihood_grad(integrator_prior, data, hp(mid), BOTH)
     assert value == log_marginal_likelihood(integrator_prior, data, hp(mid))

@@ -16,6 +16,7 @@ from lodempc.lodegp import (
     require_controllable,
     steady_state_input,
 )
+from lodempc.plant import Plant
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix, smith_normal_form
 
 
@@ -41,12 +42,15 @@ def test_system_default_channel_names():
 
 
 def test_system_validation_errors():
-    with pytest.raises(ValueError):
-        LinearSystem(A=[[0.0, 1.0]], B=[[1.0]])  # not square
-    with pytest.raises(ValueError):
-        LinearSystem(A=[[0.0]], B=[[1.0], [0.0]])  # row mismatch
-    with pytest.raises(ValueError):
-        LinearSystem(A=[[np.inf]], B=[[1.0]])
+    # a Plant is the LinearSystem it steps, validated the same way
+    for cls in (LinearSystem, Plant):
+        with pytest.raises(ValueError, match="square"):
+            cls(A=[[0.0, 1.0]], B=[[1.0]])
+        with pytest.raises(ValueError, match="rows"):
+            cls(A=[[0.0]], B=[[1.0], [0.0]])
+        for a, b in (([[np.inf]], [[1.0]]), ([[0.0]], [[np.nan]])):
+            with pytest.raises(ValueError, match="finite"):
+                cls(A=a, B=b)
     with pytest.raises(ValueError):
         LinearSystem(A=[[0.0]], B=[[1.0]], channel_names=("only-one",))
 
