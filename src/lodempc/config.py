@@ -83,12 +83,26 @@ def _get(sec: dict, name: str, where: str):
         raise ConfigError(f"missing field {name!r} in section {where!r}") from None
 
 
-def _number(convert, value, field: str):
-    """convert(value), a ConfigError naming ``field`` if that fails."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+def _number(value, field: str) -> float:
+    """A JSON number as a float, a ConfigError naming ``field`` for anything
+    else ("10", true or null), rather than a silent cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, field: str) -> tuple:
+    """A JSON list of numbers as floats (:func:`_number` per entry)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, field) for v in value)
+
+
+def _matrix(value, field: str) -> list:
+    """A JSON list of rows, each a list of numbers (:func:`_numbers`)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list of rows, got {value!r}")
+    return [_numbers(row, field) for row in value]
 
 
 def _integer(value, field: str) -> int:
@@ -112,7 +126,7 @@ def _pair(value, field: str) -> tuple:
         lo, hi = value
     except (TypeError, ValueError):
         raise ConfigError(f"{field} must be a [lo, hi] pair, got {value!r}") from None
-    return _number(float, lo, field), _number(float, hi, field)
+    return _number(lo, field), _number(hi, field)
 
 
 def _grid_times(spec) -> tuple:
@@ -122,14 +136,14 @@ def _grid_times(spec) -> tuple:
         count = _integer(spec["count"], "constraint_grid count")
         if count < 1:
             raise ConfigError("constraint_grid count must be >= 1")
-        start = _number(float, spec["start"], "constraint_grid start")
-        stop = _number(float, spec["stop"], "constraint_grid stop")
+        start = _number(spec["start"], "constraint_grid start")
+        stop = _number(spec["stop"], "constraint_grid stop")
         return tuple(np.linspace(start, stop, count))
     if isinstance(spec, dict) and "times" in spec:
         times = spec["times"]
         if not isinstance(times, list):
             raise ConfigError(f"constraint_grid times must be a list, got {times!r}")
-        return tuple(_number(float, t, "constraint_grid times") for t in times)
+        return tuple(_number(t, "constraint_grid times") for t in times)
     raise ConfigError(
         "constraint_grid must give either {start, stop, count} or {times}"
     )
@@ -161,14 +175,16 @@ def load_config(path) -> ExperimentConfig:
 
     try:
         system = LinearSystem(
-            A=np.array(_get(sys_sec, "A", "system"), dtype=float),
-            B=np.array(_get(sys_sec, "B", "system"), dtype=float),
+            A=np.array(_matrix(_get(sys_sec, "A", "system"), "system.A"), dtype=float),
+            B=np.array(_matrix(_get(sys_sec, "B", "system"), "system.B"), dtype=float),
             channel_names=tuple(sys_sec.get("channel_names", ())),
         )
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system definition: {exc}") from None
 
-    t0 = _number(float, _get(hor_sec, "t0", "horizon"), "horizon.t0")
+    t0 = _number(_get(hor_sec, "t0", "horizon"), "horizon.t0")
     grid = _grid_times(_get(data_sec, "constraint_grid", "datasets"))
     t_v = data_sec.get("virtual_start")
     m_p = _integer(data_sec.get("past_window", 0), "datasets.past_window")
@@ -180,22 +196,24 @@ def load_config(path) -> ExperimentConfig:
     try:
         controller = ControllerConfig(
             t0=t0,
-            t_end=float(_get(hor_sec, "t_end", "horizon")),
-            dt=float(_get(hor_sec, "dt", "horizon")),
-            x0=tuple(_get(init_sec, "x0", "initial")),
-            u0=tuple(_get(init_sec, "u0", "initial")),
-            x_ref=tuple(_get(ref_sec, "x_ref", "reference")),
-            z_min=tuple(_get(box_sec, "z_min", "bounds")),
-            z_max=tuple(_get(box_sec, "z_max", "bounds")),
+            t_end=_number(_get(hor_sec, "t_end", "horizon"), "horizon.t_end"),
+            dt=_number(_get(hor_sec, "dt", "horizon"), "horizon.dt"),
+            x0=_numbers(_get(init_sec, "x0", "initial"), "initial.x0"),
+            u0=_numbers(_get(init_sec, "u0", "initial"), "initial.u0"),
+            x_ref=_numbers(_get(ref_sec, "x_ref", "reference"), "reference.x_ref"),
+            z_min=_numbers(_get(box_sec, "z_min", "bounds"), "bounds.z_min"),
+            z_max=_numbers(_get(box_sec, "z_max", "bounds"), "bounds.z_max"),
             constraint_grid=grid,
             m_p=m_p,
-            t_v=None if t_v is None else float(t_v),
+            t_v=None if t_v is None else _number(t_v, "datasets.virtual_start"),
             constraint_noise_is_variance=noise_is_variance,
             control_application=str(
                 flag_sec.get("control_application", "hold_endpoint")
             ),
             subgrid_count=subgrid_count,
         )
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad controller configuration: {exc}") from None
 
@@ -219,11 +237,11 @@ def load_config(path) -> ExperimentConfig:
         _reject_unknown(fixed_raw, HYPERPARAM_NAMES, "hyperparams.fixed")
         hp_fixed = {}
         for name, value in fixed_raw.items():
-            value = _number(float, value, f"hyperparams.fixed.{name}")
+            value = _number(value, f"hyperparams.fixed.{name}")
             if not value > 0:
                 raise ConfigError(f"fixed hyperparameter {name} must be positive")
             hp_fixed[name] = value
-    jitter = _number(float, hp_sec.get("jitter", 1e-8), "hyperparams.jitter")
+    jitter = _number(hp_sec.get("jitter", 1e-8), "hyperparams.jitter")
     if jitter < 0:
         raise ConfigError("jitter must be >= 0")
 

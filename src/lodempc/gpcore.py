@@ -8,8 +8,9 @@ substituting a small jitter variance on the noise diagonal; Cholesky
 factorization escalates that jitter multiplicatively when the Gram matrix
 is numerically indefinite and errors out past a hard cap rather than
 silently repairing.  Hyperparameters are chosen by a deterministic
-multi-start L-BFGS-B search on the closed-form likelihood gradient, seeded
-from a fixed probe grid, so repeated runs are bit-identical.
+multi-start projected BFGS descent (:func:`_descend`) on the closed-form
+likelihood gradient, seeded from a fixed probe grid, so repeated runs are
+bit-identical.
 
 Index convention for Gram matrices: the observed (row, channel) slots of
 the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
@@ -29,7 +30,6 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
-from scipy.optimize import minimize
 
 from .kernelops import Hyperparams
 from .lodegp import LodeGpPrior
@@ -59,11 +59,21 @@ DEFAULT_HYPERPARAM_BOUNDS = {
 
 #: Log-spaced probes per free hyperparameter axis of the fit's start grid.
 PROBES_PER_AXIS = 5
-#: Best-scoring probes that seed an L-BFGS-B descent each.
+#: Best-scoring probes that seed a descent (:func:`_descend`) each.
 N_STARTS = 3
 #: A fitted parameter this close to a box edge, in log space, is reported
 #: as ending on it.
 AT_BOUND_TOL = 1e-9
+#: The descent stops as scipy's L-BFGS-B does by default: projected gradient
+#: infinity norm at most PG_TOL (``pgtol``), relative decrease at most
+#: REL_DECREASE_TOL (``factr`` 1e7 times eps), or MAX_ITER iterations.  A
+#: line search gives up after MAX_LINE_STEPS trials (``maxls``).
+PG_TOL = 1e-5
+REL_DECREASE_TOL = 1e7 * np.finfo(float).eps
+MAX_ITER = 200
+MAX_LINE_STEPS = 20
+#: Sufficient-decrease constant of the Armijo condition.
+ARMIJO_C1 = 1e-4
 
 
 class DatasetError(ValueError):
@@ -420,6 +430,60 @@ def log_marginal_likelihood_grad(
     return value, np.array(grad, dtype=float)
 
 
+def _descend(fg, x0, lo, hi) -> None:
+    """Minimize ``fg`` (x -> (value, gradient)) over the box [lo, hi] by a
+    projected BFGS descent from ``x0``; ``fg`` keeps the best point it sees.
+
+    A coordinate on a bound whose gradient points out of the box is held
+    there: its direction is 0, and its row and column of the Hessian
+    approximation B are masked out, so the free coordinates step by the
+    reduced Hessian, as in L-BFGS-B's subspace minimization.  The first
+    step is steepest descent, t = 1/|g| along -g.  The first curvature pair
+    (s, y) scales B to y'y/s'y, and a pair with s'y <= eps y'y is skipped.
+    Each step backtracks along the projected path until the Armijo
+    condition holds, by a safeguarded quadratic in [0.1 t, 0.5 t], or by
+    10x where the value is inf (a failed factorization)."""
+    eps = np.finfo(float).eps
+    x = np.clip(x0, lo, hi)
+    f, g = fg(x)
+    b = None
+    for _ in range(MAX_ITER):
+        if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= PG_TOL:
+            return
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        d = np.zeros_like(x)
+        if b is None:
+            d[free] = -g[free]
+            t = 1.0 / np.linalg.norm(d)
+        else:
+            d[free] = -np.linalg.solve(b[np.ix_(free, free)], g[free])
+            t = 1.0
+        slope = g @ d
+        for _ in range(MAX_LINE_STEPS):
+            x_new = np.clip(x + t * d, lo, hi)
+            f_new, g_new = fg(x_new)
+            if f_new <= f + ARMIJO_C1 * min(g @ (x_new - x), 0.0):
+                break
+            if f_new == math.inf:
+                t /= 10.0
+                continue
+            q = -slope * t * t / (2.0 * (f_new - f - slope * t))
+            t = min(max(q, 0.1 * t), 0.5 * t) if q > 0 else 0.5 * t
+        else:
+            return
+        s, y = x_new - x, g_new - g
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= REL_DECREASE_TOL:
+            return
+        sy, yy = s @ y, y @ y
+        if sy > eps * yy:
+            if b is None:
+                b = np.eye(x.size) * (yy / sy)
+            bs = b @ s
+            b = b - np.outer(bs, bs) / (s @ bs) + np.outer(y, y) / sy
+
+
 @dataclass(frozen=True)
 class FitReport:
     """How a hyperparameter fit ended: the best log marginal likelihood, the
@@ -445,11 +509,11 @@ def optimize_hyperparams(
     log lengthscale_sq) inside box bounds; returns (hyperparams, report).
 
     Deterministic multi-start scheme: a fixed log-spaced probe grid is
-    scored by value alone, the best probes seed L-BFGS-B descents on the
-    value and its closed-form gradient, and the best point any descent saw
-    wins (ties by probe order).  A failed factorization scores -inf.
-    ``fixed`` pins parameters by name; with all of them pinned no
-    likelihood is evaluated and the report is None.
+    scored by value alone, the best probes seed projected BFGS descents
+    (:func:`_descend`) on the value and its closed-form gradient, and the
+    best point any descent saw wins (ties by probe order).  A failed
+    factorization scores -inf.  ``fixed`` pins parameters by name; with all
+    of them pinned no likelihood is evaluated and the report is None.
     """
     limits = dict(DEFAULT_HYPERPARAM_BOUNDS)
     if bounds:
@@ -507,17 +571,11 @@ def optimize_hyperparams(
         starts = [np.array([0.5 * (ax[0] + ax[-1]) for ax in axes])]
 
     log_bounds = [(ax[0], ax[-1]) for ax in axes]
+    lo, hi = np.array(log_bounds).T
     best_f, best_x = math.inf, starts[0]
     for start in starts:
         seen = (math.inf, start)
-        minimize(
-            objective_and_grad,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=log_bounds,
-            options={"maxiter": 200},
-        )
+        _descend(objective_and_grad, start, lo, hi)
         if seen[0] < best_f:
             best_f, best_x = seen
 

@@ -2,7 +2,9 @@
 determinism."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -222,6 +224,22 @@ def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
     assert fit["value_and_gradient_evals"] > 0
 
 
+def test_run_does_not_import_scipy_optimize(tmp_path):
+    # a fresh interpreter, as the console script runs: the fit's descent is
+    # the package's own, so scipy.optimize and what it pulls in stay unloaded
+    code = (
+        "import sys; from lodempc.cli import main; rc = main(sys.argv[1:]); "
+        "assert 'scipy.optimize' not in sys.modules; sys.exit(rc)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env[ENV_OUTPUT_DIR] = str(tmp_path)
+    done = subprocess.run([sys.executable, "-c", code, "run", str(CONFIG_DIR / "regulation_past.json")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "trajectory.csv").exists()
+
+
 def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / "a"))
     assert main(["run", str(config_path)]) == 0
@@ -297,6 +315,23 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("flags", "subgrid_count"), 4.9, "flags.subgrid_count"),
         (("flags", "constraint_noise_is_variance"), "false", "flags.constraint_noise_is_variance"),
         (("flags", "constraint_noise_is_variance"), 0, "flags.constraint_noise_is_variance"),
+        # numbers are JSON numbers: no numeric strings, no true/false
+        (("horizon", "t0"), True, "horizon.t0"),
+        (("horizon", "t_end"), "10", "horizon.t_end"),
+        (("horizon", "dt"), True, "horizon.dt"),
+        (("datasets", "virtual_start"), True, "datasets.virtual_start"),
+        (("initial", "x0"), ["0.5"], "initial.x0"),
+        (("initial", "u0"), [False], "initial.u0"),
+        (("reference", "x_ref"), [None], "reference.x_ref"),
+        (("bounds", "z_min"), ["-2", -2.0], "bounds.z_min"),
+        (("bounds", "z_max"), [2.0, True], "bounds.z_max"),
+        (("bounds", "z_max"), 2.0, "bounds.z_max"),
+        (("system", "A"), [["0"]], "system.A"),
+        (("system", "B"), [[True]], "system.B"),
+        (("system", "B"), 1.0, "system.B"),
+        (("hyperparams", "jitter"), True, "hyperparams.jitter"),
+        (("hyperparams", "fixed", "signal_variance"), "10", "hyperparams.fixed.signal_variance"),
+        (("hyperparams", "bounds"), {"signal_variance": [True, 10.0]}, "hyperparams.bounds.signal_variance"),
     ],
 )
 def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):
