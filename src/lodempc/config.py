@@ -105,6 +105,14 @@ def _matrix(value, field: str) -> list:
     return [_numbers(row, field) for row in value]
 
 
+def _names(value, field: str) -> tuple:
+    """A JSON list of distinct, non-empty strings, not a string's letters."""
+    strings = isinstance(value, list) and all(isinstance(v, str) and v for v in value)
+    if not strings or len(set(value)) < len(value):
+        raise ConfigError(f"{field} must be a list of distinct, non-empty strings, got {value!r}")
+    return tuple(value)
+
+
 def _integer(value, field: str) -> int:
     """A JSON integer, a ConfigError naming ``field`` for anything else
     (2.7, "3" or true), rather than a silent truncation."""
@@ -177,7 +185,7 @@ def load_config(path) -> ExperimentConfig:
         system = LinearSystem(
             A=np.array(_matrix(_get(sys_sec, "A", "system"), "system.A"), dtype=float),
             B=np.array(_matrix(_get(sys_sec, "B", "system"), "system.B"), dtype=float),
-            channel_names=tuple(sys_sec.get("channel_names", ())),
+            channel_names=_names(sys_sec.get("channel_names", []), "system.channel_names"),
         )
     except ConfigError:
         raise

@@ -204,11 +204,11 @@ def mpc_step(
     prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist, table=None
 ) -> tuple[ControlSignal, np.ndarray, PosteriorGp]:
     """Step k = len(z_hist) - 1: condition on its dataset and return the
-    control for [t_k, t_k + dt], the posterior std at t_k + dt, and the
-    posterior itself (``posterior.data`` is what the step saw).  The
-    control is the posterior mean of the input channels at its knots: t_k +
-    dt alone (``hold_endpoint``, a held input) or ``subgrid_count + 1``
-    knots spread evenly over the interval.
+    control for [t_k, t_k + dt], the posterior std at t_k + dt (its own
+    one-row query), and the posterior (``posterior.data`` is what the step
+    saw).  The control is the posterior mean of the input channels at its
+    knots: t_k + dt alone (``hold_endpoint``, a held input) or
+    ``subgrid_count + 1`` knots spread evenly over the interval.
 
     A pure function of its arguments: ``mpc_step(prior, cfg, hp,
     traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``

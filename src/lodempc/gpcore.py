@@ -3,11 +3,11 @@ observations of the stacked trajectory z = (x, u).
 
 A :class:`Dataset` is three arrays over N rows and n_z channels: times
 ``t``, ``values`` with NaN marking a masked channel, and ``noise_var`` with
-0 marking an exact constraint.  Exact constraints are realized by
-substituting a small jitter variance on the noise diagonal; Cholesky
-factorization escalates that jitter multiplicatively when the Gram matrix
+0 marking an exact constraint, realized as a small jitter variance on the
+noise diagonal; Cholesky factorization escalates that jitter when the Gram
 is numerically indefinite and errors out past a hard cap rather than
-silently repairing.  Hyperparameters are chosen by a deterministic
+silently repairing.  A :class:`PosteriorGp` query is a pure function of the
+factor and the query times.  Hyperparameters are chosen by a deterministic
 multi-start projected BFGS descent (:func:`_descend`) on the closed-form
 likelihood gradient, seeded from a fixed probe grid, so repeated runs are
 bit-identical.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotri
 
 from .kernelops import Hyperparams
@@ -50,6 +50,9 @@ __all__ = [
 
 #: Jitter escalation stops (and factorization fails) past this variance.
 MAX_JITTER = 1e-4
+
+#: Query times per cross kernel in posterior mean and std queries.
+QUERY_CHUNK = 512
 
 #: Default box for hyperparameter search, per parameter.
 DEFAULT_HYPERPARAM_BOUNDS = {
@@ -254,30 +257,23 @@ def _cho_with_escalation(gram: np.ndarray, jitter: float):
                 ) from None
 
 
-def _solve(cho, rhs: np.ndarray) -> np.ndarray:
-    """cho_solve on a factor that cho_factor has checked: only the right-hand
-    side is scanned for non-finite entries, O(n*m) rather than O(n^2)."""
-    return cho_solve(cho, np.asarray_chkfinite(rhs), check_finite=False)
-
-
 class PosteriorGp:
     """Prior conditioned on a dataset at fixed hyperparameters: the one
     place a Gram is assembled, factored and solved.
 
     An empty dataset is allowed and reproduces the prior, which doubles as
     the sampling path for unconditioned processes.  Queries always return
-    every channel, regardless of training masks.  ``residual`` is z - mu
-    over the observed slots, and ``jitter_boost`` the diagonal boost the
-    factorization needed (0.0 for none or no data).  ``table`` is as in
-    :func:`assemble_gram`.
+    every channel, regardless of training masks, and are pure: each
+    evaluates its own cross kernel and changes no attribute.  ``residual``
+    is z - mu over the observed slots, and ``jitter_boost`` the diagonal
+    boost the factorization needed (0.0 for none or no data).  ``table`` is
+    as in :func:`assemble_gram`.
     """
 
     def __init__(self, prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
         self.prior = prior
         self.data = data
         self.hp = hp
-        self._nz = prior.n_z
-        self._last_cross: dict = {}
         if not len(data):
             self._cho = None
             self.jitter_boost = 0.0
@@ -285,7 +281,8 @@ class PosteriorGp:
         else:
             gram, self.residual = assemble_gram(prior, data, hp, table)
             self._cho, self.jitter_boost = _cho_with_escalation(gram, hp.jitter)
-            self._alpha = _solve(self._cho, self.residual)
+            residual = np.asarray_chkfinite(self.residual)
+            self._alpha = cho_solve(self._cho, residual, check_finite=False)
 
     @property
     def representer_weights(self) -> np.ndarray:
@@ -294,30 +291,28 @@ class PosteriorGp:
 
     def _cross(self, t_query: np.ndarray) -> np.ndarray:
         """Kernel between query slots (rows, all channels) and training
-        slots (columns, unmasked only).  The row blocks of a call are kept
-        by time for the next call only: a std where the mean was just
-        queried (the controller's step end) evaluates no kernel, and a
-        posterior kept after its step holds no rows."""
-        times, last = t_query.tolist(), self._last_cross
-        self._last_cross = {}
-        if times and all(t in last for t in times):
-            return np.concatenate([last[t] for t in times])
-        full = self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp)
-        rows = full[:, self.data.slots]
-        self._last_cross = dict(zip(times, rows.reshape(len(times), self._nz, rows.shape[1])))
-        return rows
+        slots (columns, unmasked only)."""
+        return self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp)[:, self.data.slots]
+
+    def _whiten(self, cross: np.ndarray) -> np.ndarray:
+        """v = L^-1 K_xq, so that the posterior covariance's data term is v^T v
+        (Rasmussen & Williams 2006, Algorithm 2.1).  cho_factor has checked L:
+        only the cross kernel is scanned for non-finite entries."""
+        cross = np.asarray_chkfinite(cross.T)
+        return solve_triangular(self._cho[0], cross, lower=True, check_finite=False)
+
+    def _chunks(self, tq: np.ndarray):
+        """(query rows, cross kernel) per QUERY_CHUNK query times."""
+        for lo in range(0, tq.size, QUERY_CHUNK):
+            yield slice(lo, lo + QUERY_CHUNK), self._cross(tq[lo : lo + QUERY_CHUNK])
 
     def mean(self, t_query) -> np.ndarray:
         """Posterior mean, shape (len(t_query), n_z)."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         out = np.tile(self.prior.prior_mean, (tq.size, 1))
         if self._alpha.size:
-            chunk = 512
-            for lo in range(0, tq.size, chunk):
-                rows = self._cross(tq[lo : lo + chunk])
-                out[lo : lo + rows.shape[0] // self._nz] += (rows @ self._alpha).reshape(
-                    -1, self._nz
-                )
+            for rows, cross in self._chunks(tq):
+                out[rows] += (cross @ self._alpha).reshape(-1, self.prior.n_z)
         return out
 
     def cov(self, t_query) -> np.ndarray:
@@ -326,25 +321,22 @@ class PosteriorGp:
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         kqq = self.prior.kernel.joint_matrix(tq, tq, self.hp)
         if self._alpha.size:
-            kxq = self._cross(tq).T
-            kqq = kqq - kxq.T @ cho_solve(self._cho, kxq)
+            v = self._whiten(self._cross(tq))
+            kqq = kqq - v.T @ v
         return 0.5 * (kqq + kqq.T)
 
     def std(self, t_query) -> np.ndarray:
         """Posterior standard deviation per channel, shape (M, n_z): the
         prior variance (the kernel's lag-0 diagonal, the same at every t)
-        less the diagonal of the data term, one query time at a time
-        rather than through the full ``cov``."""
+        less the column sums of v^2 (:meth:`_whiten`), the diagonal of
+        ``cov`` without the full matrix."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         lag0 = self.prior.kernel.eval_blocks(0.0, 0.0, self.hp)[:, :, 0, 0]
         var = np.tile(np.diagonal(lag0), (tq.size, 1))
         if self._alpha.size:
-            # The same products as the diagonal of cov: the data term cancels
-            # the prior to a few digits, so a reordered sum moves the result.
-            kx = self._cross(tq)
-            for m in range(tq.size):
-                kqx = kx[m * self._nz : (m + 1) * self._nz]
-                var[m] -= np.diagonal(kqx @ _solve(self._cho, kqx.T))
+            for rows, cross in self._chunks(tq):
+                v = self._whiten(cross)
+                var[rows] -= np.sum(v * v, axis=0).reshape(-1, self.prior.n_z)
         return np.sqrt(np.clip(var, 0.0, None))
 
     def sample(self, t_query, count: int, seed: int) -> np.ndarray:
@@ -355,16 +347,16 @@ class PosteriorGp:
         near-singular posteriors stay sampleable.
         """
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
-        dim = tq.size * self._nz
+        dim = tq.size * self.prior.n_z
         if count == 0:
-            return np.zeros((0, tq.size, self._nz))
+            return np.zeros((0, tq.size, self.prior.n_z))
         cov = self.cov(tq) + self.hp.jitter * np.eye(dim)
         w, vecs = np.linalg.eigh(cov)
         factor = vecs * np.sqrt(np.clip(w, 0.0, None))
         rng = np.random.default_rng(seed)
         eps = rng.standard_normal((dim, count))
         flat = self.mean(tq).reshape(-1)[:, None] + factor @ eps
-        return flat.T.reshape(count, tq.size, self._nz)
+        return flat.T.reshape(count, tq.size, self.prior.n_z)
 
 
 def _likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table):
@@ -430,9 +422,10 @@ def log_marginal_likelihood_grad(
     return value, np.array(grad, dtype=float)
 
 
-def _descend(fg, x0, lo, hi) -> None:
+def _descend(fg, x0, lo, hi) -> tuple:
     """Minimize ``fg`` (x -> (value, gradient)) over the box [lo, hi] by a
-    projected BFGS descent from ``x0``; ``fg`` keeps the best point it sees.
+    projected BFGS descent from ``x0``.  Returns (best value, best point,
+    evaluations) over every ``fg`` call; (inf, clipped x0, n) if none is finite.
 
     A coordinate on a bound whose gradient points out of the box is held
     there: its direction is 0, and its row and column of the Hessian
@@ -446,10 +439,11 @@ def _descend(fg, x0, lo, hi) -> None:
     eps = np.finfo(float).eps
     x = np.clip(x0, lo, hi)
     f, g = fg(x)
+    evals, best = 1, (f if f < math.inf else math.inf, x)
     b = None
     for _ in range(MAX_ITER):
         if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= PG_TOL:
-            return
+            break
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
         d = np.zeros_like(x)
         if b is None:
@@ -462,6 +456,9 @@ def _descend(fg, x0, lo, hi) -> None:
         for _ in range(MAX_LINE_STEPS):
             x_new = np.clip(x + t * d, lo, hi)
             f_new, g_new = fg(x_new)
+            evals += 1
+            if f_new < best[0]:
+                best = (f_new, x_new)
             if f_new <= f + ARMIJO_C1 * min(g @ (x_new - x), 0.0):
                 break
             if f_new == math.inf:
@@ -470,18 +467,19 @@ def _descend(fg, x0, lo, hi) -> None:
             q = -slope * t * t / (2.0 * (f_new - f - slope * t))
             t = min(max(q, 0.1 * t), 0.5 * t) if q > 0 else 0.5 * t
         else:
-            return
+            break
         s, y = x_new - x, g_new - g
         decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if decrease <= REL_DECREASE_TOL:
-            return
+            break
         sy, yy = s @ y, y @ y
         if sy > eps * yy:
             if b is None:
                 b = np.eye(x.size) * (yy / sy)
             bs = b @ s
             b = b - np.outer(bs, bs) / (s @ bs) + np.outer(y, y) / sy
+    return best[0], best[1], evals
 
 
 @dataclass(frozen=True)
@@ -542,20 +540,13 @@ def optimize_hyperparams(
         except FactorizationError:
             return math.inf
 
-    descent_evals = 0
-    seen = (math.inf, None)  # the current descent's best (objective, log point)
-
     def objective_and_grad(log_free: np.ndarray):
-        nonlocal descent_evals, seen
-        descent_evals += 1
         try:
             value, grad = log_marginal_likelihood_grad(
                 prior, data, make_hp(log_free), free, table
             )
         except FactorizationError:
             return math.inf, np.zeros(len(free))
-        if -value < seen[0]:
-            seen = (-value, np.array(log_free))
         return -value, -grad
 
     axes = [
@@ -572,12 +563,12 @@ def optimize_hyperparams(
 
     log_bounds = [(ax[0], ax[-1]) for ax in axes]
     lo, hi = np.array(log_bounds).T
-    best_f, best_x = math.inf, starts[0]
+    best_f, best_x, descent_evals = math.inf, starts[0], 0
     for start in starts:
-        seen = (math.inf, start)
-        _descend(objective_and_grad, start, lo, hi)
-        if seen[0] < best_f:
-            best_f, best_x = seen
+        f, x, evals = _descend(objective_and_grad, start, lo, hi)
+        descent_evals += evals
+        if f < best_f:
+            best_f, best_x = f, x
 
     at_bound = {}
     for name, lv, (lo, hi) in zip(free, best_x, log_bounds):

@@ -332,6 +332,13 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("hyperparams", "jitter"), True, "hyperparams.jitter"),
         (("hyperparams", "fixed", "signal_variance"), "10", "hyperparams.fixed.signal_variance"),
         (("hyperparams", "bounds"), {"signal_variance": [True, 10.0]}, "hyperparams.bounds.signal_variance"),
+        # channel names head the CSV columns: a list of distinct, non-empty
+        # strings, never a string's letters
+        (("system", "channel_names"), "xu", "system.channel_names"),
+        (("system", "channel_names"), [1, 2], "system.channel_names"),
+        (("system", "channel_names"), ["x", None], "system.channel_names"),
+        (("system", "channel_names"), ["x", ""], "system.channel_names"),
+        (("system", "channel_names"), ["x", "x"], "system.channel_names"),
     ],
 )
 def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):

@@ -261,10 +261,11 @@ def test_mpc_step_pins_current_observation(unstable_prior):
 
 @pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
 def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, application):
-    # one dataset; the Gram's lag table and the cross kernel at the mean's
-    # query times: the std at t_next reuses the mean's rows, and its prior
-    # variance is the one-point lag-0 term.  With the run's table, whose
-    # kernel is frozen at these hyperparameters, the Gram evaluates none.
+    # one dataset; the Gram's lag table, the cross kernel at the mean's
+    # query times, and the std's: its prior variance is the one-point lag-0
+    # term, and its data term its own one-row cross kernel at t_next.  With
+    # the run's table, whose kernel is frozen at these hyperparameters, the
+    # Gram evaluates none.
     cfg = make_cfg(control_application=application, subgrid_count=4)
     data = build_step_dataset(unstable_prior, cfg, history(0))
     table = run_lag_table(unstable_prior, cfg, Hyperparams())
@@ -283,16 +284,18 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
     monkeypatch.setattr(Dataset, "__post_init__", built)
     _, std_next, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert len(datasets) == 1
-    lags, cross, lag0 = calls
+    lags, cross, lag0, std_cross = calls
     calls.clear()
     _, std_tabled, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
     monkeypatch.undo()
     assert len(datasets) == 2
     assert np.array_equal(lags[0], np.unique(data.t[:, None] - data.t))
     assert lags[1].tolist() == [0.0]
-    for cross, lag0 in ((cross, lag0), calls):
+    t_next = cfg.lattice[1]
+    for cross, lag0, std_cross in ((cross, lag0, std_cross), calls):
         assert np.array_equal(cross[1], data.t)
         assert lag0[0].tolist() == [0.0] and lag0[1].tolist() == [0.0]
+        assert std_cross[0].tolist() == [t_next] and np.array_equal(std_cross[1], data.t)
     fresh = PosteriorGp(unstable_prior, data, Hyperparams()).std([0.1])
     assert np.array_equal(std_next, fresh[0])
     assert np.array_equal(std_tabled, fresh[0])
@@ -382,7 +385,8 @@ def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkey
 
 def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     # the run's table is evaluated once; each step then evaluates only its
-    # cross kernel and its lag-0 variance, as does row 0's std
+    # mean's cross kernel, its std's one-row cross kernel and its lag-0
+    # variance; row 0's std evaluates its cross kernel and lag-0 variance
     cfg = make_cfg()
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     calls = []
@@ -397,7 +401,7 @@ def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     monkeypatch.undo()
     table = run_lag_table(unstable_prior, cfg, Hyperparams())
     assert calls[0] == table.lags.size
-    assert len(calls) == 1 + 2 * (cfg.n_steps + 1)
+    assert len(calls) == 1 + 3 * cfg.n_steps + 2
     # the lattice floats and the grid's own, which are not all lattice floats
     assert table.times.tolist() == sorted(set(cfg.lattice.tolist()) | set(cfg.constraint_grid))
 

@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 
 from lodempc import gpcore
 from lodempc.config import load_config
-from lodempc.controller import initial_dataset
+from lodempc.controller import initial_dataset, mpc_step, run_closed_loop
 from lodempc.gpcore import (
     MAX_JITTER,
     Dataset,
@@ -28,6 +28,7 @@ from lodempc.gpcore import (
 )
 from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_prior
+from lodempc.plant import Plant
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -390,6 +391,65 @@ def test_std_matches_cov_diagonal_on_masked_data(unstable_prior):
     assert gp.std([]).shape == (0, 3)
 
 
+def test_queries_change_no_attribute(unstable_prior):
+    # mean, std, cov and sample are pure: no attribute is added, replaced or
+    # written to, with or without data
+    hp = Hyperparams(signal_variance=1.2, lengthscale_sq=0.8)
+    ds = rows(hard(0.0, (1.0, 0.0, None)), (1.0, (None, 0.4, -0.3), (0.0, 0.05, 0.02)))
+    tq = np.array([0.5, 1.0, 2.0])
+    for gp in (PosteriorGp(unstable_prior, ds, hp), PosteriorGp(unstable_prior, Dataset(), hp)):
+
+        def arrays(value):
+            parts = value if isinstance(value, tuple) else (value,)
+            return [p.copy() for p in parts if isinstance(p, np.ndarray)]
+
+        before = {name: (value, arrays(value)) for name, value in vars(gp).items()}
+        gp.mean(tq), gp.std(tq), gp.cov(tq), gp.sample(tq, 2, seed=0), gp.std(tq[:1])
+        assert vars(gp).keys() == before.keys()
+        for name, (value, copies) in before.items():
+            assert vars(gp)[name] is value, name
+            now = arrays(value)
+            assert len(now) == len(copies), name
+            assert all(np.array_equal(a, b) for a, b in zip(copies, now)), name
+
+
+def longdouble_std(gram, cross, prior_var):
+    """The oracle posterior std: a np.longdouble Cholesky of the float64
+    matrix that was factored, forward substitution of the float64 cross
+    kernel, and the prior variance less the column sums of squares."""
+    a = gram.astype(np.longdouble)
+    low = np.zeros_like(a)
+    for j in range(a.shape[0]):
+        low[j, j] = np.sqrt(a[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    v = cross.T.astype(np.longdouble)
+    for i in range(v.shape[0]):
+        v[i] = (v[i] - low[i, :i] @ v[:i]) / low[i, i]
+    return np.sqrt(prior_var.astype(np.longdouble) - np.sum(v * v, axis=0))
+
+
+def test_std_matches_a_long_double_oracle():
+    # the std at t_next of regulation_virtual steps before and after its
+    # virtual points start (t_v = 4, step 40).  The data term cancels the
+    # prior variance to a few digits, so rounding in the float64 solve shows
+    # in the std: this bounds it.
+    cfg = load_config(CONFIG_DIR / "regulation_virtual.json")
+    prior = build_prior(cfg.system, cfg.x_ref)
+    ctrl = cfg.controller
+    hp, _ = optimize_hyperparams(prior, initial_dataset(prior, ctrl), bounds=cfg.hp_bounds,
+                                 fixed=cfg.hp_fixed, jitter=cfg.jitter)
+    traj = run_closed_loop(prior, Plant(cfg.system.A, cfg.system.B), ctrl, hp)
+    lag0 = np.diagonal(prior.kernel.eval_blocks(0.0, 0.0, hp)[:, :, 0, 0])
+    for k in range(15, ctrl.n_steps, 20):
+        _, std, gp = mpc_step(prior, ctrl, hp, traj.z[: k + 1])
+        gram, _ = assemble_gram(prior, gp.data, hp)
+        gram[np.diag_indices_from(gram)] += gp.jitter_boost
+        t_next = np.array([ctrl.lattice[k] + ctrl.dt])
+        cross = prior.kernel.joint_matrix(t_next, gp.data.t, hp)[:, gp.data.slots]
+        want = longdouble_std(gram, cross, lag0)
+        assert np.all(np.abs(std - want) <= 1e-5 * want), (k, std, want)
+
+
 def test_mean_chunking_is_seamless(unstable_prior):
     # query sizes straddling the internal chunk size must agree pointwise
     hp = Hyperparams()
@@ -603,14 +663,14 @@ def test_optimizer_recovers_generating_scales(unstable_prior):
 
 def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
     # the probes by value alone, each once; then each descent starts at one
-    # of the three best probes, by value and gradient; the report counts
-    # every call
+    # of the three best probes, by value and gradient, and returns its best
+    # point and its count; the report counts every call
     ds = rows(
         hard(0.0, (1.0, 0.0, 0.0)),
         (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
         (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
     )
-    calls, descents = [], []
+    calls, descents, results = [], [], []
 
     def counted_lml(prior, data, hp, table=None):
         calls.append(("value", hp.signal_variance, hp.lengthscale_sq))
@@ -624,7 +684,8 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
 
     def counted_descend(fg, x0, lo, hi):
         descents.append(len(calls))
-        return descend(fg, x0, lo, hi)
+        results.append(descend(fg, x0, lo, hi))
+        return results[-1]
 
     expected, expected_fit = optimize_hyperparams(unstable_prior, ds)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
@@ -639,7 +700,9 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
     descent_calls = calls[descents[0] :]
     assert all(kind == "gradient" for kind, *_ in descent_calls)
     assert len(descent_calls) == fit.value_and_gradient_evals
-    assert len(descents) == fit.starts == 3
+    assert [n for *_, n in results] == np.diff(descents + [len(calls)]).tolist()
+    assert len(descents) == len(results) == fit.starts == 3
+    assert -min(f for f, *_ in results) == fit.log_marginal_likelihood
     scores = [log_marginal_likelihood(unstable_prior, ds, Hyperparams(sv, ls, jitter=1e-8))
               for _, sv, ls in probes]
     best = sorted(range(len(probes)), key=lambda k: (-scores[k], k))[: fit.starts]
@@ -662,16 +725,21 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
         finite.append(log_marginal_likelihood(prior, data, hp, table))
         return log_marginal_likelihood_grad(prior, data, hp, wrt, table)
 
-    objectives = []
+    objectives, results = [], []
     descend = gpcore._descend
 
     def recorded_descend(fg, x0, lo, hi):
         objectives.append(fg)
-        return descend(fg, x0, lo, hi)
+        results.append(descend(fg, x0, lo, hi))
+        return results[-1]
 
     monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", failing_grad)
     monkeypatch.setattr(gpcore, "_descend", recorded_descend)
     hp, fit = optimize_hyperparams(unstable_prior, ds)
+    assert sum(n for *_, n in results) == fit.value_and_gradient_evals
+    # each descent's best point is one that factorized
+    assert all(math.isfinite(f) and math.exp(x[1]) <= 1.0 for f, x, _ in results)
+    assert -min(f for f, *_ in results) == max(finite)
     assert objectives[0](np.log([1.0, 2.0]))[0] == math.inf
     assert hp.lengthscale_sq <= 1.0
     assert math.isfinite(fit.log_marginal_likelihood)
@@ -760,9 +828,22 @@ def test_fit_reaches_the_nelder_mead_optimum(nelder_mead_optima, name):
 
 def lbfgsb_descend(fg, x0, lo, hi):
     """The oracle descent: scipy's L-BFGS-B at its default tolerances, from
-    the same start on the same log box."""
-    minimize(fg, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+    the same start on the same log box.  Returns what ``_descend`` returns:
+    (best value, best point, evaluations) over every call of ``fg``."""
+    seen = []
+
+    def recorded(x):
+        value, grad = fg(x)
+        seen.append((value, np.array(x)))
+        return value, grad
+
+    minimize(recorded, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
              options={"maxiter": 200})
+    best = (math.inf, np.clip(x0, lo, hi))
+    for value, x in seen:
+        if value < best[0]:
+            best = (value, x)
+    return best[0], best[1], len(seen)
 
 
 @pytest.mark.parametrize(
