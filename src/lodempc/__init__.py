@@ -33,7 +33,6 @@ from .kernelops import (
     OperatorKernel,
     apply_symbol,
     build_operator_kernel,
-    se_kernel,
 )
 from .lodegp import (
     InfeasibleReferenceError,

@@ -122,6 +122,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
     if count < 0:
         raise ConfigError("--count must be >= 0")
+    if seed < 0:
+        raise ConfigError("--seed must be >= 0")
     prior = build_prior(cfg.system, cfg.x_ref)
     ctrl = cfg.controller
     nz = prior.n_z

@@ -230,7 +230,8 @@ def load_config(path) -> ExperimentConfig:
             "initial condition dimensions do not match the system matrices"
         )
 
-    bounds_raw = hp_sec.get("bounds", {}) or {}
+    # absent or null means "not given"; any other non-object is rejected
+    bounds_raw = {} if hp_sec.get("bounds") is None else hp_sec["bounds"]
     _reject_unknown(bounds_raw, HYPERPARAM_NAMES, "hyperparams.bounds")
     hp_bounds = {}
     for name in HYPERPARAM_NAMES:
@@ -241,7 +242,7 @@ def load_config(path) -> ExperimentConfig:
             hp_bounds[name] = (lo, hi)
     fixed_raw = hp_sec.get("fixed")
     hp_fixed = None
-    if fixed_raw:
+    if fixed_raw is not None:
         _reject_unknown(fixed_raw, HYPERPARAM_NAMES, "hyperparams.fixed")
         hp_fixed = {}
         for name, value in fixed_raw.items():
@@ -252,6 +253,9 @@ def load_config(path) -> ExperimentConfig:
     jitter = _number(hp_sec.get("jitter", 1e-8), "hyperparams.jitter")
     if jitter < 0:
         raise ConfigError("jitter must be >= 0")
+    seed = _integer(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
 
     return ExperimentConfig(
         system=system,
@@ -259,7 +263,7 @@ def load_config(path) -> ExperimentConfig:
         hp_bounds=hp_bounds,
         hp_fixed=hp_fixed,
         jitter=jitter,
-        seed=_integer(doc.get("seed", 0), "seed"),
+        seed=seed,
         output_dir=str(out_sec.get("directory", ".")),
         trajectory_csv=str(out_sec.get("trajectory_csv", "trajectory.csv")),
         metrics_json=str(out_sec.get("metrics_json", "metrics.json")),

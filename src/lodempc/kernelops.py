@@ -4,9 +4,10 @@ kernel.
 Writing ``u = t - t'`` and ``lam = 1/lengthscale_sq``, everything handled here
 is a polynomial ``p(u, lam)`` with exact coefficients (ints or Fractions)
 multiplying the Gaussian envelope ``exp(-lam*u^2/2)``; the signal variance
-scales a whole entry at evaluation time.  The family is closed under
-d/du [p * g] = (dp/du - lam*u*p) * g, and d/dt = d/du, d/dt' = -d/du.  So
-entry (i, j) of K = V(d/dt) k_se V(d/dt')^T is one exact symbol applied once:
+scales a whole entry at evaluation time.  With d/dt = d/du and
+d/dt' = -d/du, entry (i, j) of K = V(d/dt) k_se V(d/dt')^T is one exact
+symbol applied once, each coefficient read off the Hermite closed form of
+(d/du)^k k_se by :func:`apply_symbol`:
 
     K_ij(u) = w_ij(d/du) k_se(u),    w_ij(s) = sum_c v_ic(s) * v_jc(-s).
 
@@ -43,7 +44,6 @@ __all__ = [
     "Hyperparams",
     "GaussPolyTerm",
     "OperatorKernel",
-    "se_kernel",
     "apply_symbol",
     "build_operator_kernel",
 ]
@@ -93,32 +93,13 @@ class GaussPolyTerm:
         clean = {(int(a), int(b)): c for (a, b), c in self.coeffs.items() if c}
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def zero(cls) -> "GaussPolyTerm":
-        return cls({})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def plus(self, other: "GaussPolyTerm") -> "GaussPolyTerm":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return GaussPolyTerm(out)
-
     def scaled(self, factor) -> "GaussPolyTerm":
         """The term times an exact factor, an int or a Fraction."""
         return GaussPolyTerm({key: c * factor for key, c in self.coeffs.items()})
-
-    def diff_first(self) -> "GaussPolyTerm":
-        """Derivative in the first kernel argument t, i.e. d/du."""
-        out: dict = {}
-        for (a, b), c in self.coeffs.items():
-            if a:
-                out[a - 1, b] = out.get((a - 1, b), 0) + a * c
-            out[a + 1, b + 1] = out.get((a + 1, b + 1), 0) - c
-        return GaussPolyTerm(out)
 
     def mirrored(self) -> "GaussPolyTerm":
         """The term at -u: odd u powers negated, term order kept."""
@@ -131,22 +112,22 @@ class GaussPolyTerm:
         return f"({signed_sum(terms)}) exp(-lam u^2/2)"
 
 
-def se_kernel() -> GaussPolyTerm:
-    """The base squared-exponential kernel, i.e. p = 1."""
-    return GaussPolyTerm({(0, 0): 1})
+def apply_symbol(symbol: Sequence) -> GaussPolyTerm:
+    """w(d/du) applied to the SE kernel g = exp(-lam*u^2/2), for the symbol
+    w(s) = sum_k w_k s^k given by its coefficients (w_0, w_1, ...).  An
+    operator pair op_t(d/dt), op_tp(d/dt') is the symbol op_t(s) * op_tp(-s).
 
-
-def apply_symbol(symbol: Sequence, base: GaussPolyTerm) -> GaussPolyTerm:
-    """w(d/du) applied to base, for the symbol w(s) = sum_k w_k s^k given by
-    its coefficients (w_0, w_1, ...).  An operator pair op_t(d/dt),
-    op_tp(d/dt') is the symbol op_t(s) * op_tp(-s)."""
-    acc, cur = GaussPolyTerm.zero(), base
-    for k, c in enumerate(symbol):
-        if k:
-            cur = cur.diff_first()
-        if c:
-            acc = acc.plus(cur.scaled(c))
-    return acc
+    By the Hermite closed form (d/du)^k g = sum_m (-1)^(k-m) k! / (m! (k-2m)!
+    2^m) lam^(k-m) u^(k-2m) g, the coefficient of u^a lam^b comes from the
+    one order k = 2b - a and is w_k (-1)^b k! / ((b-a)! a! 2^(b-a)): nothing
+    is summed.  Terms are listed by ascending k, then ascending u power."""
+    coeffs = {}
+    for k, w in enumerate(symbol):
+        if w:
+            for m in range(k // 2, -1, -1):
+                c = w * (math.factorial(k) // (math.factorial(m) * math.factorial(k - 2 * m) << m))
+                coeffs[k - 2 * m, k - m] = -c if (k - m) % 2 else c
+    return GaussPolyTerm(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,15 +256,14 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     entries = [[None] * nz for _ in range(nz)]
     for i in range(nz):
         for j in range(i, nz):
-            entries[i][j] = apply_symbol(_int_symbol(ints[i], ints[j]), se_kernel())
+            entries[i][j] = apply_symbol(_int_symbol(ints[i], ints[j]))
             if j > i:
                 entries[j][i] = entries[i][j].mirrored()
     return OperatorKernel(tuple(tuple(row) for row in entries), den * den)
 
 
 def _int_symbol(p_row: list, q_row: list) -> list:
-    """Coefficients of sum_c p_c(s) * q_c(-s) for int coefficient lists, with
-    trailing zeros stripped."""
+    """Coefficients of sum_c p_c(s) * q_c(-s) for int coefficient lists."""
     out = [0] * max((len(p) + len(q) - 1 for p, q in zip(p_row, q_row)), default=0)
     for p, q in zip(p_row, q_row):
         q = [-b if l % 2 else b for l, b in enumerate(q)]
@@ -291,6 +271,4 @@ def _int_symbol(p_row: list, q_row: list) -> list:
             if a:
                 for l, b in enumerate(q):
                     out[k + l] += a * b
-    while out and not out[-1]:
-        out.pop()
     return out

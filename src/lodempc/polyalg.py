@@ -58,10 +58,6 @@ class Poly:
         return not self.coeffs
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    @property
     def degree(self):
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
@@ -104,14 +100,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def scaled(self, factor) -> "Poly":
         factor = Fraction(factor)
         return Poly(tuple(c * factor for c in self.coeffs))
@@ -137,11 +125,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 rem[k + j] -= c * b
         return Poly(tuple(quot)), Poly(tuple(rem[:deg_b]))
-
-    def monic(self) -> "Poly":
-        if self.is_zero or self.leading_coeff == 1:
-            return self
-        return self.scaled(1 / self.leading_coeff)
 
     def __str__(self) -> str:
         return signed_sum((c, (("d", k),)) for k, c in enumerate(self.coeffs) if c)
@@ -254,11 +237,7 @@ class SmithDecomposition:
 
     @property
     def rank(self) -> int:
-        return sum(
-            1
-            for i in range(min(self.D.rows, self.D.cols))
-            if not self.D[i, i].is_zero
-        )
+        return len(self.invariant_factors())
 
     def invariant_factors(self) -> tuple[Poly, ...]:
         return tuple(

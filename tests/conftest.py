@@ -2,7 +2,8 @@
 and seeded random controllable 4-state priors.  Shared helpers: the dense
 6-state benchmark config, a textbook RK4 oracle for the plant, and the
 exact-algebra oracles the package does not need at run time (polynomial
-determinant and identity, a kernel term summed at one point)."""
+determinant and identity, a kernel entry's symbol, a kernel term
+differentiated step by step, a kernel term summed at one point)."""
 
 import math
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lodempc import Hyperparams, LinearSystem, build_prior
-from lodempc.polyalg import ONE, ZERO, PolyMatrix
+from lodempc import GaussPolyTerm, Hyperparams, LinearSystem, build_prior
+from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix
 
 settings.register_profile(
     "default",
@@ -127,3 +128,39 @@ def evaluate_term(term, u: float, lam: float) -> float:
     coefficients: a reference that shares no code with grid evaluation."""
     poly = sum(float(c) * u**a * lam**b for (a, b), c in term.coeffs.items())
     return poly * math.exp(-0.5 * lam * u * u)
+
+
+def entry_symbol(v: PolyMatrix, i: int, j: int) -> Poly:
+    """The symbol w_ij(s) = sum_c v_ic(s) * v_jc(-s) of kernel entry (i, j),
+    over the columns' exact coefficients."""
+    symbol = ZERO
+    for c in range(v.cols):
+        reflected = Poly(tuple(-x if k % 2 else x for k, x in enumerate(v[j, c].coeffs)))
+        symbol = symbol + v[i, c] * reflected
+    return symbol
+
+
+def diff_u(term: GaussPolyTerm) -> GaussPolyTerm:
+    """d/du of a term by the product rule, d/du [p g] = (dp/du - lam*u*p) g,
+    coefficients accumulated in term order."""
+    out: dict = {}
+    for (a, b), c in term.coeffs.items():
+        if a:
+            out[a - 1, b] = out.get((a - 1, b), 0) + a * c
+        out[a + 1, b + 1] = out.get((a + 1, b + 1), 0) - c
+    return GaussPolyTerm(out)
+
+
+def differentiate_symbol(symbol) -> GaussPolyTerm:
+    """w(d/du) applied to the SE kernel by repeated :func:`diff_u`: the k-th
+    derivative scaled by w_k and added in, term by term, for k = 0, 1, ...
+    A reference for the package's closed form that shares no code with it."""
+    acc: dict = {}
+    cur = GaussPolyTerm({(0, 0): 1})
+    for k, w in enumerate(symbol):
+        if k:
+            cur = diff_u(cur)
+        if w:
+            for key, c in cur.coeffs.items():
+                acc[key] = acc.get(key, 0) + w * c
+    return GaussPolyTerm(acc)

@@ -136,6 +136,13 @@ def test_load_config_rejects_bad_hp_bounds(tmp_path):
         load_config(write_doc(tmp_path, doc))
 
 
+def test_load_config_null_bounds_and_fixed_are_not_given(tmp_path):
+    doc = base_doc(tmp_path / "out")
+    doc["hyperparams"].update(bounds=None, fixed=None)
+    cfg = load_config(write_doc(tmp_path, doc))
+    assert cfg.hp_bounds == {} and cfg.hp_fixed is None
+
+
 def test_load_config_rejects_unknown_fixed_name(tmp_path):
     doc = base_doc(tmp_path / "out")
     doc["hyperparams"]["fixed"] = {"bandwidth": 2.0}
@@ -339,6 +346,18 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("system", "channel_names"), ["x", None], "system.channel_names"),
         (("system", "channel_names"), ["x", ""], "system.channel_names"),
         (("system", "channel_names"), ["x", "x"], "system.channel_names"),
+        # a sampling seed is a non-negative integer
+        (("seed",), -1, "seed"),
+        # absent or null bounds and fixed mean "not given"; a falsy
+        # non-object is still not an object
+        (("hyperparams", "bounds"), [], "hyperparams.bounds"),
+        (("hyperparams", "bounds"), 0, "hyperparams.bounds"),
+        (("hyperparams", "bounds"), False, "hyperparams.bounds"),
+        (("hyperparams", "bounds"), "", "hyperparams.bounds"),
+        (("hyperparams", "fixed"), [], "hyperparams.fixed"),
+        (("hyperparams", "fixed"), 0, "hyperparams.fixed"),
+        (("hyperparams", "fixed"), False, "hyperparams.fixed"),
+        (("hyperparams", "fixed"), "", "hyperparams.fixed"),
     ],
 )
 def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):
@@ -437,6 +456,13 @@ def test_samples_count_zero_writes_header_only(config_path, tmp_path):
 
 def test_samples_negative_count_is_config_error(config_path):
     assert main(["samples", str(config_path), "--count", "-1"]) == 1
+
+
+def test_samples_negative_seed_is_config_error(config_path, capsys):
+    assert main(["samples", str(config_path), "--count", "1", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be >= 0")
+    assert "Traceback" not in err
 
 
 def test_samples_endpoint_conflict_is_config_error(tmp_path, capsys):

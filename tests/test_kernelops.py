@@ -1,8 +1,11 @@
-"""Closed-form operator-applied SE kernel vs. an independent symbolic oracle.
+"""Closed-form operator-applied SE kernel vs. independent oracles.
 
-The implementation differentiates the exponential-times-polynomial form via
-exact coefficient tables; the oracle differentiates exp(-lam*(t-t')^2/2)
-directly with sympy.  The two routes share no code.
+The implementation writes each coefficient of w(d/du) exp(-lam*u^2/2) down
+from the Hermite closed form.  Two oracles share no code with it: sympy
+differentiates exp(-lam*(t-t')^2/2) directly, and the conftest oracle
+differentiates the exponential-times-polynomial form one product rule at a
+time; the integer build's compiled floats are checked bit for bit against a
+Fraction build through the second.
 """
 
 import functools
@@ -22,12 +25,11 @@ from lodempc.kernelops import (
     OperatorKernel,
     apply_symbol,
     build_operator_kernel,
-    se_kernel,
 )
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix
 
-from conftest import evaluate_term
+from conftest import diff_u, differentiate_symbol, entry_symbol, evaluate_term
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +78,14 @@ def assert_symbolically_equal(term: GaussPolyTerm, poly: dict) -> None:
     assert term_polynomial(term) == poly
 
 
+#: The SE kernel, p = 1.
+SE = GaussPolyTerm({(0, 0): 1})
+
+
 def diff_second(term: GaussPolyTerm) -> GaussPolyTerm:
-    """Derivative in the second kernel argument t', i.e. -d/du."""
-    return term.diff_first().scaled(-1)
+    """Derivative in the second kernel argument t', i.e. -d/du, by the
+    conftest oracle."""
+    return diff_u(term).scaled(-1)
 
 
 def kernel_value(kernel: OperatorKernel, t: float, t_prime: float, hp: Hyperparams, i, j):
@@ -105,36 +112,62 @@ def test_hyperparams_reject_nonpositive(field, bad):
 
 
 # ---------------------------------------------------------------------------
-# GaussPolyTerm differentiation vs oracle
+# The closed form and the step-by-step oracle vs sympy
 # ---------------------------------------------------------------------------
 
 
 def test_first_derivative_matches_oracle():
-    assert_symbolically_equal(se_kernel().diff_first(), se_derivative(1, 0))
+    assert_symbolically_equal(apply_symbol((0, 1)), se_derivative(1, 0))
+    assert_symbolically_equal(diff_u(SE), se_derivative(1, 0))
 
 
 def test_second_derivative_matches_oracle():
-    assert_symbolically_equal(diff_second(se_kernel()), se_derivative(0, 1))
+    # d/dt' is -d/du: the symbol -s
+    assert_symbolically_equal(apply_symbol((0, -1)), se_derivative(0, 1))
+    assert_symbolically_equal(diff_second(SE), se_derivative(0, 1))
 
 
 def test_mixed_higher_derivatives_match_oracle():
-    term = diff_second(se_kernel().diff_first().diff_first())
-    assert_symbolically_equal(term, se_derivative(2, 1))
+    # d^2/dt^2 d/dt' is the symbol s^2 * (-s)
+    assert_symbolically_equal(apply_symbol((0, 0, 0, -1)), se_derivative(2, 1))
+    assert_symbolically_equal(diff_second(diff_u(diff_u(SE))), se_derivative(2, 1))
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_each_order_matches_oracle(k):
+    assert_symbolically_equal(apply_symbol((0,) * k + (1,)), se_derivative(k, 0))
 
 
 def test_derivatives_commute():
-    a = diff_second(se_kernel().diff_first())
-    b = diff_second(se_kernel()).diff_first()
+    a = diff_second(diff_u(SE))
+    b = diff_u(diff_second(SE))
     assert a == b
+    assert apply_symbol((0, 0, -1)) == a
 
 
 def test_zero_term_stays_zero_under_differentiation():
-    assert GaussPolyTerm.zero().diff_first().is_zero
-    assert diff_second(GaussPolyTerm.zero()).is_zero
+    assert diff_u(GaussPolyTerm({})).is_zero
+    assert diff_second(GaussPolyTerm({})).is_zero
+    # the zero symbol, and one whose coefficients are all zero
+    assert apply_symbol(()).is_zero
+    assert apply_symbol((0, 0, 0)).is_zero
+
+
+symbols = st.lists(
+    st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**40), 10**40)), max_size=16
+)
+
+
+@settings(max_examples=200)
+@given(symbols)
+def test_closed_form_is_the_step_by_step_oracle_in_term_order(symbol):
+    # the compiled tables list terms in this order, so it is part of the bits
+    want = differentiate_symbol(symbol)
+    assert list(apply_symbol(symbol).coeffs.items()) == list(want.coeffs.items())
 
 
 def test_evaluate_matches_numeric_oracle():
-    term = diff_second(se_kernel().diff_first())
+    term = apply_symbol((0, 0, -1))
     expr = sp.diff(SE_EXPR, T, 1, TP, 1)
     f = sp.lambdify((T, TP, LAM), expr, "math")
     for t, tp, lam in [(0.3, -0.2, 1.0), (1.5, 0.7, 0.5), (-2.0, 1.0, 2.5)]:
@@ -156,14 +189,14 @@ small_ops = st.builds(
 def test_operator_pair_matches_oracle(op_t, op_tp):
     # op_tp(d/dt') is op_tp(-d/du): the pair is the one symbol op_t(s) * op_tp(-s)
     reflected = Poly(tuple(-c if k % 2 else c for k, c in enumerate(op_tp.coeffs)))
-    term = apply_symbol((op_t * reflected).coeffs, se_kernel())
+    term = apply_symbol((op_t * reflected).coeffs)
     assert_symbolically_equal(term, oracle_apply((op_t, op_tp)))
 
 
 def test_str_rendering():
-    assert str(se_kernel()) == "(1) exp(-lam u^2/2)"
+    assert str(apply_symbol((1,))) == "(1) exp(-lam u^2/2)"
     # d/dt d/dt' of the SE kernel: (lam - lam^2 u^2) exp(...)
-    term = diff_second(se_kernel().diff_first())
+    term = apply_symbol((0, 0, -1))
     assert str(term) == "(lam - lam^2 u^2) exp(-lam u^2/2)"
 
 
@@ -192,7 +225,7 @@ def test_kernel_entries_match_oracle_symbolically(kernel):
 
 
 def test_kernel_first_entry_is_plain_se(kernel):
-    assert kernel.entry(0, 0) == se_kernel()
+    assert kernel.entry(0, 0) == apply_symbol((1,)) == SE
 
 
 def test_kernel_cross_entries_flip_sign(kernel):
@@ -436,17 +469,14 @@ def test_lam_derivative_table_converts_no_fractions(random4_kernel, monkeypatch)
 def fraction_compiled(v: PolyMatrix):
     """The compiled (width, slot, lam_pow, value) tables by the Fraction
     route: each symbol w_ij a Poly over the reduced column coefficients,
-    applied with apply_symbol, lower entries mirrored, and every nonzero
-    coefficient compiled on its own as float(Fraction)."""
+    differentiated step by step by the conftest oracle, lower entries
+    mirrored, and every nonzero coefficient compiled on its own as
+    float(Fraction)."""
     nz = v.rows
     entries = [[None] * nz for _ in range(nz)]
     for i in range(nz):
         for j in range(i, nz):
-            symbol = Poly()
-            for c in range(v.cols):
-                reflected = Poly(tuple(-x if k % 2 else x for k, x in enumerate(v[j, c].coeffs)))
-                symbol = symbol + v[i, c] * reflected
-            entries[i][j] = apply_symbol(symbol.coeffs, se_kernel())
+            entries[i][j] = differentiate_symbol(entry_symbol(v, i, j).coeffs)
             if j > i:
                 entries[j][i] = entries[i][j].mirrored()
     terms = [term for row in entries for term in row]

@@ -52,8 +52,7 @@ def test_poly_arithmetic_known_products():
     assert (ONE + D) * (ONE - D) == Poly((1, 0, -1))
     assert (D + ONE) - (D + ONE) == ZERO
     assert 3 * D == Poly((0, 3))
-    assert D**3 == Poly((0, 0, 0, 1))
-    assert D**0 == ONE
+    assert D * D * D == Poly((0, 0, 0, 1))
 
 
 def test_poly_division_with_remainder():
@@ -68,12 +67,6 @@ def test_poly_division_with_remainder():
 def test_poly_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         divmod(ONE, ZERO)
-
-
-def test_poly_monic_scales_leading_coefficient():
-    p = Poly((2, 0, 4))
-    assert p.monic() == Poly((Fraction(1, 2), 0, 1))
-    assert ZERO.monic() == ZERO
 
 
 def test_poly_str_is_readable():
@@ -168,8 +161,8 @@ def snf_identities(h):
     assert dec.Q @ h @ dec.V == dec.D
     dq = determinant(dec.Q)
     dv = determinant(dec.V)
-    assert dq.is_constant and not dq.is_zero
-    assert dv.is_constant and not dv.is_zero
+    assert dq.degree <= 0 and not dq.is_zero
+    assert dv.degree <= 0 and not dv.is_zero
     # divisibility chain along the diagonal
     factors = dec.invariant_factors()
     for a, b in zip(factors, factors[1:]):
@@ -201,7 +194,7 @@ def test_nullspace_of_unstable_system():
     # the generator is unique up to a nonzero rational unit; pin that unit
     # by normalizing the first entry
     first = n[0, 0]
-    assert first.is_constant and not first.is_zero
+    assert first.degree <= 0 and not first.is_zero
     scale = Fraction(1, 1) / first.leading_coeff
     col = tuple(n[i, 0].scaled(scale) for i in range(3))
     assert col == (ONE, D, D * D - D - ONE)
