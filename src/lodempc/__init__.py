@@ -14,7 +14,6 @@ from .controller import (
     build_step_dataset,
     initial_dataset,
     mpc_step,
-    posterior_from_trajectory,
     run_closed_loop,
 )
 from .gpcore import (
@@ -28,10 +27,8 @@ from .gpcore import (
     optimize_hyperparams,
 )
 from .kernelops import (
-    GaussPolyTerm,
     Hyperparams,
     OperatorKernel,
-    apply_symbol,
     build_operator_kernel,
 )
 from .lodegp import (
@@ -44,11 +41,10 @@ from .lodegp import (
     steady_state_input,
 )
 from .metrics import constraint_violation, control_error
-from .plant import ControlSignal, Plant, Trajectory, step_exact
+from .plant import ControlSignal, Plant, Trajectory
 from .polyalg import (
     Poly,
     PolyMatrix,
-    SmithDecomposition,
     right_nullspace_columns,
     smith_normal_form,
 )

@@ -121,6 +121,14 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _path(sec: dict, key: str, default: str) -> str:
+    """``outputs.<key>``: a non-empty JSON string; str(None) would be "None"."""
+    value = sec.get(key, default)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"outputs.{key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _flag(value, field: str) -> bool:
     """A JSON true or false; bool("false") would be True."""
     if not isinstance(value, bool):
@@ -264,8 +272,8 @@ def load_config(path) -> ExperimentConfig:
         hp_fixed=hp_fixed,
         jitter=jitter,
         seed=seed,
-        output_dir=str(out_sec.get("directory", ".")),
-        trajectory_csv=str(out_sec.get("trajectory_csv", "trajectory.csv")),
-        metrics_json=str(out_sec.get("metrics_json", "metrics.json")),
-        samples_csv=str(out_sec.get("samples_csv", "samples.csv")),
+        output_dir=_path(out_sec, "directory", "."),
+        trajectory_csv=_path(out_sec, "trajectory_csv", "trajectory.csv"),
+        metrics_json=_path(out_sec, "metrics_json", "metrics.json"),
+        samples_csv=_path(out_sec, "samples_csv", "samples.csv"),
     )

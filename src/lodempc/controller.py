@@ -40,7 +40,6 @@ __all__ = [
     "mpc_step",
     "run_closed_loop",
     "run_lag_table",
-    "posterior_from_trajectory",
 ]
 
 #: How far a configured time may sit off the dt lattice (constraint grid
@@ -277,13 +276,3 @@ def run_closed_loop(
     traj.constraint_error = constraint_violation(traj, cfg.z_min, cfg.z_max)
     traj.control_error = control_error(traj, cfg.x_ref)
     return traj
-
-
-def posterior_from_trajectory(
-    prior: LodeGpPrior, traj: Trajectory, hp: Hyperparams, stride: int = 1
-) -> PosteriorGp:
-    """Condition the prior on a run's recorded (t, z) samples as exact
-    constraints: the GP's smooth, ODE-consistent reconstruction of the
-    executed trajectory."""
-    z = traj.z[::stride]
-    return PosteriorGp(prior, Dataset(traj.times[::stride], z, np.zeros(z.shape)), hp)

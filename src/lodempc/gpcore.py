@@ -6,11 +6,13 @@ A :class:`Dataset` is three arrays over N rows and n_z channels: times
 0 marking an exact constraint, realized as a small jitter variance on the
 noise diagonal; Cholesky factorization escalates that jitter when the Gram
 is numerically indefinite and errors out past a hard cap rather than
-silently repairing.  A :class:`PosteriorGp` query is a pure function of the
-factor and the query times.  Hyperparameters are chosen by a deterministic
-multi-start projected BFGS descent (:func:`_descend`) on the closed-form
-likelihood gradient, seeded from a fixed probe grid, so repeated runs are
-bit-identical.
+silently repairing.  Factor, solves and inverse are scipy's LAPACK potrf,
+potrs, trtrs and potri, called as ``scipy.linalg`` calls them but without
+importing it (:mod:`lodempc._lapack`).  A :class:`PosteriorGp` query is a
+pure function of the factor and the query times.  Hyperparameters are
+chosen by a deterministic multi-start projected BFGS descent
+(:func:`_descend`) on the closed-form likelihood gradient, seeded from a
+fixed probe grid, so repeated runs are bit-identical.
 
 Index convention for Gram matrices: the observed (row, channel) slots of
 the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
@@ -28,9 +30,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotri
+from numpy.linalg import LinAlgError
 
+from ._lapack import flapack
 from .kernelops import Hyperparams
 from .lodegp import LodeGpPrior
 
@@ -240,6 +242,25 @@ def _noise_diagonal(data: Dataset, jitter: float) -> np.ndarray:
     return np.where(noise > 0, noise, jitter)
 
 
+def _checked(routine: str, out, info: int):
+    """``out`` if LAPACK ``routine`` returned ``info`` 0.  As in ``scipy.linalg``,
+    info > 0 (not positive definite, or singular) raises LinAlgError, and info < 0 ValueError."""
+    if info:
+        raise (LinAlgError if info > 0 else ValueError)(f"LAPACK {routine} returned info {info}")
+    return out
+
+
+def cho_factor(a: np.ndarray):
+    """(c, True), as from ``scipy.linalg.cho_factor(a, lower=True)``: potrf's
+    lower Cholesky factor of a finite ``a`` below the diagonal of c, ``a`` above."""
+    return _checked("potrf", *flapack.dpotrf(np.asarray_chkfinite(a), lower=1, clean=0)), True
+
+
+def cho_solve(cho, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, from ``cho = cho_factor(a)`` by potrs."""
+    return _checked("potrs", *flapack.dpotrs(cho[0], b, lower=1))
+
+
 def _cho_with_escalation(gram: np.ndarray, jitter: float):
     """Lower Cholesky of gram, escalating an additive diagonal boost by
     factors of ten (starting at 10x jitter) up to MAX_JITTER."""
@@ -247,7 +268,7 @@ def _cho_with_escalation(gram: np.ndarray, jitter: float):
     while True:
         try:
             target = gram if boost == 0.0 else gram + boost * np.eye(gram.shape[0])
-            return cho_factor(target, lower=True), boost
+            return cho_factor(target), boost
         except LinAlgError:
             boost = max(jitter, 1e-10) * 10 if boost == 0.0 else boost * 10
             if boost > MAX_JITTER:
@@ -281,8 +302,7 @@ class PosteriorGp:
         else:
             gram, self.residual = assemble_gram(prior, data, hp, table)
             self._cho, self.jitter_boost = _cho_with_escalation(gram, hp.jitter)
-            residual = np.asarray_chkfinite(self.residual)
-            self._alpha = cho_solve(self._cho, residual, check_finite=False)
+            self._alpha = cho_solve(self._cho, np.asarray_chkfinite(self.residual))
 
     @property
     def representer_weights(self) -> np.ndarray:
@@ -296,10 +316,10 @@ class PosteriorGp:
 
     def _whiten(self, cross: np.ndarray) -> np.ndarray:
         """v = L^-1 K_xq, so that the posterior covariance's data term is v^T v
-        (Rasmussen & Williams 2006, Algorithm 2.1).  cho_factor has checked L:
-        only the cross kernel is scanned for non-finite entries."""
+        (Rasmussen & Williams 2006, Algorithm 2.1), by trtrs on the F-ordered L
+        as in ``scipy.linalg.solve_triangular``.  Only K_xq is scanned."""
         cross = np.asarray_chkfinite(cross.T)
-        return solve_triangular(self._cho[0], cross, lower=True, check_finite=False)
+        return _checked("trtrs", *flapack.dtrtrs(self._cho[0], cross, lower=1))
 
     def _chunks(self, tq: np.ndarray):
         """(query rows, cross kernel) per QUERY_CHUNK query times."""
@@ -395,7 +415,7 @@ def log_marginal_likelihood_grad(
     gp, value = _likelihood(prior, data, hp, table)
     alpha = gp._alpha
     # potri overwrites the posterior's factor, which is not queried again.
-    kinv, info = dpotri(gp._cho[0], lower=1, overwrite_c=1)
+    kinv, info = flapack.dpotri(gp._cho[0], lower=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")
     grad = []

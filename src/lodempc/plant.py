@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lodegp import LinearSystem
 
@@ -55,7 +54,10 @@ class ControlSignal:
 
 def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
     """Advance one step under constant input using the matrix exponential of
-    the augmented matrix: x+ = e^{Ah} x + (integral of e^{As} ds) B u."""
+    the augmented matrix: x+ = e^{Ah} x + (integral of e^{As} ds) B u.
+    Imported here, ``scipy.linalg`` loads only for held inputs."""
+    from scipy.linalg import expm
+
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:

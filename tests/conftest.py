@@ -1,9 +1,10 @@
 """Shared fixtures: the 2-state unstable benchmark system and its GP prior,
 and seeded random controllable 4-state priors.  Shared helpers: the dense
-6-state benchmark config, a textbook RK4 oracle for the plant, and the
-exact-algebra oracles the package does not need at run time (polynomial
-determinant and identity, a kernel entry's symbol, a kernel term
-differentiated step by step, a kernel term summed at one point)."""
+6-state benchmark config, a run's reconstruction from its recorded samples,
+a textbook RK4 oracle for the plant, and the exact-algebra oracles the
+package does not need at run time (polynomial determinant and identity, a
+kernel entry's symbol, a kernel term differentiated step by step, a kernel
+term summed at one point)."""
 
 import math
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lodempc import GaussPolyTerm, Hyperparams, LinearSystem, build_prior
+from lodempc import Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
+from lodempc.kernelops import GaussPolyTerm
 from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix
 
 settings.register_profile(
@@ -83,6 +85,14 @@ DENSE6 = {
     "hyperparams": {"fixed": {"signal_variance": 1.0, "lengthscale_sq": 1.0}, "jitter": 1e-09},
     "flags": {"control_application": "subgrid_interpolation"},
 }
+
+
+def posterior_from_trajectory(prior, traj, hp, stride: int = 1) -> PosteriorGp:
+    """Condition the prior on a run's recorded (t, z) samples as exact
+    constraints: the GP's smooth, ODE-consistent reconstruction of the
+    executed trajectory."""
+    z = traj.z[::stride]
+    return PosteriorGp(prior, Dataset(traj.times[::stride], z, np.zeros(z.shape)), hp)
 
 
 def rk4_by_value(a, b, x, sig, t, h, substeps=1):

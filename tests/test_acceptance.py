@@ -16,7 +16,6 @@ import pytest
 from lodempc.config import load_config
 from lodempc.controller import (
     initial_dataset,
-    posterior_from_trajectory,
     run_closed_loop,
 )
 from lodempc.gpcore import (
@@ -31,7 +30,13 @@ from lodempc.lodegp import LinearSystem, build_h, build_prior
 from lodempc.plant import ControlSignal, Plant, step_exact
 from lodempc.polyalg import D, ONE, ZERO, PolyMatrix, smith_normal_form
 
-from conftest import determinant, entry_symbol, evaluate_term, rk4_by_value
+from conftest import (
+    determinant,
+    entry_symbol,
+    evaluate_term,
+    posterior_from_trajectory,
+    rk4_by_value,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BENCH = LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]])

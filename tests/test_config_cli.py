@@ -231,12 +231,19 @@ def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
     assert fit["value_and_gradient_evals"] > 0
 
 
-def test_run_does_not_import_scipy_optimize(tmp_path):
+def test_run_loads_neither_scipy_linalg_nor_optimize(tmp_path):
     # a fresh interpreter, as the console script runs: the fit's descent is
-    # the package's own, so scipy.optimize and what it pulls in stay unloaded
+    # the package's own and LAPACK comes straight from scipy's compiled
+    # module, which leaves sys.modules again, so nothing of these packages
+    # is imported.  scipy.linalg imported afterwards loads that module as
+    # its own submodule and works.
     code = (
         "import sys; from lodempc.cli import main; rc = main(sys.argv[1:]); "
-        "assert 'scipy.optimize' not in sys.modules; sys.exit(rc)"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg', 'numpy.f2py'))]; "
+        "assert not loaded, loaded; "
+        "import numpy as np, scipy.linalg; assert scipy.linalg._flapack.dpotrf; "
+        "c, _ = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]]), lower=True); "
+        "assert np.allclose(np.tril(c), [[2.0, 0.0], [1.0, 2.0]]), c; sys.exit(rc)"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -246,6 +253,18 @@ def test_run_does_not_import_scipy_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "trajectory.csv").exists()
 
+
+
+def test_lapack_reuses_the_module_of_a_loaded_scipy_linalg():
+    # a program that imported scipy.linalg first shares its _flapack
+    code = (
+        "import sys, scipy.linalg; from lodempc import _lapack; "
+        "assert _lapack.flapack is scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / "a"))
@@ -370,6 +389,19 @@ def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("directory", None), ("trajectory_csv", 7)])
+def test_run_exit_one_on_non_string_output_path(tmp_path, capsys, monkeypatch, key, value):
+    # str() would make these a directory named None and a file named 7
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    doc = base_doc(tmp_path / "out")
+    doc["outputs"][key] = value
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: outputs.{key} must be a non-empty string")
+    assert not (tmp_path / "None").exists() and not (tmp_path / "out").exists()
 
 
 def test_run_exit_one_on_infeasible_reference(tmp_path):

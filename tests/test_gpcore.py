@@ -6,9 +6,11 @@ import functools
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
 from lodempc import gpcore
@@ -498,6 +500,61 @@ def test_factorization_error_when_escalation_cap_hit():
     with pytest.raises(FactorizationError) as err:
         _cho_with_escalation(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
     assert f"{MAX_JITTER:g}" in str(err.value)
+
+
+def _spd(n: int, order: str, seed: int = 0) -> np.ndarray:
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return np.asarray(m @ m.T + n * np.eye(n), order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 303])
+def test_lapack_calls_equal_scipy_linalg_bit_for_bit(n, order):
+    # the package calls scipy's LAPACK routines itself, as scipy.linalg
+    # does: the factor (both triangles), the solves and the inverse are
+    # the same floats, for C- and F-ordered operands
+    a = _spd(n, order, seed=n)
+    rng = np.random.default_rng(n + 1)
+    cho = gpcore.cho_factor(a)
+    ref = scipy.linalg.cho_factor(a, lower=True)
+    assert cho[1] is True and np.array_equal(cho[0], ref[0])
+    for b in (rng.standard_normal(n), np.asarray(rng.standard_normal((n, 3)), order=order)):
+        x = gpcore.cho_solve(cho, b)
+        assert x.shape == b.shape and np.array_equal(x, scipy.linalg.cho_solve(ref, b))
+    # _whiten takes the cross kernel as (queries, slots) and solves its transpose
+    holder = SimpleNamespace(_cho=cho)
+    for cross in (rng.standard_normal((4, n)), np.asfortranarray(rng.standard_normal((4, n)))):
+        v = PosteriorGp._whiten(holder, cross)
+        assert np.array_equal(v, scipy.linalg.solve_triangular(ref[0], cross.T, lower=True))
+    kinv, info = gpcore.flapack.dpotri(cho[0], lower=1)
+    assert info == 0 and np.array_equal(kinv, scipy.linalg.lapack.dpotri(ref[0], lower=1)[0])
+    assert np.array_equal(a, _spd(n, order, seed=n))  # the input is left as it was
+
+
+def test_not_positive_definite_raises_linalg_error_and_escalates_as_scipy(monkeypatch):
+    # LinAlgError is the class scipy.linalg raises, so escalation fires at
+    # the same step, and ends on the same boost and the same factor as with
+    # scipy's cho_factor
+    with pytest.raises(np.linalg.LinAlgError):
+        gpcore.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    v = np.random.default_rng(3).standard_normal((40, 3))
+    gram = v @ v.T  # rank 3: positive semidefinite, not definite
+    with pytest.raises(scipy.linalg.LinAlgError):
+        gpcore.cho_factor(gram)
+    (c, _), boost = gpcore._cho_with_escalation(gram, 1e-12)
+    monkeypatch.setattr(gpcore, "cho_factor", functools.partial(scipy.linalg.cho_factor, lower=True))
+    (c_ref, _), boost_ref = gpcore._cho_with_escalation(gram, 1e-12)
+    assert boost > 0 and boost == boost_ref and np.array_equal(c, c_ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gram_raises_value_error(bad):
+    gram = _spd(5, "C")
+    gram[1, 3] = bad
+    with pytest.raises(ValueError):
+        gpcore.cho_factor(gram)
+    with pytest.raises(ValueError):
+        gpcore._cho_with_escalation(gram, 1e-8)
 
 
 # ---------------------------------------------------------------------------
