@@ -7,9 +7,11 @@ observed z = (x, u), one row per ``dt`` lattice step.  Step ``k`` is at time
 observation, soft box points, the past window and virtual reference points)
 as array blocks into one :class:`Dataset`, and :func:`mpc_step` conditions
 the ODE-consistent prior on it.  The posterior mean of the control channels
-over the next interval is applied to the plant, and the new row is appended.
-Inspecting a step means replaying it: ``mpc_step(prior, cfg, hp,
-traj.z[:k+1])`` gives step ``k`` back bit for bit.
+over the next interval is applied to the plant, and the new row is appended;
+row 0 is the given initial condition.  Inspecting a step means replaying it:
+``mpc_step(prior, cfg, hp, traj.z[:k+1])`` gives step ``k``'s control and
+std back bit for bit, and ``PosteriorGp(prior, build_step_dataset(prior,
+cfg, traj.z[:k+1]), hp)`` its posterior.
 
 :class:`ControllerConfig` holds the lattice times ``t0 + k*dt`` and maps
 each constraint grid time to its lattice index once, so "after now" is an
@@ -201,13 +203,13 @@ def initial_dataset(prior: LodeGpPrior, cfg: ControllerConfig) -> Dataset:
 
 def mpc_step(
     prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist, table=None
-) -> tuple[ControlSignal, np.ndarray, PosteriorGp]:
-    """Step k = len(z_hist) - 1: condition on its dataset and return the
-    control for [t_k, t_k + dt], the posterior std at t_k + dt (its own
-    one-row query), and the posterior (``posterior.data`` is what the step
-    saw).  The control is the posterior mean of the input channels at its
-    knots: t_k + dt alone (``hold_endpoint``, a held input) or
-    ``subgrid_count + 1`` knots spread evenly over the interval.
+) -> tuple[ControlSignal, np.ndarray]:
+    """The control law of step k = len(z_hist) - 1: condition on its dataset
+    and return the control for [t_k, t_k + dt] and the posterior std at its
+    last knot, t_k + dt.  The control is the posterior mean of the input
+    channels at its knots: t_k + dt alone (``hold_endpoint``, a held input)
+    or ``subgrid_count + 1`` knots spread evenly over the interval.  The
+    posterior is freed on return.
 
     A pure function of its arguments: ``mpc_step(prior, cfg, hp,
     traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``
@@ -215,13 +217,11 @@ def mpc_step(
     with or without it."""
     gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist), hp, table)
     t_now = cfg.lattice[len(z_hist) - 1]
-    t_next = t_now + cfg.dt
     if cfg.control_application == "hold_endpoint":
-        knots = np.array([t_next])
+        knots = np.array([t_now + cfg.dt])
     else:
-        knots = np.linspace(t_now, t_next, cfg.subgrid_count + 1)
-    signal = ControlSignal(knots, gp.mean(knots)[:, cfg.n_x :])
-    return signal, gp.std(np.array([t_next]))[0], gp
+        knots = np.linspace(t_now, t_now + cfg.dt, cfg.subgrid_count + 1)
+    return ControlSignal(knots, gp.mean(knots)[:, cfg.n_x :]), gp.std(knots[-1:])[0]
 
 
 def run_lag_table(
@@ -231,7 +231,8 @@ def run_lag_table(
     lattice t0 + k*dt and the constraint grid), with the kernel at ``hp``.
     Each is the float the step datasets hold, so the table is exact.  None
     past ``MAX_TABLE_TIMES`` distinct times."""
-    times = np.unique(np.concatenate([cfg.lattice, cfg._grid_t]))
+    # return_inverse takes the sort path: the hash path imports numpy.ma.
+    times = np.unique(np.concatenate([cfg.lattice, cfg._grid_t]), return_inverse=True)[0]
     return LagTable(times, prior.kernel, hp) if times.size <= MAX_TABLE_TIMES else None
 
 
@@ -240,12 +241,11 @@ def run_closed_loop(
 ) -> Trajectory:
     """Execute the full receding-horizon loop and return the sampled run.
 
-    The trajectory z = (x, u) is the loop's only state: step k is
-    ``mpc_step(prior, cfg, hp, z[:k+1])``, and its control and std fill
-    row k + 1; row 0's std is step 0's posterior at t0 (the prior's if there
-    is no step).  Every step gathers its Gram from one lag table built here,
-    so no step evaluates the kernel for its Gram (unless the run has more
-    than ``MAX_TABLE_TIMES`` times)."""
+    The trajectory z = (x, u) is the loop's only state.  Row 0 is the given
+    initial condition, with std 0; step k is ``mpc_step(prior, cfg, hp,
+    z[:k+1])``, and its control and std fill row k + 1.  Every step gathers
+    its Gram from one lag table built here, so no step evaluates the kernel
+    for its Gram (unless the run has more than ``MAX_TABLE_TIMES`` times)."""
     if plant.n_x != prior.system.n_x or plant.n_u != prior.system.n_u:
         raise ValueError("plant dimensions do not match the prior's system")
     n_steps, n_x = cfg.n_steps, cfg.n_x
@@ -253,16 +253,9 @@ def run_closed_loop(
     z = np.zeros((n_steps + 1, cfg.n_z))
     stds = np.zeros((n_steps + 1, cfg.n_z))
     z[0] = cfg.x0 + cfg.u0
-    if not n_steps:
-        stds[0] = PosteriorGp(prior, Dataset(), hp).std(times[:1])[0]
     table = run_lag_table(prior, cfg, hp)
     for k in range(n_steps):
-        signal, stds[k + 1], posterior = mpc_step(prior, cfg, hp, z[: k + 1], table)
-        if k == 0:
-            stds[0] = posterior.std(times[:1])[0]
-        # Released before the next step factors: a kept posterior holds its
-        # Cholesky factor beside the next one.
-        del posterior
+        signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1], table)
         x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(

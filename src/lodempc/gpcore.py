@@ -169,7 +169,8 @@ class LagTable:
     kernel at the lags is evaluated once, and kept for Grams at ``hp``."""
 
     def __init__(self, times, kernel=None, hp: Hyperparams | None = None):
-        self.times = np.unique(np.asarray(times, dtype=float))
+        # return_inverse takes the sort path: the hash path imports numpy.ma.
+        self.times = np.unique(np.asarray(times, dtype=float), return_inverse=True)[0]
         self.lags, inv = np.unique(self.times[:, None] - self.times, return_inverse=True)
         self.index = inv.reshape(self.times.size, self.times.size)
         self._frozen = None

@@ -111,7 +111,7 @@ class Trajectory:
 
     Row i holds the state at time[i] and the control value in effect
     entering time[i] (the initial control for row 0); ``stds`` are posterior
-    standard deviations per channel from the step that produced each row.
+    stds per channel from the step that produced row i (0 in row 0: given).
     """
 
     times: np.ndarray

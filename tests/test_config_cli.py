@@ -235,12 +235,13 @@ def test_run_loads_neither_scipy_linalg_nor_optimize(tmp_path):
     # a fresh interpreter, as the console script runs: the fit's descent is
     # the package's own and LAPACK comes straight from scipy's compiled
     # module, which leaves sys.modules again, so nothing of these packages
-    # is imported.  scipy.linalg imported afterwards loads that module as
-    # its own submodule and works.
+    # is imported; no np.unique takes numpy's hash path, which imports
+    # numpy.ma.  scipy.linalg imported afterwards loads that module as its
+    # own submodule and works.
     code = (
         "import sys; from lodempc.cli import main; rc = main(sys.argv[1:]); "
         "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg', 'numpy.f2py'))]; "
-        "assert not loaded, loaded; "
+        "assert not loaded, loaded; assert 'numpy.ma' not in sys.modules; "
         "import numpy as np, scipy.linalg; assert scipy.linalg._flapack.dpotrf; "
         "c, _ = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]]), lower=True); "
         "assert np.allclose(np.tril(c), [[2.0, 0.0], [1.0, 2.0]]), c; sys.exit(rc)"

@@ -1,6 +1,7 @@
 """Receding-horizon loop: config validation, dataset assembly, stepping."""
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -224,22 +225,22 @@ def test_initial_dataset_virtual_switch(unstable_prior):
 
 def test_mpc_step_hold_returns_constant_signal(unstable_prior):
     cfg = make_cfg()
-    signal, std_next, gp = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    signal, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     # one knot, at t_next: a held input
     assert signal.knot_times.tolist() == [0.1]
     assert signal.knot_values.shape == (1, 1)
     # the held value is the mean of the control channel at t_next, of the
-    # posterior that the step returns, on the step's own dataset
+    # posterior on the step's own dataset, and the std is that posterior's
+    gp = PosteriorGp(unstable_prior, build_step_dataset(unstable_prior, cfg, history(0)), Hyperparams())
     np.testing.assert_allclose(signal.value(0.1), [gp.mean(np.array([0.1]))[0, 2]])
     assert std_next.shape == (3,)
-    data = build_step_dataset(unstable_prior, cfg, history(0))
-    for name in ("t", "values", "noise_var"):
-        np.testing.assert_array_equal(getattr(gp.data, name), getattr(data, name))
+    assert np.array_equal(std_next, gp.std(np.array([0.1]))[0])
 
 
 def test_mpc_step_subgrid_returns_piecewise_linear(unstable_prior):
     cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
-    signal, _, gp = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    gp = PosteriorGp(unstable_prior, build_step_dataset(unstable_prior, cfg, history(0)), Hyperparams())
     assert signal.knot_values.shape == (5, 1)
     assert signal.knot_times[0] == pytest.approx(0.0)
     assert signal.knot_times[-1] == pytest.approx(0.1)
@@ -253,7 +254,7 @@ def test_mpc_step_pins_current_observation(unstable_prior):
     # the plan must pass through the current (t, z): exact-data conditioning
     cfg = make_cfg()
     z_now = np.array([0.7, -0.2, 0.3])
-    gp = mpc_step(unstable_prior, cfg, Hyperparams(), history(5, z_now))[2]
+    gp = PosteriorGp(unstable_prior, build_step_dataset(unstable_prior, cfg, history(5, z_now)), Hyperparams())
     at_now = gp.mean([0.5])[0]
     np.testing.assert_allclose(at_now, z_now, atol=1e-4)
 
@@ -281,11 +282,11 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
 
     monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
     monkeypatch.setattr(Dataset, "__post_init__", built)
-    _, std_next, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    _, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert len(datasets) == 1
     lags, cross, lag0, std_cross = calls
     calls.clear()
-    _, std_tabled, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
+    _, std_tabled = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
     monkeypatch.undo()
     assert len(datasets) == 2
     assert np.array_equal(lags[0], np.unique(data.t[:, None] - data.t))
@@ -333,6 +334,8 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
     assert traj.stds.shape == (21, 3)
     np.testing.assert_array_equal(traj.states[0], [1.0, 0.0])
     np.testing.assert_array_equal(traj.controls[0], [0.0])
+    # row 0 is given, not inferred: its std is exactly 0 (finite, for the CSV)
+    assert np.array_equal(traj.stds[0], np.zeros(3))
     # step k sees the observations of steps 0..k
     assert seen == list(range(1, 21))
     assert traj.constraint_error is not None
@@ -345,7 +348,7 @@ def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch, appli
     # the trajectory is the loop's only state: replaying step k on the
     # recorded z[:k+1], without the run's lag table, gives back its control
     # and std exactly; all four dataset blocks are in play.  The run factors
-    # each step's Gram once: row 0's std is read off step 0's posterior.
+    # each step's Gram once.
     cfg = make_cfg(m_p=5, t_v=1.0, control_application=application, subgrid_count=4)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
@@ -361,11 +364,9 @@ def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch, appli
     monkeypatch.undo()
     assert len(factored) == cfg.n_steps
     for k in range(cfg.n_steps):
-        signal, std_next, gp = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
+        signal, std_next = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
         assert np.array_equal(traj.controls[k + 1], signal.value(traj.times[k + 1]))
         assert np.array_equal(traj.stds[k + 1], std_next)
-        if k == 0:
-            assert np.array_equal(traj.stds[0], gp.std(traj.times[:1])[0])
 
 
 def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkeypatch):
@@ -386,7 +387,7 @@ def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkey
 def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     # the run's table is evaluated once; each step then evaluates only its
     # mean's cross kernel, its std's one-row cross kernel and its lag-0
-    # variance; row 0's std evaluates its cross kernel and lag-0 variance
+    # variance; row 0, the given initial condition, evaluates none
     cfg = make_cfg()
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     calls = []
@@ -401,7 +402,7 @@ def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     monkeypatch.undo()
     table = run_lag_table(unstable_prior, cfg, Hyperparams())
     assert calls[0] == table.lags.size
-    assert len(calls) == 1 + 3 * cfg.n_steps + 2
+    assert len(calls) == 1 + 3 * cfg.n_steps
     # the lattice floats and the grid's own, which are not all lattice floats
     assert table.times.tolist() == sorted(set(cfg.lattice.tolist()) | set(cfg.constraint_grid))
 
@@ -454,7 +455,7 @@ def test_closed_loop_plant_substeps_follow_subgrid_knots(unstable_prior):
     hp = Hyperparams()
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)
     for i in range(cfg.n_steps):
-        sig, _, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
+        sig, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
         want = _exact_piecewise_linear(plant.A, plant.B, traj.states[i], sig)
         assert np.max(np.abs(traj.states[i + 1] - want)) <= 1e-9
 
@@ -498,7 +499,31 @@ def test_closed_loop_zero_steps(unstable_prior):
     traj = run_closed_loop(unstable_prior, plant, cfg, Hyperparams())
     assert traj.times.shape == (1,)
     np.testing.assert_array_equal(traj.states[0], [1.0, 0.0])
+    assert np.array_equal(traj.stds, np.zeros((1, 3)))
     assert traj.constraint_error == 0.0
+
+
+def test_closed_loop_holds_one_posterior_at_a_time(unstable_prior, monkeypatch):
+    # mpc_step frees its posterior on return: when a step factors its Gram,
+    # its own posterior is the only one alive, so the loop never holds two
+    # Cholesky factors
+    cfg = make_cfg(m_p=5, t_v=1.0, control_application="subgrid_interpolation")
+    plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
+    live, alive_at_factor = weakref.WeakSet(), []
+    init, factor = PosteriorGp.__init__, gpcore.cho_factor
+
+    def tracked(self, *args, **kw):
+        live.add(self)
+        init(self, *args, **kw)
+
+    def counted(a):
+        alive_at_factor.append(len(live))
+        return factor(a)
+
+    monkeypatch.setattr(PosteriorGp, "__init__", tracked)
+    monkeypatch.setattr(gpcore, "cho_factor", counted)
+    run_closed_loop(unstable_prior, plant, cfg, Hyperparams())
+    assert alive_at_factor == [1] * cfg.n_steps
 
 
 def test_closed_loop_rejects_mismatched_plant(unstable_prior):

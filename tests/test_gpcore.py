@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 
 from lodempc import gpcore
 from lodempc.config import load_config
-from lodempc.controller import initial_dataset, mpc_step, run_closed_loop
+from lodempc.controller import build_step_dataset, initial_dataset, mpc_step, run_closed_loop
 from lodempc.gpcore import (
     MAX_JITTER,
     Dataset,
@@ -443,7 +443,8 @@ def test_std_matches_a_long_double_oracle():
     traj = run_closed_loop(prior, Plant(cfg.system.A, cfg.system.B), ctrl, hp)
     lag0 = np.diagonal(prior.kernel.eval_blocks(0.0, 0.0, hp)[:, :, 0, 0])
     for k in range(15, ctrl.n_steps, 20):
-        _, std, gp = mpc_step(prior, ctrl, hp, traj.z[: k + 1])
+        _, std = mpc_step(prior, ctrl, hp, traj.z[: k + 1])
+        gp = PosteriorGp(prior, build_step_dataset(prior, ctrl, traj.z[: k + 1]), hp)
         gram, _ = assemble_gram(prior, gp.data, hp)
         gram[np.diag_indices_from(gram)] += gp.jitter_boost
         t_next = np.array([ctrl.lattice[k] + ctrl.dt])
