@@ -102,11 +102,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "constraint_error": traj.constraint_error,
         "control_error": traj.control_error,
         "wall_time_s": wall,
-        "hyperparams": {
-            "signal_variance": hp.signal_variance,
-            "lengthscale_sq": hp.lengthscale_sq,
-            "jitter": hp.jitter,
-        },
+        "hyperparams": asdict(hp),
         "fit": None if fit is None else asdict(fit),
         "final_state": [float(v) for v in traj.states[-1]],
     }

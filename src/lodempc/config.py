@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerConfig
+from .gpcore import DEFAULT_HYPERPARAM_BOUNDS
 from .lodegp import LinearSystem
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
@@ -34,7 +35,7 @@ SECTIONS = {
     "outputs": ("directory", "trajectory_csv", "metrics_json", "samples_csv"),
 }
 OPTIONAL_SECTIONS = ("flags", "outputs")
-HYPERPARAM_NAMES = ("signal_variance", "lengthscale_sq")
+HYPERPARAM_NAMES = tuple(DEFAULT_HYPERPARAM_BOUNDS)
 
 
 def _reject_unknown(obj, known, where: str) -> None:

@@ -44,8 +44,8 @@ __all__ = [
     "run_lag_table",
 ]
 
-#: How far a configured time may sit off the dt lattice (constraint grid
-#: points) or above ``t_v`` (grid points counted as after ``t_v``).
+#: How far a configured time may sit off the dt lattice (``t_end`` and the
+#: constraint grid points) or above ``t_v`` (grid points counted as after it).
 TIME_TOL = 1e-9
 
 #: State norm beyond which the closed loop is declared divergent.
@@ -93,9 +93,8 @@ class ControllerConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.t0:
             raise ValueError("t_end must not precede t0")
-        span = self.t_end - self.t0
-        steps = span / self.dt
-        if abs(steps - round(steps)) > 1e-6:
+        steps = (self.t_end - self.t0) / self.dt
+        if abs(steps - round(steps)) * self.dt > TIME_TOL:
             raise ValueError("horizon length must be an integer multiple of dt")
         if len(self.z_min) != len(self.z_max):
             raise ValueError("z_min and z_max must have equal length")

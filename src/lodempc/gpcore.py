@@ -8,11 +8,13 @@ noise diagonal; Cholesky factorization escalates that jitter when the Gram
 is numerically indefinite and errors out past a hard cap rather than
 silently repairing.  Factor, solves and inverse are scipy's LAPACK potrf,
 potrs, trtrs and potri, called as ``scipy.linalg`` calls them but without
-importing it (:mod:`lodempc._lapack`).  A :class:`PosteriorGp` query is a
-pure function of the factor and the query times.  Hyperparameters are
+importing it (:mod:`lodempc._lapack`); the factor is potrf's one array.  A
+:class:`PosteriorGp` query is a pure function of the factor and the query
+times.  :func:`log_marginal_likelihood` scores a hyperparameter point, with
+the closed-form gradient in the names asked for.  Hyperparameters are
 chosen by a deterministic multi-start projected BFGS descent
-(:func:`_descend`) on the closed-form likelihood gradient, seeded from a
-fixed probe grid, so repeated runs are bit-identical.
+(:func:`_descend`) seeded from a fixed probe grid, every point scored by
+that one call, so repeated runs are bit-identical.
 
 Index convention for Gram matrices: the observed (row, channel) slots of
 the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
@@ -45,7 +47,6 @@ __all__ = [
     "LagTable",
     "assemble_gram",
     "log_marginal_likelihood",
-    "log_marginal_likelihood_grad",
     "optimize_hyperparams",
     "DEFAULT_HYPERPARAM_BOUNDS",
 ]
@@ -251,15 +252,15 @@ def _checked(routine: str, out, info: int):
     return out
 
 
-def cho_factor(a: np.ndarray):
-    """(c, True), as from ``scipy.linalg.cho_factor(a, lower=True)``: potrf's
-    lower Cholesky factor of a finite ``a`` below the diagonal of c, ``a`` above."""
-    return _checked("potrf", *flapack.dpotrf(np.asarray_chkfinite(a), lower=1, clean=0)), True
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """potrf's lower Cholesky factor of a finite ``a``: L below the diagonal,
+    ``a`` above, as ``scipy.linalg.cho_factor(a, lower=True)[0]``."""
+    return _checked("potrf", *flapack.dpotrf(np.asarray_chkfinite(a), lower=1, clean=0))
 
 
-def cho_solve(cho, b: np.ndarray) -> np.ndarray:
-    """x with a x = b, from ``cho = cho_factor(a)`` by potrs."""
-    return _checked("potrs", *flapack.dpotrs(cho[0], b, lower=1))
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, from the factor ``c = cho_factor(a)`` by potrs."""
+    return _checked("potrs", *flapack.dpotrs(c, b, lower=1))
 
 
 def _cho_with_escalation(gram: np.ndarray, jitter: float):
@@ -320,7 +321,7 @@ class PosteriorGp:
         (Rasmussen & Williams 2006, Algorithm 2.1), by trtrs on the F-ordered L
         as in ``scipy.linalg.solve_triangular``.  Only K_xq is scanned."""
         cross = np.asarray_chkfinite(cross.T)
-        return _checked("trtrs", *flapack.dtrtrs(self._cho[0], cross, lower=1))
+        return _checked("trtrs", *flapack.dtrtrs(self._cho, cross, lower=1))
 
     def _chunks(self, tq: np.ndarray):
         """(query rows, cross kernel) per QUERY_CHUNK query times."""
@@ -380,29 +381,15 @@ class PosteriorGp:
         return flat.T.reshape(count, tq.size, self.prior.n_z)
 
 
-def _likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table):
-    """(posterior on ``data``, its log marginal likelihood).  An empty
-    dataset has no likelihood."""
-    if not len(data):
-        raise ValueError("cannot assemble a Gram matrix from an empty dataset")
-    gp = PosteriorGp(prior, data, hp, table)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(gp._cho[0]))))
-    return gp, float(-0.5 * gp.residual @ gp._alpha - 0.5 * logdet)
-
-
-def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
-    """Marginal log-likelihood of the residual z - mu, constant term omitted:
-    -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det (K + Sigma); a float.
-    ``table`` is as in :func:`assemble_gram`."""
-    return _likelihood(prior, data, hp, table)[1]
-
-
-def log_marginal_likelihood_grad(
-    prior: LodeGpPrior, data: Dataset, hp: Hyperparams, wrt, table=None
+def log_marginal_likelihood(
+    prior: LodeGpPrior, data: Dataset, hp: Hyperparams, wrt=(), table=None
 ):
-    """(value, gradient): :func:`log_marginal_likelihood` and its partial
-    derivatives in log(name) for each hyperparameter name in ``wrt``, in
-    that order.
+    """(value, gradient): the marginal log-likelihood of the residual z - mu,
+    constant term omitted, -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det
+    (K + Sigma), and its partial derivatives in log(name) for each
+    hyperparameter name in ``wrt``, in that order (none, and no inverse,
+    for an empty ``wrt``).  ``table`` is as in :func:`assemble_gram`.  An
+    empty dataset has no likelihood.
 
     With K the factored matrix (Gram, noise diagonal and any jitter boost,
     the boost held constant), dl/dtheta = 1/2 alpha^T dK alpha
@@ -412,11 +399,16 @@ def log_marginal_likelihood_grad(
     r^T alpha - alpha^T D alpha and n - diag(K^-1) . D.  For log
     lengthscale_sq, dK = -lam dK/dlam is gathered from the kernel's lam
     derivative at each distinct lag, through the same table as the Gram."""
+    if not len(data):
+        raise ValueError("cannot assemble a Gram matrix from an empty dataset")
     table = LagTable(data.t) if table is None else table
-    gp, value = _likelihood(prior, data, hp, table)
+    gp = PosteriorGp(prior, data, hp, table)
     alpha = gp._alpha
+    value = float(-0.5 * gp.residual @ alpha - np.sum(np.log(np.diag(gp._cho))))
+    if not wrt:
+        return value, np.zeros(0)
     # potri overwrites the posterior's factor, which is not queried again.
-    kinv, info = flapack.dpotri(gp._cho[0], lower=1, overwrite_c=1)
+    kinv, info = flapack.dpotri(gp._cho, lower=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")
     grad = []
@@ -538,36 +530,23 @@ def optimize_hyperparams(
     if bounds:
         limits.update(bounds)
     fixed = dict(fixed or {})
-    names = ["signal_variance", "lengthscale_sq"]
-    free = [n for n in names if n not in fixed]
+    free = [n for n in DEFAULT_HYPERPARAM_BOUNDS if n not in fixed]
 
     def make_hp(log_free) -> Hyperparams:
         values = dict(fixed)
         for name, lv in zip(free, log_free):
             values[name] = math.exp(lv)
-        return Hyperparams(
-            signal_variance=values["signal_variance"],
-            lengthscale_sq=values["lengthscale_sq"],
-            jitter=jitter,
-        )
+        return Hyperparams(**values, jitter=jitter)
 
     if not free:
         return make_hp(()), None
     table = LagTable(data.t)
 
-    def objective(log_free: np.ndarray) -> float:
+    def objective(log_free: np.ndarray, wrt=()):
         try:
-            return -log_marginal_likelihood(prior, data, make_hp(log_free), table)
+            value, grad = log_marginal_likelihood(prior, data, make_hp(log_free), wrt, table)
         except FactorizationError:
-            return math.inf
-
-    def objective_and_grad(log_free: np.ndarray):
-        try:
-            value, grad = log_marginal_likelihood_grad(
-                prior, data, make_hp(log_free), free, table
-            )
-        except FactorizationError:
-            return math.inf, np.zeros(len(free))
+            return math.inf, np.zeros(len(wrt))
         return -value, -grad
 
     axes = [
@@ -575,7 +554,7 @@ def optimize_hyperparams(
         for name in free
     ]
     probes = [np.array(p) for p in itertools.product(*axes)]
-    scores = [objective(p) for p in probes]
+    scores = [objective(p)[0] for p in probes]
     order = sorted(range(len(probes)), key=lambda k: (scores[k], k))
     starts = [probes[k] for k in order[:N_STARTS] if math.isfinite(scores[k])]
     if not starts:
@@ -586,7 +565,7 @@ def optimize_hyperparams(
     lo, hi = np.array(log_bounds).T
     best_f, best_x, descent_evals = math.inf, starts[0], 0
     for start in starts:
-        f, x, evals = _descend(objective_and_grad, start, lo, hi)
+        f, x, evals = _descend(lambda point: objective(point, free), start, lo, hi)
         descent_evals += evals
         if f < best_f:
             best_f, best_x = f, x

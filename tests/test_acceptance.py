@@ -269,7 +269,7 @@ def test_criterion_7_gp_numerics_suite():
 
     # single-point marginal likelihood at unit total variance / unit residual
     integ = build_prior(LinearSystem(A=[[0.0]], B=[[1.0]]), [0.0])
-    mll = log_marginal_likelihood(
+    mll, _ = log_marginal_likelihood(
         integ,
         Dataset([0.0], [[1.0, np.nan]], [[0.5, 0.0]]),
         Hyperparams(signal_variance=0.5, lengthscale_sq=1.0),

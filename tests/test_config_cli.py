@@ -306,6 +306,15 @@ def test_run_exit_one_on_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_exit_one_on_horizon_off_the_lattice(tmp_path, capsys):
+    # t_end follows the grid's rule: at most TIME_TOL off the dt lattice in
+    # time.  5e-8 s off would otherwise end the run that much short.
+    doc = base_doc(tmp_path / "out")
+    doc["horizon"]["t_end"] = 10.00000005
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    assert "horizon length must be an integer multiple of dt" in capsys.readouterr().err
+
+
 def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
     # read as missing, the flag would fall back to the zero-order hold, which
     # destabilizes this experiment (exit 2)

@@ -85,6 +85,12 @@ def test_config_accepts_degenerate_horizon():
     assert cfg.n_steps == 0
 
 
+def test_config_accepts_a_horizon_off_by_rounding():
+    # (3.0 - 0.0) / 0.3 is 10.000000000000002: within TIME_TOL of the lattice
+    cfg = make_cfg(t_end=3.0, dt=0.3, constraint_grid=())
+    assert cfg.n_steps == 10 and cfg.lattice[-1] == pytest.approx(3.0)
+
+
 # ---------------------------------------------------------------------------
 # The step dataset: one builder, four blocks
 # ---------------------------------------------------------------------------

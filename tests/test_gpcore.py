@@ -25,7 +25,6 @@ from lodempc.gpcore import (
     PosteriorGp,
     assemble_gram,
     log_marginal_likelihood,
-    log_marginal_likelihood_grad,
     optimize_hyperparams,
 )
 from lodempc.kernelops import Hyperparams
@@ -281,7 +280,7 @@ def test_assemble_gram_rejects_empty_and_mismatched(integrator_prior, unstable_p
     with pytest.raises(ValueError):
         log_marginal_likelihood(integrator_prior, Dataset(), hp)
     with pytest.raises(ValueError):
-        log_marginal_likelihood_grad(integrator_prior, Dataset(), hp, ["signal_variance"])
+        log_marginal_likelihood(integrator_prior, Dataset(), hp, ["signal_variance"])
     ds3 = rows(hard(0.0, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, ds3, hp)
@@ -518,7 +517,7 @@ def test_lapack_calls_equal_scipy_linalg_bit_for_bit(n, order):
     rng = np.random.default_rng(n + 1)
     cho = gpcore.cho_factor(a)
     ref = scipy.linalg.cho_factor(a, lower=True)
-    assert cho[1] is True and np.array_equal(cho[0], ref[0])
+    assert np.array_equal(cho, ref[0])
     for b in (rng.standard_normal(n), np.asarray(rng.standard_normal((n, 3)), order=order)):
         x = gpcore.cho_solve(cho, b)
         assert x.shape == b.shape and np.array_equal(x, scipy.linalg.cho_solve(ref, b))
@@ -527,7 +526,7 @@ def test_lapack_calls_equal_scipy_linalg_bit_for_bit(n, order):
     for cross in (rng.standard_normal((4, n)), np.asfortranarray(rng.standard_normal((4, n)))):
         v = PosteriorGp._whiten(holder, cross)
         assert np.array_equal(v, scipy.linalg.solve_triangular(ref[0], cross.T, lower=True))
-    kinv, info = gpcore.flapack.dpotri(cho[0], lower=1)
+    kinv, info = gpcore.flapack.dpotri(cho, lower=1)
     assert info == 0 and np.array_equal(kinv, scipy.linalg.lapack.dpotri(ref[0], lower=1)[0])
     assert np.array_equal(a, _spd(n, order, seed=n))  # the input is left as it was
 
@@ -542,9 +541,9 @@ def test_not_positive_definite_raises_linalg_error_and_escalates_as_scipy(monkey
     gram = v @ v.T  # rank 3: positive semidefinite, not definite
     with pytest.raises(scipy.linalg.LinAlgError):
         gpcore.cho_factor(gram)
-    (c, _), boost = gpcore._cho_with_escalation(gram, 1e-12)
-    monkeypatch.setattr(gpcore, "cho_factor", functools.partial(scipy.linalg.cho_factor, lower=True))
-    (c_ref, _), boost_ref = gpcore._cho_with_escalation(gram, 1e-12)
+    c, boost = gpcore._cho_with_escalation(gram, 1e-12)
+    monkeypatch.setattr(gpcore, "cho_factor", lambda a: scipy.linalg.cho_factor(a, lower=True)[0])
+    c_ref, boost_ref = gpcore._cho_with_escalation(gram, 1e-12)
     assert boost > 0 and boost == boost_ref and np.array_equal(c, c_ref)
 
 
@@ -568,7 +567,7 @@ def test_mll_single_point_unit_residual_unit_variance(integrator_prior):
     # residual 1 then scores -1/2 - (1/2)log(1) = -0.5 exactly
     hp = Hyperparams(signal_variance=0.5, lengthscale_sq=1.0)
     ds = rows((0.0, (1.0, None), (0.5, 0.0)))
-    val = log_marginal_likelihood(integrator_prior, ds, hp)
+    val, _ = log_marginal_likelihood(integrator_prior, ds, hp)
     assert val == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -585,7 +584,7 @@ def test_mll_matches_dense_formula(unstable_prior):
             )
         )
     ds = rows(*points)
-    got = log_marginal_likelihood(unstable_prior, ds, hp)
+    got, _ = log_marginal_likelihood(unstable_prior, ds, hp)
     gram, residual = assemble_gram(unstable_prior, ds, hp)
     sign, logdet = np.linalg.slogdet(gram)
     assert sign > 0
@@ -600,11 +599,11 @@ def test_mll_prefers_generating_lengthscale(unstable_prior):
     grid = np.linspace(0.0, 6.0, 25)
     draw = PosteriorGp(unstable_prior, Dataset(), hp_true).sample(grid, 1, seed=11)[0]
     ds = Dataset(grid, draw, np.full(draw.shape, 0.01))
-    at_true = log_marginal_likelihood(unstable_prior, ds, hp_true)
-    at_tiny = log_marginal_likelihood(
+    at_true, _ = log_marginal_likelihood(unstable_prior, ds, hp_true)
+    at_tiny, _ = log_marginal_likelihood(
         unstable_prior, ds, Hyperparams(1.0, 0.02, jitter=1e-10)
     )
-    at_huge = log_marginal_likelihood(
+    at_huge, _ = log_marginal_likelihood(
         unstable_prior, ds, Hyperparams(1.0, 50.0, jitter=1e-10)
     )
     assert at_true > at_tiny
@@ -633,7 +632,7 @@ def log_central_difference(prior, data, hp, name, step=1e-5):
     def at(sign):
         values = {"signal_variance": hp.signal_variance, "lengthscale_sq": hp.lengthscale_sq}
         values[name] *= math.exp(sign * step)
-        return log_marginal_likelihood(prior, data, Hyperparams(**values, jitter=hp.jitter))
+        return log_marginal_likelihood(prior, data, Hyperparams(**values, jitter=hp.jitter))[0]
 
     return (at(1) - at(-1)) / (2 * step)
 
@@ -642,13 +641,30 @@ def log_central_difference(prior, data, hp, name, step=1e-5):
 def test_gradient_matches_central_differences(past_fit, sv, ls2):
     prior, data, options = past_fit
     hp = Hyperparams(sv, ls2, jitter=options["jitter"])
-    value, grad = log_marginal_likelihood_grad(prior, data, hp, BOTH)
-    assert value == log_marginal_likelihood(prior, data, hp)
+    value, grad = log_marginal_likelihood(prior, data, hp, BOTH)
+    assert value == log_marginal_likelihood(prior, data, hp)[0]
     want = [log_central_difference(prior, data, hp, name) for name in BOTH]
     np.testing.assert_allclose(grad, want, rtol=1e-6)
     # one parameter at a time, in the order asked
-    assert log_marginal_likelihood_grad(prior, data, hp, BOTH[::-1])[1].tolist() == grad[::-1].tolist()
-    assert log_marginal_likelihood_grad(prior, data, hp, ["lengthscale_sq"])[1] == grad[1]
+    assert log_marginal_likelihood(prior, data, hp, BOTH[::-1])[1].tolist() == grad[::-1].tolist()
+    assert log_marginal_likelihood(prior, data, hp, ["lengthscale_sq"])[1] == grad[1]
+
+
+def test_value_only_call_runs_no_inverse(past_fit, monkeypatch):
+    # the fit's probes ask for no gradient: they pay for no potri
+    prior, data, options = past_fit
+    hp = Hyperparams(1.0, 0.5, jitter=options["jitter"])
+    inverses = []
+    potri = gpcore.flapack.dpotri
+
+    def counted(*args, **kw):
+        inverses.append(args[0].shape)
+        return potri(*args, **kw)
+
+    monkeypatch.setattr(gpcore.flapack, "dpotri", counted)
+    value, grad = log_marginal_likelihood(prior, data, hp)
+    assert grad.shape == (0,) and inverses == []
+    assert log_marginal_likelihood(prior, data, hp, BOTH)[0] == value and len(inverses) == 1
 
 
 def boosted_dataset():
@@ -683,10 +699,10 @@ def test_gradient_matches_central_differences_with_jitter_boost(integrator_prior
     points = [hp(lo), hp(mid), hp(hi), hp(mid, ls2 * math.exp(1e-5)), hp(mid, ls2 * math.exp(-1e-5))]
     assert [PosteriorGp(integrator_prior, data, h, table).jitter_boost for h in points] == [1e-9] * 5
 
-    value, grad = log_marginal_likelihood_grad(integrator_prior, data, hp(mid), BOTH)
-    assert value == log_marginal_likelihood(integrator_prior, data, hp(mid))
+    value, grad = log_marginal_likelihood(integrator_prior, data, hp(mid), BOTH)
+    assert value == log_marginal_likelihood(integrator_prior, data, hp(mid))[0]
     lml = functools.partial(log_marginal_likelihood, integrator_prior, data)
-    by_sv = mid * (lml(hp(hi)) - lml(hp(lo))) / (hi - lo)
+    by_sv = mid * (lml(hp(hi))[0] - lml(hp(lo))[0]) / (hi - lo)
     by_ls = log_central_difference(integrator_prior, data, hp(mid), "lengthscale_sq")
     np.testing.assert_allclose(grad, [by_sv, by_ls], rtol=1e-6)
 
@@ -730,13 +746,9 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
     )
     calls, descents, results = [], [], []
 
-    def counted_lml(prior, data, hp, table=None):
-        calls.append(("value", hp.signal_variance, hp.lengthscale_sq))
-        return log_marginal_likelihood(prior, data, hp, table)
-
-    def counted_grad(prior, data, hp, wrt, table=None):
-        calls.append(("gradient", hp.signal_variance, hp.lengthscale_sq))
-        return log_marginal_likelihood_grad(prior, data, hp, wrt, table)
+    def counted_lml(prior, data, hp, wrt=(), table=None):
+        calls.append(("gradient" if wrt else "value", hp.signal_variance, hp.lengthscale_sq))
+        return log_marginal_likelihood(prior, data, hp, wrt, table)
 
     descend = gpcore._descend
 
@@ -747,10 +759,11 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
 
     expected, expected_fit = optimize_hyperparams(unstable_prior, ds)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
-    monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", counted_grad)
     monkeypatch.setattr(gpcore, "_descend", counted_descend)
     hp, fit = optimize_hyperparams(unstable_prior, ds)
     assert (hp, fit) == (expected, expected_fit)
+    # every evaluation goes through the one likelihood call
+    assert len(calls) == fit.value_evals + fit.value_and_gradient_evals
 
     probes = calls[: descents[0]]
     assert all(kind == "value" for kind, *_ in probes)
@@ -761,7 +774,7 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
     assert [n for *_, n in results] == np.diff(descents + [len(calls)]).tolist()
     assert len(descents) == len(results) == fit.starts == 3
     assert -min(f for f, *_ in results) == fit.log_marginal_likelihood
-    scores = [log_marginal_likelihood(unstable_prior, ds, Hyperparams(sv, ls, jitter=1e-8))
+    scores = [log_marginal_likelihood(unstable_prior, ds, Hyperparams(sv, ls, jitter=1e-8))[0]
               for _, sv, ls in probes]
     best = sorted(range(len(probes)), key=lambda k: (-scores[k], k))[: fit.starts]
     assert [calls[k][1:] for k in descents] == [probes[k][1:] for k in best]
@@ -777,11 +790,13 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
     )
     finite = []
 
-    def failing_grad(prior, data, hp, wrt, table=None):
-        if hp.lengthscale_sq > 1.0:
+    def failing_grad(prior, data, hp, wrt=(), table=None):
+        if wrt and hp.lengthscale_sq > 1.0:
             raise FactorizationError("refused")
-        finite.append(log_marginal_likelihood(prior, data, hp, table))
-        return log_marginal_likelihood_grad(prior, data, hp, wrt, table)
+        value, grad = log_marginal_likelihood(prior, data, hp, wrt, table)
+        if wrt:
+            finite.append(value)
+        return value, grad
 
     objectives, results = [], []
     descend = gpcore._descend
@@ -791,7 +806,7 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
         results.append(descend(fg, x0, lo, hi))
         return results[-1]
 
-    monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", failing_grad)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood", failing_grad)
     monkeypatch.setattr(gpcore, "_descend", recorded_descend)
     hp, fit = optimize_hyperparams(unstable_prior, ds)
     assert sum(n for *_, n in results) == fit.value_and_gradient_evals
@@ -802,7 +817,7 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
     assert hp.lengthscale_sq <= 1.0
     assert math.isfinite(fit.log_marginal_likelihood)
     assert fit.log_marginal_likelihood == max(finite)
-    assert fit.log_marginal_likelihood == log_marginal_likelihood(unstable_prior, ds, hp)
+    assert fit.log_marginal_likelihood == log_marginal_likelihood(unstable_prior, ds, hp)[0]
 
 
 def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
@@ -814,17 +829,12 @@ def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
             index_calls[0] += 1
             super().__init__(*args)
 
-    def counted_lml(*args):
-        lml_calls[0] += 1
-        return log_marginal_likelihood(*args)
-
-    def counted_grad(*args):
-        grad_calls[0] += 1
-        return log_marginal_likelihood_grad(*args)
+    def counted_lml(prior, data, hp, wrt=(), table=None):
+        (grad_calls if wrt else lml_calls)[0] += 1
+        return log_marginal_likelihood(prior, data, hp, wrt, table)
 
     monkeypatch.setattr(gpcore, "LagTable", CountedTable)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
-    monkeypatch.setattr(gpcore, "log_marginal_likelihood_grad", counted_grad)
     hp, fit = optimize_hyperparams(prior, data, **options)
     assert index_calls[0] == 1
     assert lml_calls[0] == fit.value_evals == 25
@@ -857,7 +867,7 @@ def nelder_mead_optimum(optima, prior, data, bounds, jitter):
     def objective(x):
         hp = Hyperparams(math.exp(x[0]), math.exp(x[1]), jitter=jitter)
         try:
-            return -log_marginal_likelihood(prior, data, hp)
+            return -log_marginal_likelihood(prior, data, hp)[0]
         except FactorizationError:
             return math.inf
 
@@ -879,7 +889,7 @@ def test_fit_reaches_the_nelder_mead_optimum(nelder_mead_optima, name):
     prior = build_prior(cfg.system, cfg.x_ref)
     data = initial_dataset(prior, cfg.controller)
     hp, fit = optimize_hyperparams(prior, data, bounds=cfg.hp_bounds, jitter=cfg.jitter)
-    assert fit.log_marginal_likelihood == log_marginal_likelihood(prior, data, hp)
+    assert fit.log_marginal_likelihood == log_marginal_likelihood(prior, data, hp)[0]
     oracle = nelder_mead_optimum(nelder_mead_optima, prior, data, cfg.hp_bounds, cfg.jitter)
     assert fit.log_marginal_likelihood >= oracle - 1e-9 * abs(oracle)
 
@@ -982,11 +992,11 @@ def test_optimizer_beats_probe_corners(unstable_prior):
         (1.5, (0.1, -0.2, 0.05), (0.05,) * 3),
     )
     hp, _ = optimize_hyperparams(unstable_prior, ds)
-    best = log_marginal_likelihood(unstable_prior, ds, hp)
+    best, _ = log_marginal_likelihood(unstable_prior, ds, hp)
     for sv in (0.01, 100.0):
         for ls in (0.01, 100.0):
             corner = Hyperparams(sv, ls, jitter=hp.jitter)
-            assert best >= log_marginal_likelihood(unstable_prior, ds, corner) - 1e-9
+            assert best >= log_marginal_likelihood(unstable_prior, ds, corner)[0] - 1e-9
 
 
 # ---------------------------------------------------------------------------
