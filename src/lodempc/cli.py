@@ -5,7 +5,7 @@ Subcommands:
 * ``run <config>``      closed-loop experiment -> trajectory CSV + metrics JSON
 * ``samples <config>``  posterior samples conditioned on the endpoints -> CSV
 * ``algebra <config>``  textual dump of the operator matrix, its Smith form,
-                        the nullspace columns, and the kernel entries
+                        the nullspace columns (checked: H·V = 0), and the kernel entries
 
 Exit codes: 0 success, 1 config-class errors (parse/validation, infeasible
 reference, non-controllable system), 2 numerical failures (factorization,
@@ -128,7 +128,7 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
         [ctrl.x0 + ctrl.u0, prior.prior_mean],
         np.zeros((2, nz)),
     )
-    hp, _ = optimize_hyperparams(
+    hp, fit = optimize_hyperparams(
         prior, endpoints, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter
     )
     gp = PosteriorGp(prior, endpoints, hp)
@@ -144,6 +144,8 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
     out = _output_dir(cfg)
     (out / cfg.samples_csv).write_text("\n".join(lines) + "\n")
     print(f"wrote {count} samples x {grid.size} times x {nz} channels -> {out / cfg.samples_csv}")
+    if fit is not None:
+        print(f"fit at_bound={json.dumps(fit.at_bound)}")
     return 0
 
 
@@ -162,7 +164,9 @@ def cmd_algebra(cfg: ExperimentConfig) -> int:
         print("D (Smith normal form) =")
         print(_indent(dec.D.to_text()))
         require_controllable(dec)
-        null = right_nullspace_columns(h, dec)
+        null = right_nullspace_columns(dec)
+        if not (h @ null).is_zero:
+            raise AssertionError("nullspace columns failed exact verification")
         print("nullspace columns of H =")
         print(_indent(null.to_text()))
         kernel = build_operator_kernel(null)

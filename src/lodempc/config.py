@@ -149,21 +149,20 @@ def _pair(value, field: str) -> tuple:
 def _grid_times(spec) -> tuple:
     if isinstance(spec, dict):
         _reject_unknown(spec, ("start", "stop", "count", "times"), "constraint_grid")
-    if isinstance(spec, dict) and {"start", "stop", "count"} <= set(spec):
+    keys = set(spec) if isinstance(spec, dict) else None
+    if keys == {"start", "stop", "count"}:
         count = _integer(spec["count"], "constraint_grid count")
         if count < 1:
             raise ConfigError("constraint_grid count must be >= 1")
         start = _number(spec["start"], "constraint_grid start")
         stop = _number(spec["stop"], "constraint_grid stop")
         return tuple(np.linspace(start, stop, count))
-    if isinstance(spec, dict) and "times" in spec:
+    if keys == {"times"}:
         times = spec["times"]
         if not isinstance(times, list):
             raise ConfigError(f"constraint_grid times must be a list, got {times!r}")
         return tuple(_number(t, "constraint_grid times") for t in times)
-    raise ConfigError(
-        "constraint_grid must give either {start, stop, count} or {times}"
-    )
+    raise ConfigError("constraint_grid must give one form: either {start, stop, count} or {times}")
 
 
 def load_config(path) -> ExperimentConfig:

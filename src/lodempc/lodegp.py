@@ -3,10 +3,11 @@ dx/dt = A x + B u exactly.
 
 The stacked trajectory z = (x, u) is annihilated by the operator matrix
 H = [A - d*I | B] over the polynomial ring in the differentiation symbol.
-Smith-reducing H yields unimodular Q, V with Q·H·V = D; the columns of V
-past the nonzero diagonal of D span the right nullspace of H, and pushing a
-latent squared-exponential process through those columns gives a
-matrix-valued kernel whose sample paths obey the ODE.
+Smith-reducing H yields D and a unimodular V with Q·H·V = D for some
+unimodular Q; the columns of V past the nonzero diagonal of D span the right
+nullspace of H, and pushing a latent squared-exponential process through
+those columns gives a matrix-valued kernel whose sample paths obey the ODE.
+The exact check H·V = 0 belongs to the ``algebra`` command and the tests.
 """
 
 from __future__ import annotations
@@ -174,10 +175,9 @@ def steady_state_input(system: LinearSystem, x_ref, tol: float = 1e-8) -> np.nda
 def build_prior(system: LinearSystem, x_ref) -> LodeGpPrior:
     """Full pipeline: operator matrix, Smith reduction, nullspace columns,
     operator kernel, and the constant reference mean."""
-    h = build_h(system)
-    dec = smith_normal_form(h)
+    dec = smith_normal_form(build_h(system))
     require_controllable(dec)
-    v_cols = right_nullspace_columns(h, dec)
+    v_cols = right_nullspace_columns(dec)
     kernel = build_operator_kernel(v_cols)
     u_ref = steady_state_input(system, x_ref)
     prior_mean = np.concatenate([np.asarray(x_ref, dtype=float), u_ref])

@@ -2,11 +2,13 @@
 and seeded random controllable 4-state priors.  Shared helpers: the dense
 6-state benchmark config, a run's reconstruction from its recorded samples,
 a textbook RK4 oracle for the plant, and the exact-algebra oracles the
-package does not need at run time (polynomial determinant and identity, a
-kernel entry's symbol, a kernel term differentiated step by step, a kernel
-term summed at one point)."""
+package does not need at run time (polynomial determinant, identity and
+inverse, a Smith decomposition's certificate and its recovered left
+transform, a kernel entry's symbol, a kernel term differentiated step by
+step, a kernel term summed at one point)."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -131,6 +133,67 @@ def _det(grid):
         term = entry * _det([row[:j] + row[j + 1 :] for row in grid[1:]])
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def inverse(m: PolyMatrix) -> PolyMatrix:
+    """Exact inverse of a unimodular PolyMatrix: its adjugate over its
+    (nonzero constant) determinant."""
+    det = determinant(m)
+    assert det.degree == 0, f"not unimodular: det = {det}"
+    n = m.rows
+
+    def cofactor(i, j):
+        minor = tuple(m[r, c] for r in range(n) if r != i for c in range(n) if c != j)
+        sign = (-1) ** (i + j)
+        return determinant(PolyMatrix(n - 1, n - 1, minor)).scaled(sign / det.leading_coeff)
+
+    return PolyMatrix(n, n, tuple(cofactor(j, i) for i in range(n) for j in range(n)))
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a
+
+
+def smith_certificate(h: PolyMatrix, dec) -> PolyMatrix:
+    """Assert that ``dec`` is a Smith decomposition of ``h`` without reading
+    a left transform, and return the quotient P.
+
+    The certificate: D is diagonal with monic invariant factors d_1..d_r,
+    each dividing the next; V is unimodular; H·V vanishes past column r; and
+    column j of H·V is d_j times column j of an m×r matrix P whose r×r
+    minors have gcd 1.  Over Q[d] that last condition says exactly that P
+    extends to a unimodular U = [P | P'], so Q = U⁻¹ is unimodular with
+    Q·H·V = U⁻¹·U·D = D."""
+    m, n = h.rows, h.cols
+    factors = dec.invariant_factors()
+    r = len(factors)
+    diag = tuple(factors[i] if i == j and i < r else ZERO for i in range(m) for j in range(n))
+    assert dec.D == PolyMatrix(m, n, diag), "D is not diagonal with its factors first"
+    assert all(f.leading_coeff == 1 for f in factors), "an invariant factor is not monic"
+    for a, b in zip(factors, factors[1:]):
+        assert divmod(b, a)[1].is_zero, f"{a} does not divide {b}"
+    det_v = determinant(dec.V)
+    assert det_v.degree == 0, f"V is not unimodular: det V = {det_v}"
+    hv = h @ dec.V
+    assert all(hv[i, j].is_zero for i in range(m) for j in range(r, n)), "H·V is nonzero past the rank"
+    quotients = [[divmod(hv[i, j], factors[j]) for j in range(r)] for i in range(m)]
+    assert all(rem.is_zero for row in quotients for _, rem in row), "H·V[:, j] is not divisible by d_j"
+    p = PolyMatrix(m, r, tuple(quo for row in quotients for quo, _ in row))
+    g = ZERO
+    for rows in combinations(range(m), r):
+        minor = PolyMatrix(r, r, tuple(p[i, j] for i in rows for j in range(r)))
+        g = poly_gcd(g, determinant(minor))
+    assert g.degree == 0, f"the {r}x{r} minors of P share the factor {g}"
+    return p
+
+
+def left_transform(h: PolyMatrix, dec) -> PolyMatrix:
+    """The Q with Q·H·V = D of a full-row-rank ``h``: there D = [diag(d) | 0],
+    so Q·P = I for the certificate's quotient P, and Q = P⁻¹ is unique."""
+    assert dec.rank == h.rows, "Q is unique only at full row rank"
+    return inverse(smith_certificate(h, dec))
 
 
 def evaluate_term(term, u: float, lam: float) -> float:

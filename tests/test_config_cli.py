@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lodempc import cli
 from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
+from lodempc.polyalg import PolyMatrix
 
 from conftest import DENSE6
 
@@ -178,6 +180,22 @@ def test_load_config_rejects_bad_grid_spec(tmp_path):
     doc["datasets"]["constraint_grid"] = {"start": 0.1}
     with pytest.raises(ConfigError, match="constraint_grid"):
         load_config(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"start": 0.1, "stop": 10.0, "count": 100, "times": [0.5]},
+        {"start": 0.1, "times": [0.5]},
+    ],
+    ids=["full-range-and-times", "start-and-times"],
+)
+def test_run_exit_one_on_a_grid_that_mixes_both_forms(tmp_path, capsys, spec):
+    doc = json.loads((CONFIG_DIR / "regulation_past.json").read_text())
+    doc["datasets"]["constraint_grid"] = spec
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert "{start, stop, count}" in err and "{times}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +508,20 @@ def test_samples_default_seed_comes_from_config(config_path, tmp_path, monkeypat
     ).read_bytes()
 
 
+def test_samples_reports_a_fit_that_ends_on_a_box_edge(tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "regulation_baseline.json").read_text())
+    doc["hyperparams"]["bounds"]["signal_variance"] = [0.9, 100.0]
+    doc["outputs"]["directory"] = str(tmp_path / "out")
+    assert main(["samples", str(write_doc(tmp_path, doc)), "--count", "1"]) == 0
+    assert 'fit at_bound={"signal_variance": "lower"}' in capsys.readouterr().out.splitlines()
+
+
+def test_samples_reports_no_fit_when_both_hyperparameters_are_fixed(config_path, capsys):
+    assert main(["samples", str(config_path), "--count", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("wrote 1 samples")
+
+
 def test_samples_count_zero_writes_header_only(config_path, tmp_path):
     assert main(["samples", str(config_path), "--count", "0"]) == 0
     lines = (tmp_path / "out" / "samples.csv").read_text().splitlines()
@@ -565,6 +597,13 @@ def test_algebra_prints_integers_past_the_digit_limit(tmp_path, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert max(map(len, re.findall(r"\d+", capsys.readouterr().out))) > 640
+
+
+def test_algebra_checks_the_nullspace_exactly(monkeypatch):
+    # a column that H = [A - d*I | B] of the bundled system does not annihilate
+    monkeypatch.setattr(cli, "right_nullspace_columns", lambda dec: PolyMatrix.from_rows([[1], [0], [0]]))
+    with pytest.raises(AssertionError, match="nullspace columns failed exact verification"):
+        main(["algebra", str(CONFIG_DIR / "regulation_baseline.json")])
 
 
 def test_algebra_scalar_integrator_nullspace(config_path, capsys):

@@ -19,6 +19,8 @@ from lodempc.lodegp import (
 from lodempc.plant import Plant
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix, smith_normal_form
 
+from conftest import DENSE6
+
 
 def controllability_check(system: LinearSystem) -> bool:
     """True iff every invariant factor of [A - d*I | B] is a nonzero constant
@@ -149,6 +151,27 @@ def test_build_prior_shapes_and_mean(unstable_prior):
 
 def test_build_prior_annihilates_kernel_columns(unstable_prior):
     assert (build_h(unstable_prior.system) @ unstable_prior.v_cols).is_zero
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]]),
+        LinearSystem(A=DENSE6["system"]["A"], B=DENSE6["system"]["B"]),
+    ],
+    ids=["bundled", "dense6"],
+)
+def test_build_prior_multiplies_no_polynomial_matrices(system, monkeypatch):
+    # the exact check H·V = 0 is the algebra command's and the tests', not
+    # the run path's
+    def refuse(self, other):
+        raise AssertionError("build_prior multiplied polynomial matrices")
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", refuse)
+    prior = build_prior(system, x_ref=[0.0] * system.n_x)
+    assert prior.v_cols.cols == 1
+    monkeypatch.undo()
+    assert (build_h(system) @ prior.v_cols).is_zero
 
 
 def test_build_prior_nonzero_reference():

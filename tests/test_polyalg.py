@@ -16,11 +16,12 @@ from lodempc.polyalg import (
     ZERO,
     Poly,
     PolyMatrix,
+    SmithDecomposition,
     right_nullspace_columns,
     smith_normal_form,
 )
 
-from conftest import determinant, identity
+from conftest import determinant, identity, left_transform, smith_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +158,16 @@ def unstable_h():
 
 
 def snf_identities(h):
+    # the certificate covers every rank: V unimodular, the divisibility
+    # chain, and a unimodular Q with Q·H·V = D
     dec = smith_normal_form(h)
-    assert dec.Q @ h @ dec.V == dec.D
-    dq = determinant(dec.Q)
-    dv = determinant(dec.V)
-    assert dq.degree <= 0 and not dq.is_zero
-    assert dv.degree <= 0 and not dv.is_zero
-    # divisibility chain along the diagonal
-    factors = dec.invariant_factors()
-    for a, b in zip(factors, factors[1:]):
-        if b.is_zero:
-            continue
-        _, rem = divmod(b, a)
-        assert rem == ZERO
+    smith_certificate(h, dec)
+    if dec.rank == h.rows:
+        # full row rank: Q is unique, so this is the algorithm's own Q
+        q = left_transform(h, dec)
+        assert q @ h @ dec.V == dec.D
+        dq = determinant(q)
+        assert dq.degree <= 0 and not dq.is_zero
     return dec
 
 
@@ -180,16 +178,16 @@ def test_snf_of_unstable_system_is_identity_block():
 
 
 def test_snf_transforms_are_unimodular_for_unstable_system():
-    dec = smith_normal_form(unstable_h())
+    h = unstable_h()
+    dec = smith_normal_form(h)
     # frozen by hand-checking the printed decomposition of this system
-    assert determinant(dec.Q) == ONE
+    assert determinant(left_transform(h, dec)) == ONE
     assert determinant(dec.V) == ONE
 
 
 def test_nullspace_of_unstable_system():
     h = unstable_h()
-    dec = smith_normal_form(h)
-    n = right_nullspace_columns(h, dec)
+    n = right_nullspace_columns(smith_normal_form(h))
     assert (n.rows, n.cols) == (3, 1)
     # the generator is unique up to a nonzero rational unit; pin that unit
     # by normalizing the first entry
@@ -202,7 +200,7 @@ def test_nullspace_of_unstable_system():
 
 def test_nullspace_product_is_exactly_zero():
     h = unstable_h()
-    n = right_nullspace_columns(h, smith_normal_form(h))
+    n = right_nullspace_columns(smith_normal_form(h))
     assert (h @ n).is_zero
 
 
@@ -211,7 +209,7 @@ def test_snf_scalar_integrator():
     h = PolyMatrix.from_rows([[-D, 1]])
     dec = snf_identities(h)
     assert dec.D == PolyMatrix.from_rows([[1, 0]])
-    n = right_nullspace_columns(h, dec)
+    n = right_nullspace_columns(dec)
     scale = Fraction(1, 1) / n[0, 0].leading_coeff
     assert tuple(n[i, 0].scaled(scale) for i in range(2)) == (ONE, D)
 
@@ -222,7 +220,7 @@ def test_snf_without_input_keeps_operator_factor():
     h = PolyMatrix.from_rows([[Poly((2, -1))]])  # 2 - d
     dec = snf_identities(h)
     assert dec.D[0, 0] == Poly((-2, 1))  # monic normalization
-    n = right_nullspace_columns(h, dec)
+    n = right_nullspace_columns(dec)
     assert n.cols == 0
 
 
@@ -237,8 +235,42 @@ def test_snf_handles_zero_matrix():
     h = PolyMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
     dec = snf_identities(h)
     assert dec.rank == 0
-    n = right_nullspace_columns(h, dec)
+    n = right_nullspace_columns(dec)
     assert n.cols == 3
+
+
+def _diag(*entries):
+    n = len(entries)
+    return PolyMatrix.from_rows([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "h, d, v, message",
+    [
+        # H·V = diag(d, d²) and D = 2·H·V: the factors are not monic
+        (_diag(D, D * D), _diag(2 * D, 2 * (D * D)), identity(2), "not monic"),
+        # monic, but d does not divide d + 1 (the true form is diag(1, d² + d))
+        (_diag(D, D + ONE), _diag(D, D + ONE), identity(2), "does not divide"),
+        # H·V = D exactly, but det V = d
+        (
+            PolyMatrix.from_rows([[1, 0]]),
+            PolyMatrix.from_rows([[1, 0]]),
+            PolyMatrix.from_rows([[1, 0], [0, D]]),
+            "V is not unimodular",
+        ),
+        # H·V = [d | 0] = P·D with P = [d]: no unimodular Q gives D = [1 | 0]
+        (
+            PolyMatrix.from_rows([[D, D]]),
+            PolyMatrix.from_rows([[1, 0]]),
+            PolyMatrix.from_rows([[1, -1], [0, 1]]),
+            "minors of P share",
+        ),
+    ],
+    ids=["non-monic", "non-dividing", "non-unimodular-v", "minors-share-a-factor"],
+)
+def test_smith_certificate_rejects_wrong_decompositions(h, d, v, message):
+    with pytest.raises(AssertionError, match=message):
+        smith_certificate(h, SmithDecomposition(D=d, V=v))
 
 
 entry_polys = st.builds(
@@ -270,6 +302,6 @@ def test_nullspace_always_annihilated(data):
         [data.draw(entry_polys) for _ in range(cols)] for _ in range(rows)
     ]
     h = PolyMatrix.from_rows(grid)
-    n = right_nullspace_columns(h, smith_normal_form(h))
+    n = right_nullspace_columns(smith_normal_form(h))
     if n.cols:
         assert (h @ n).is_zero
