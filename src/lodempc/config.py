@@ -1,16 +1,19 @@
 """Experiment configuration: one JSON document describing the system, the
-control task, hyperparameter search, flags, seed, and output paths."""
+control task, hyperparameter search, flags, seed, and output paths.  An
+optional field the document leaves out is not passed, so the class it
+configures supplies its default."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .controller import ControllerConfig
 from .gpcore import DEFAULT_HYPERPARAM_BOUNDS
+from .kernelops import Hyperparams
 from .lodegp import LinearSystem
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
@@ -50,38 +53,43 @@ def _reject_unknown(obj, known, where: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """A loaded experiment; each default is that of an absent optional field."""
+
     system: LinearSystem
     controller: ControllerConfig
-    hp_bounds: dict
-    hp_fixed: dict | None
-    jitter: float
-    seed: int
-    output_dir: str
-    trajectory_csv: str
-    metrics_json: str
-    samples_csv: str
+    hp_bounds: dict = field(default_factory=dict)
+    hp_fixed: dict | None = None
+    jitter: float = Hyperparams.jitter
+    seed: int = 0
+    output_dir: str = "."
+    trajectory_csv: str = "trajectory.csv"
+    metrics_json: str = "metrics.json"
+    samples_csv: str = "samples.csv"
 
     @property
     def x_ref(self) -> tuple:
         return self.controller.x_ref
 
 
-def _section(doc: dict, name: str) -> dict:
-    if name not in doc and name in OPTIONAL_SECTIONS:
-        return {}
-    try:
-        sec = doc[name]
-    except KeyError:
-        raise ConfigError(f"missing config section {name!r}") from None
-    _reject_unknown(sec, SECTIONS[name], f"section {name!r}")
-    return sec
+def _field(doc: dict, name: str, parse, optional: bool = False):
+    """The document's field ``name`` ("section.key", or a top-level key) read
+    by ``parse(value, name)``; None if an optional field is absent."""
+    section, _, key = name.rpartition(".")
+    sec = doc.get(section, {}) if section else doc
+    if key in sec:
+        return parse(sec[key], name)
+    if optional:
+        return None
+    raise ConfigError(f"missing field {key!r} in section {section!r}")
 
 
-def _get(sec: dict, name: str, where: str):
+def _build(cls, what: str, **fields):
+    """``cls`` from the fields the document gives (None marks one it leaves
+    out, so ``cls``'s default holds); a ValueError of ``cls`` names ``what``."""
     try:
-        return sec[name]
-    except KeyError:
-        raise ConfigError(f"missing field {name!r} in section {where!r}") from None
+        return cls(**{key: value for key, value in fields.items() if value is not None})
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
 
 
 def _number(value, field: str) -> float:
@@ -114,19 +122,18 @@ def _names(value, field: str) -> tuple:
     return tuple(value)
 
 
+def _text(value, field: str) -> str:
+    """A non-empty JSON string; str() would make null the string "None"."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{field} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _integer(value, field: str) -> int:
     """A JSON integer, a ConfigError naming ``field`` for anything else
     (2.7, "3" or true), rather than a silent truncation."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _path(sec: dict, key: str, default: str) -> str:
-    """``outputs.<key>``: a non-empty JSON string; str(None) would be "None"."""
-    value = sec.get(key, default)
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"outputs.{key} must be a non-empty string, got {value!r}")
     return value
 
 
@@ -146,14 +153,47 @@ def _pair(value, field: str) -> tuple:
     return _number(lo, field), _number(hi, field)
 
 
-def _grid_times(spec) -> tuple:
+def _checked(parse, holds, must: str):
+    """``parse``, then a ConfigError "<field> must <must>" unless ``holds``."""
+
+    def read(value, field: str):
+        value = parse(value, field)
+        if not holds(value):
+            raise ConfigError(f"{field} must {must}, got {value!r}")
+        return value
+
+    return read
+
+
+_bound = _checked(_pair, lambda b: 0 < b[0] < b[1], "satisfy 0 < lo < hi")
+_positive = _checked(_number, lambda v: v > 0, "be positive")
+_non_negative = _checked(_number, lambda v: v >= 0, "be >= 0")
+_seed = _checked(_integer, lambda n: n >= 0, "be >= 0")
+_count = _checked(_integer, lambda n: n >= 1, "be >= 1")
+
+
+def _or_null(parse):
+    """``parse``, with null read as "not given", as an absent field is."""
+    return lambda value, field: None if value is None else parse(value, field)
+
+
+def _by_name(parse):
+    """An object keyed by hyperparameter names, each value read by ``parse``;
+    ``hyperparams.bounds`` and ``hyperparams.fixed`` share it."""
+
+    def read(value, field: str) -> dict:
+        _reject_unknown(value, HYPERPARAM_NAMES, field)
+        return {n: parse(value[n], f"{field}.{n}") for n in HYPERPARAM_NAMES if n in value}
+
+    return read
+
+
+def _grid_times(spec, _) -> tuple:
     if isinstance(spec, dict):
         _reject_unknown(spec, ("start", "stop", "count", "times"), "constraint_grid")
     keys = set(spec) if isinstance(spec, dict) else None
     if keys == {"start", "stop", "count"}:
-        count = _integer(spec["count"], "constraint_grid count")
-        if count < 1:
-            raise ConfigError("constraint_grid count must be >= 1")
+        count = _count(spec["count"], "constraint_grid count")
         start = _number(spec["start"], "constraint_grid start")
         stop = _number(spec["stop"], "constraint_grid stop")
         return tuple(np.linspace(start, stop, count))
@@ -178,102 +218,52 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _reject_unknown(doc, (*SECTIONS, "seed"), "the config document")
+    for name, keys in SECTIONS.items():
+        if name in doc:
+            _reject_unknown(doc[name], keys, f"section {name!r}")
+        elif name not in OPTIONAL_SECTIONS:
+            raise ConfigError(f"missing config section {name!r}")
 
-    sys_sec = _section(doc, "system")
-    ref_sec = _section(doc, "reference")
-    init_sec = _section(doc, "initial")
-    hor_sec = _section(doc, "horizon")
-    box_sec = _section(doc, "bounds")
-    data_sec = _section(doc, "datasets")
-    hp_sec = _section(doc, "hyperparams")
-    flag_sec = _section(doc, "flags")
-    out_sec = _section(doc, "outputs")
-
-    try:
-        system = LinearSystem(
-            A=np.array(_matrix(_get(sys_sec, "A", "system"), "system.A"), dtype=float),
-            B=np.array(_matrix(_get(sys_sec, "B", "system"), "system.B"), dtype=float),
-            channel_names=_names(sys_sec.get("channel_names", []), "system.channel_names"),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad system definition: {exc}") from None
-
-    t0 = _number(_get(hor_sec, "t0", "horizon"), "horizon.t0")
-    grid = _grid_times(_get(data_sec, "constraint_grid", "datasets"))
-    t_v = data_sec.get("virtual_start")
-    m_p = _integer(data_sec.get("past_window", 0), "datasets.past_window")
-    noise_is_variance = _flag(
-        flag_sec.get("constraint_noise_is_variance", False), "flags.constraint_noise_is_variance"
+    system = _build(
+        LinearSystem,
+        "system definition",
+        A=_field(doc, "system.A", _matrix),
+        B=_field(doc, "system.B", _matrix),
+        channel_names=_field(doc, "system.channel_names", _names, optional=True),
     )
-    subgrid_count = _integer(flag_sec.get("subgrid_count", 10), "flags.subgrid_count")
-
-    try:
-        controller = ControllerConfig(
-            t0=t0,
-            t_end=_number(_get(hor_sec, "t_end", "horizon"), "horizon.t_end"),
-            dt=_number(_get(hor_sec, "dt", "horizon"), "horizon.dt"),
-            x0=_numbers(_get(init_sec, "x0", "initial"), "initial.x0"),
-            u0=_numbers(_get(init_sec, "u0", "initial"), "initial.u0"),
-            x_ref=_numbers(_get(ref_sec, "x_ref", "reference"), "reference.x_ref"),
-            z_min=_numbers(_get(box_sec, "z_min", "bounds"), "bounds.z_min"),
-            z_max=_numbers(_get(box_sec, "z_max", "bounds"), "bounds.z_max"),
-            constraint_grid=grid,
-            m_p=m_p,
-            t_v=None if t_v is None else _number(t_v, "datasets.virtual_start"),
-            constraint_noise_is_variance=noise_is_variance,
-            control_application=str(
-                flag_sec.get("control_application", "hold_endpoint")
-            ),
-            subgrid_count=subgrid_count,
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad controller configuration: {exc}") from None
-
+    controller = _build(
+        ControllerConfig,
+        "controller configuration",
+        t0=_field(doc, "horizon.t0", _number),
+        t_end=_field(doc, "horizon.t_end", _number),
+        dt=_field(doc, "horizon.dt", _number),
+        x0=_field(doc, "initial.x0", _numbers),
+        u0=_field(doc, "initial.u0", _numbers),
+        x_ref=_field(doc, "reference.x_ref", _numbers),
+        z_min=_field(doc, "bounds.z_min", _numbers),
+        z_max=_field(doc, "bounds.z_max", _numbers),
+        constraint_grid=_field(doc, "datasets.constraint_grid", _grid_times),
+        m_p=_field(doc, "datasets.past_window", _integer, optional=True),
+        t_v=_field(doc, "datasets.virtual_start", _or_null(_number), optional=True),
+        constraint_noise_is_variance=_field(
+            doc, "flags.constraint_noise_is_variance", _flag, optional=True
+        ),
+        control_application=_field(doc, "flags.control_application", _text, optional=True),
+        subgrid_count=_field(doc, "flags.subgrid_count", _integer, optional=True),
+    )
     if controller.n_x != system.n_x or controller.n_u != system.n_u:
-        raise ConfigError(
-            "initial condition dimensions do not match the system matrices"
-        )
-
-    # absent or null means "not given"; any other non-object is rejected
-    bounds_raw = {} if hp_sec.get("bounds") is None else hp_sec["bounds"]
-    _reject_unknown(bounds_raw, HYPERPARAM_NAMES, "hyperparams.bounds")
-    hp_bounds = {}
-    for name in HYPERPARAM_NAMES:
-        if name in bounds_raw:
-            lo, hi = _pair(bounds_raw[name], f"hyperparams.bounds.{name}")
-            if not (0 < lo < hi):
-                raise ConfigError(f"hyperparameter bounds for {name} must satisfy 0 < lo < hi")
-            hp_bounds[name] = (lo, hi)
-    fixed_raw = hp_sec.get("fixed")
-    hp_fixed = None
-    if fixed_raw is not None:
-        _reject_unknown(fixed_raw, HYPERPARAM_NAMES, "hyperparams.fixed")
-        hp_fixed = {}
-        for name, value in fixed_raw.items():
-            value = _number(value, f"hyperparams.fixed.{name}")
-            if not value > 0:
-                raise ConfigError(f"fixed hyperparameter {name} must be positive")
-            hp_fixed[name] = value
-    jitter = _number(hp_sec.get("jitter", 1e-8), "hyperparams.jitter")
-    if jitter < 0:
-        raise ConfigError("jitter must be >= 0")
-    seed = _integer(doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-
-    return ExperimentConfig(
+        raise ConfigError("initial condition dimensions do not match the system matrices")
+    return _build(
+        ExperimentConfig,
+        "experiment configuration",
         system=system,
         controller=controller,
-        hp_bounds=hp_bounds,
-        hp_fixed=hp_fixed,
-        jitter=jitter,
-        seed=seed,
-        output_dir=_path(out_sec, "directory", "."),
-        trajectory_csv=_path(out_sec, "trajectory_csv", "trajectory.csv"),
-        metrics_json=_path(out_sec, "metrics_json", "metrics.json"),
-        samples_csv=_path(out_sec, "samples_csv", "samples.csv"),
+        hp_bounds=_field(doc, "hyperparams.bounds", _or_null(_by_name(_bound)), optional=True),
+        hp_fixed=_field(doc, "hyperparams.fixed", _or_null(_by_name(_positive)), optional=True),
+        jitter=_field(doc, "hyperparams.jitter", _non_negative, optional=True),
+        seed=_field(doc, "seed", _seed, optional=True),
+        output_dir=_field(doc, "outputs.directory", _text, optional=True),
+        trajectory_csv=_field(doc, "outputs.trajectory_csv", _text, optional=True),
+        metrics_json=_field(doc, "outputs.metrics_json", _text, optional=True),
+        samples_csv=_field(doc, "outputs.samples_csv", _text, optional=True),
     )

@@ -51,9 +51,10 @@ TIME_TOL = 1e-9
 #: State norm beyond which the closed loop is declared divergent.
 DIVERGENCE_LIMIT = 1e6
 
-#: A run's lag table holds R^2 int64 indices over its R distinct times (32 MB
-#: at this cap).  A run with more builds none; its steps gather from tables
-#: over their own times, with the same floats.
+#: A run's lag table holds R^2 int64 indices over its R distinct times, R at
+#: most its lattice and grid times together (32 MB at this cap).  A run with
+#: more of those builds none; its steps gather from tables over their own
+#: times, with the same floats.
 MAX_TABLE_TIMES = 2048
 
 
@@ -229,9 +230,8 @@ def run_lag_table(
     """The lag table of a run: every time a step can condition on (the dt
     lattice t0 + k*dt and the constraint grid), with the kernel at ``hp``.
     Each is the float the step datasets hold, so the table is exact.  None
-    past ``MAX_TABLE_TIMES`` distinct times."""
-    # return_inverse takes the sort path: the hash path imports numpy.ma.
-    times = np.unique(np.concatenate([cfg.lattice, cfg._grid_t]), return_inverse=True)[0]
+    past ``MAX_TABLE_TIMES`` times, counted before the table drops repeats."""
+    times = np.concatenate([cfg.lattice, cfg._grid_t])
     return LagTable(times, prior.kernel, hp) if times.size <= MAX_TABLE_TIMES else None
 
 

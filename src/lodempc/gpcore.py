@@ -514,7 +514,7 @@ def optimize_hyperparams(
     data: Dataset,
     bounds: dict | None = None,
     fixed: dict | None = None,
-    jitter: float = 1e-8,
+    jitter: float = Hyperparams.jitter,
 ) -> tuple[Hyperparams, FitReport | None]:
     """Maximize the marginal log-likelihood over (log signal_variance,
     log lengthscale_sq) inside box bounds; returns (hyperparams, report).

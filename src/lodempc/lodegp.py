@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+#: Largest residual |A x_ref + B u_ref| per state row of a steady state.
+STEADY_STATE_TOL = 1e-8
+
+
 class NonControllableSystemError(ValueError):
     """The invariant-factor chain of [A - d*I | B] has non-constant entries."""
 
@@ -110,14 +114,6 @@ class LodeGpPrior:
     def n_z(self) -> int:
         return self.system.n_z
 
-    @property
-    def x_ref(self) -> np.ndarray:
-        return self.prior_mean[: self.system.n_x]
-
-    @property
-    def u_ref(self) -> np.ndarray:
-        return self.prior_mean[self.system.n_x :]
-
 
 def build_h(system: LinearSystem) -> PolyMatrix:
     """Operator matrix H = [A - d*I | B] with exact rational entries.
@@ -150,7 +146,7 @@ def require_controllable(dec: SmithDecomposition) -> None:
         )
 
 
-def steady_state_input(system: LinearSystem, x_ref, tol: float = 1e-8) -> np.ndarray:
+def steady_state_input(system: LinearSystem, x_ref) -> np.ndarray:
     """Minimum-norm u_ref with A x_ref + B u_ref = 0.
 
     Raises InfeasibleReferenceError naming the violated state rows when no
@@ -162,7 +158,7 @@ def steady_state_input(system: LinearSystem, x_ref, tol: float = 1e-8) -> np.nda
     target = -system.A @ x_ref
     u_ref, *_ = np.linalg.lstsq(system.B, target, rcond=None)
     residual = system.B @ u_ref - target
-    bad = np.flatnonzero(np.abs(residual) > tol)
+    bad = np.flatnonzero(np.abs(residual) > STEADY_STATE_TOL)
     if bad.size:
         rows = ", ".join(str(int(i) + 1) for i in bad)
         raise InfeasibleReferenceError(

@@ -1,6 +1,7 @@
 """Config parsing and the command-line surface: exit codes, file outputs,
 determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,8 @@ import pytest
 from lodempc import cli
 from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
+from lodempc.controller import ControllerConfig
+from lodempc.kernelops import Hyperparams
 from lodempc.polyalg import PolyMatrix
 
 from conftest import DENSE6
@@ -95,6 +98,28 @@ def test_load_config_flags_section(tmp_path):
     assert cfg.controller.control_application == "subgrid_interpolation"
     assert cfg.controller.subgrid_count == 4
     assert cfg.controller.constraint_noise_is_variance
+
+
+def test_load_config_absent_optional_fields_take_the_library_defaults(tmp_path):
+    # load_config restates no default: an absent field is not passed
+    doc = base_doc(tmp_path / "out")
+    del doc["datasets"]["past_window"], doc["hyperparams"]["jitter"]
+    assert "flags" not in doc and "virtual_start" not in doc["datasets"]
+    cfg = load_config(write_doc(tmp_path, doc))
+    fields = dataclasses.fields(ControllerConfig)
+    optional = [f for f in fields if f.default is not dataclasses.MISSING]
+    assert [f.name for f in optional] == [
+        "m_p", "t_v", "constraint_noise_is_variance", "control_application", "subgrid_count"
+    ]
+    for f in optional:
+        assert getattr(cfg.controller, f.name) == f.default, f.name
+    assert cfg.jitter == Hyperparams().jitter
+
+
+def test_load_config_null_virtual_start_is_not_given(tmp_path):
+    doc = base_doc(tmp_path / "out")
+    doc["datasets"]["virtual_start"] = None
+    assert load_config(write_doc(tmp_path, doc)).controller.t_v is None
 
 
 def test_load_config_missing_file(tmp_path):
@@ -405,6 +430,11 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("hyperparams", "fixed"), 0, "hyperparams.fixed"),
         (("hyperparams", "fixed"), False, "hyperparams.fixed"),
         (("hyperparams", "fixed"), "", "hyperparams.fixed"),
+        # the application is a JSON string, never another value cast to one
+        (("flags", "control_application"), True, "flags.control_application"),
+        (("flags", "control_application"), None, "flags.control_application"),
+        (("flags", "control_application"), 3, "flags.control_application"),
+        (("flags", "control_application"), ["subgrid_interpolation"], "flags.control_application"),
     ],
 )
 def test_run_exit_one_on_malformed_value(tmp_path, capsys, path, value, field):

@@ -17,9 +17,9 @@ from lodempc.lodegp import (
     steady_state_input,
 )
 from lodempc.plant import Plant
-from lodempc.polyalg import D, ONE, Poly, PolyMatrix, smith_normal_form
+from lodempc.polyalg import D, ONE, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
 
-from conftest import DENSE6
+from conftest import DENSE6, determinant
 
 
 def controllability_check(system: LinearSystem) -> bool:
@@ -145,8 +145,10 @@ def test_build_prior_shapes_and_mean(unstable_prior):
     assert prior.kernel.size == 3
     assert prior.v_cols.cols == 1
     np.testing.assert_allclose(prior.prior_mean, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(prior.x_ref, [0.0, 0.0])
-    np.testing.assert_allclose(prior.u_ref, [0.0])
+    # the mean is (x_ref, u_ref): the states, then their steady-state input
+    shifted = build_prior(prior.system, [1.0, 0.0]).prior_mean
+    np.testing.assert_allclose(shifted[:2], [1.0, 0.0])
+    np.testing.assert_allclose(shifted[2:], [-1.0])
 
 
 def test_build_prior_annihilates_kernel_columns(unstable_prior):
@@ -172,6 +174,46 @@ def test_build_prior_multiplies_no_polynomial_matrices(system, monkeypatch):
     assert prior.v_cols.cols == 1
     monkeypatch.undo()
     assert (build_h(system) @ prior.v_cols).is_zero
+
+
+def seeded_single_input_systems(per_size: int = 5):
+    """The first ``per_size`` controllable single-input systems with
+    one-decimal entries in [-1, 1] for each n_x in 2..6, from fixed seeds."""
+    systems = []
+    for n_x in range(2, 7):
+        rng = np.random.default_rng([2020, n_x])
+        found = 0
+        while found < per_size:
+            a = rng.integers(-10, 11, (n_x, n_x)) / 10
+            b = rng.integers(-10, 11, (n_x, 1)) / 10
+            ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n_x)])
+            if np.linalg.matrix_rank(ctrb) == n_x:
+                systems.append(pytest.param(LinearSystem(A=a, B=b), id=f"n{n_x}-{found}"))
+                found += 1
+    return systems
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]]), id="bundled"),
+        pytest.param(LinearSystem(A=DENSE6["system"]["A"], B=DENSE6["system"]["B"]), id="dense6"),
+        *seeded_single_input_systems(),
+    ],
+)
+def test_single_input_nullspace_column_is_a_multiple_of_the_characteristic_polynomial(system):
+    # For one input the nullspace of H = [A - dI | B] is free of rank 1, so
+    # Smith's column is the flat-output generator up to a constant c: its
+    # input entry is c·det(dI - A).  The kernel carries c^2; the bundled
+    # plant has c = 1, dense6 has c = -4.9 (ROADMAP item 1).
+    n = system.n_x
+    h = build_h(system)
+    column = right_nullspace_columns(smith_normal_form(h))
+    assert column.cols == 1 and (h @ column).is_zero
+    char = determinant(PolyMatrix(n, n, tuple(-h[i, j] for i in range(n) for j in range(n))))
+    assert char.degree == n and char.leading_coeff == 1
+    u = column[n, 0]
+    assert u.leading_coeff != 0 and u == char.scaled(u.leading_coeff)
 
 
 def test_build_prior_nonzero_reference():
