@@ -221,7 +221,7 @@ def mpc_step(
         knots = np.array([t_now + cfg.dt])
     else:
         knots = np.linspace(t_now, t_now + cfg.dt, cfg.subgrid_count + 1)
-    return ControlSignal(knots, gp.mean(knots)[:, cfg.n_x :]), gp.std(knots[-1:])[0]
+    return ControlSignal(knots, gp.mean(knots, np.arange(cfg.n_x, cfg.n_z))), gp.std(knots[-1:])[0]
 
 
 def run_lag_table(
@@ -238,7 +238,7 @@ def run_lag_table(
 def run_closed_loop(
     prior: LodeGpPrior, plant: Plant, cfg: ControllerConfig, hp: Hyperparams
 ) -> Trajectory:
-    """Execute the full receding-horizon loop and return the sampled run.
+    """Execute the shrinking-horizon loop (step k plans over (t_k, t_end]); return the run.
 
     The trajectory z = (x, u) is the loop's only state.  Row 0 is the given
     initial condition, with std 0; step k is ``mpc_step(prior, cfg, hp,

@@ -252,10 +252,11 @@ def _checked(routine: str, out, info: int):
     return out
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """potrf's lower Cholesky factor of a finite ``a``: L below the diagonal,
-    ``a`` above, as ``scipy.linalg.cho_factor(a, lower=True)[0]``."""
-    return _checked("potrf", *flapack.dpotrf(np.asarray_chkfinite(a), lower=1, clean=0))
+def cho_factor(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """potrf's lower Cholesky factor of a finite ``a``, L below the diagonal and ``a``
+    above: ``scipy.linalg.cho_factor(a, lower=True, overwrite_a=overwrite_a)[0]``."""
+    a = np.asarray_chkfinite(a)
+    return _checked("potrf", *flapack.dpotrf(a, lower=1, clean=0, overwrite_a=overwrite_a))
 
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,12 +266,13 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cho_with_escalation(gram: np.ndarray, jitter: float):
     """Lower Cholesky of gram, escalating an additive diagonal boost by
-    factors of ten (starting at 10x jitter) up to MAX_JITTER."""
-    boost = 0.0
+    factors of ten (starting at 10x jitter) up to MAX_JITTER.  gram is exactly
+    symmetric, so potrf factors ``gram.T`` in place, in Fortran order; a failed
+    attempt wrote only its lower triangle, rebuilt from the upper one."""
+    a, diag, boost = gram.T, gram.diagonal().copy(), 0.0
     while True:
         try:
-            target = gram if boost == 0.0 else gram + boost * np.eye(gram.shape[0])
-            return cho_factor(target), boost
+            return cho_factor(a, overwrite_a=True), boost
         except LinAlgError:
             boost = max(jitter, 1e-10) * 10 if boost == 0.0 else boost * 10
             if boost > MAX_JITTER:
@@ -278,6 +280,9 @@ def _cho_with_escalation(gram: np.ndarray, jitter: float):
                     f"Cholesky failed for {gram.shape[0]}x{gram.shape[0]} Gram "
                     f"matrix even with jitter escalated to {MAX_JITTER:g}"
                 ) from None
+            for j in range(a.shape[0]):
+                a[j + 1 :, j] = a[j, j + 1 :]
+            np.fill_diagonal(gram, diag + boost)
 
 
 class PosteriorGp:
@@ -285,8 +290,8 @@ class PosteriorGp:
     place a Gram is assembled, factored and solved.
 
     An empty dataset is allowed and reproduces the prior, which doubles as
-    the sampling path for unconditioned processes.  Queries always return
-    every channel, regardless of training masks, and are pure: each
+    the sampling path for unconditioned processes.  Queries return every
+    channel (``mean`` those asked for), whatever the masks, and are pure: each
     evaluates its own cross kernel and changes no attribute.  ``residual``
     is z - mu over the observed slots, and ``jitter_boost`` the diagonal
     boost the factorization needed (0.0 for none or no data).  ``table`` is
@@ -311,10 +316,17 @@ class PosteriorGp:
         """Solution alpha of (K + Sigma) alpha = z - mu."""
         return self._alpha
 
-    def _cross(self, t_query: np.ndarray) -> np.ndarray:
+    def _cross(self, t_query: np.ndarray, channels=None) -> np.ndarray:
         """Kernel between query slots (rows, all channels) and training
-        slots (columns, unmasked only)."""
-        return self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp)[:, self.data.slots]
+        slots (columns, unmasked only), F-ordered as numpy's column take leaves
+        it.  ``channels`` evaluates only their rows; the others are 0."""
+        shape = (t_query.size, -1, self.data.slots.size)
+        cross = self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp, channels)
+        if channels is None:
+            return cross[:, self.data.slots]
+        full = np.zeros((t_query.size * self.prior.n_z, shape[2]), order="F")
+        full.reshape(shape)[:, channels] = cross[:, self.data.slots].reshape(shape)
+        return full
 
     def _whiten(self, cross: np.ndarray) -> np.ndarray:
         """v = L^-1 K_xq, so that the posterior covariance's data term is v^T v
@@ -323,19 +335,21 @@ class PosteriorGp:
         cross = np.asarray_chkfinite(cross.T)
         return _checked("trtrs", *flapack.dtrtrs(self._cho, cross, lower=1))
 
-    def _chunks(self, tq: np.ndarray):
+    def _chunks(self, tq: np.ndarray, channels=None):
         """(query rows, cross kernel) per QUERY_CHUNK query times."""
         for lo in range(0, tq.size, QUERY_CHUNK):
-            yield slice(lo, lo + QUERY_CHUNK), self._cross(tq[lo : lo + QUERY_CHUNK])
+            yield slice(lo, lo + QUERY_CHUNK), self._cross(tq[lo : lo + QUERY_CHUNK], channels)
 
-    def mean(self, t_query) -> np.ndarray:
-        """Posterior mean, shape (len(t_query), n_z)."""
+    def mean(self, t_query, channels=None) -> np.ndarray:
+        """Posterior mean, shape (len(t_query), n_z), or ``mean(t)[:, channels]``
+        bit for bit: alpha's product keeps the full cross kernel's shape and
+        order, because BLAS may round a row differently in another one."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         out = np.tile(self.prior.prior_mean, (tq.size, 1))
         if self._alpha.size:
-            for rows, cross in self._chunks(tq):
+            for rows, cross in self._chunks(tq, channels):
                 out[rows] += (cross @ self._alpha).reshape(-1, self.prior.n_z)
-        return out
+        return out if channels is None else out[:, channels]
 
     def cov(self, t_query) -> np.ndarray:
         """Posterior covariance over (query time, channel) slots,

@@ -182,21 +182,21 @@ class OperatorKernel:
             np.concatenate([(lam_pow * value)[has_lam], -0.5 * value]),
         )
 
-    def eval_blocks(self, ts, tps, hp: Hyperparams) -> np.ndarray:
+    def eval_blocks(self, ts, tps, hp: Hyperparams, rows=slice(None)) -> np.ndarray:
         """All channel-pair blocks over two time grids.
 
         Returns an array of shape (size, size, len(ts), len(tps)) where
         [i, j] is K_ij evaluated on the grid outer product.  K_ji(u) is
         bit-equal to K_ij(-u), so swapping the grids transposes the result
-        exactly, and on equal grids it is exactly symmetric.
-        """
-        return self._evaluate(self._compiled, ts, tps, hp)
+        exactly, and on equal grids it is exactly symmetric.  ``rows`` (an
+        index of the first axis) evaluates only those, the same floats."""
+        return self._evaluate(self._compiled, ts, tps, hp, rows)
 
     def eval_blocks_dlam(self, ts, tps, hp: Hyperparams) -> np.ndarray:
         """d/dlam of :meth:`eval_blocks`, lam = 1/lengthscale_sq, same shape."""
         return self._evaluate(self._compiled_dlam, ts, tps, hp)
 
-    def _evaluate(self, compiled, ts, tps, hp: Hyperparams) -> np.ndarray:
+    def _evaluate(self, compiled, ts, tps, hp: Hyperparams, rows=slice(None)) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         tps = np.atleast_1d(np.asarray(tps, dtype=float))
         width, slot, lam_pow, value = compiled
@@ -205,7 +205,7 @@ class OperatorKernel:
         # each u coefficient's terms in coefficient order.
         powers = np.array([lam**b for b in range(lam_pow.max(initial=0) + 1)])
         coeffs = np.bincount(slot, weights=value * powers[lam_pow], minlength=nz * nz * width)
-        coeffs = coeffs.reshape(nz * nz, width, 1)
+        coeffs = coeffs.reshape(nz, nz, width, 1)[rows].reshape(-1, width, 1)
         u = (ts[:, None] - tps[None, :]).reshape(-1)
         # Horner's rule for all entries at once, in numpy polyval's order.  An
         # entry's zero padding keeps its sum at +0.0 until its own top power,
@@ -216,14 +216,14 @@ class OperatorKernel:
             out += coeffs[:, k]
         out *= hp.signal_variance
         out *= np.exp(-0.5 * lam * u * u)
-        return out.reshape(nz, nz, ts.size, tps.size)
+        return out.reshape(-1, nz, ts.size, tps.size)
 
-    def joint_matrix(self, ts, tps, hp: Hyperparams) -> np.ndarray:
-        """Kernel matrix over (time, channel) pairs, point-major ordering:
-        row p*size + i corresponds to (ts[p], channel i)."""
-        blocks = self.eval_blocks(ts, tps, hp)
-        nz, _, n_rows, n_cols = blocks.shape
-        return blocks.transpose(2, 0, 3, 1).reshape(n_rows * nz, n_cols * nz)
+    def joint_matrix(self, ts, tps, hp: Hyperparams, rows=None) -> np.ndarray:
+        """Kernel matrix over (time, channel) pairs, point-major: row p*size + i
+        is (ts[p], channel i), or channel rows[i] for ``rows`` (as in :meth:`eval_blocks`)."""
+        blocks = self.eval_blocks(ts, tps, hp, slice(None) if rows is None else rows)
+        n_ch, nz, n_rows, n_cols = blocks.shape
+        return blocks.transpose(2, 0, 3, 1).reshape(n_rows * n_ch, n_cols * nz)
 
     def describe(self) -> str:
         """Human-readable dump of all entries (1-based channel indices)."""

@@ -72,13 +72,13 @@ def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
     )
 
 
-def _rk4(A, B, x, u, h: float) -> np.ndarray:
+def _rk4(A, x, bu, h: float) -> np.ndarray:
     """The classical RK4 formula for dx/dt = A x + B u(t) over one step h,
-    with ``u`` the input at its start, midpoint and end (rows 0, 1, 2)."""
-    k1 = A @ x + B @ u[0]
-    k2 = A @ (x + 0.5 * h * k1) + B @ u[1]
-    k3 = A @ (x + 0.5 * h * k2) + B @ u[1]
-    k4 = A @ (x + h * k3) + B @ u[2]
+    with ``bu`` the forcing B u at its start, midpoint and end (rows 0, 1, 2)."""
+    k1 = A @ x + bu[0]
+    k2 = A @ (x + 0.5 * h * k1) + bu[1]
+    k3 = A @ (x + 0.5 * h * k2) + bu[1]
+    k4 = A @ (x + h * k3) + bu[2]
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -96,12 +96,13 @@ class Plant(LinearSystem):
         substeps = -(-10 // intervals) * intervals
         x = np.asarray(x, dtype=float)
         sub = h / substeps
-        # The input at every RK4 stage time, sampled once: substep k starts
-        # at t + k*sub.
+        # B u at every RK4 stage time, as stacked B @ u(t) (u @ B.T rounds
+        # differently for n_u >= 2): substep k starts at t + k*sub.
         start = t + np.arange(substeps) * sub
         u = signal.values(np.stack([start, start + 0.5 * sub, start + sub], axis=1).ravel())
+        bu = (self.B @ u[:, :, None])[..., 0]
         for k in range(substeps):
-            x = _rk4(self.A, self.B, x, u[3 * k : 3 * k + 3], sub)
+            x = _rk4(self.A, x, bu[3 * k : 3 * k + 3], sub)
         return x
 
 

@@ -1,6 +1,7 @@
-"""Receding-horizon loop: config validation, dataset assembly, stepping."""
+"""Shrinking-horizon loop: config validation, dataset assembly, stepping."""
 
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from lodempc.controller import (
     run_lag_table,
 )
 from lodempc.config import load_config
-from lodempc.gpcore import Dataset, PosteriorGp, assemble_gram
+from lodempc.gpcore import Dataset, PosteriorGp, assemble_gram, optimize_hyperparams
 from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant, step_exact
@@ -278,9 +279,9 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
     calls, datasets = [], []
     eval_blocks, post_init = OperatorKernel.eval_blocks, Dataset.__post_init__
 
-    def counted(self, ts, tps, hp):
-        calls.append((np.atleast_1d(ts), np.atleast_1d(tps)))
-        return eval_blocks(self, ts, tps, hp)
+    def counted(self, ts, tps, hp, rows=slice(None)):
+        calls.append((np.atleast_1d(ts), np.atleast_1d(tps), rows))
+        return eval_blocks(self, ts, tps, hp, rows)
 
     def built(self):
         datasets.append(self)
@@ -299,7 +300,9 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, a
     assert lags[1].tolist() == [0.0]
     t_next = cfg.lattice[1]
     for cross, lag0, std_cross in ((cross, lag0, std_cross), calls):
-        assert np.array_equal(cross[1], data.t)
+        # the mean's cross kernel is evaluated at the input channel alone
+        assert np.array_equal(cross[1], data.t) and cross[2].tolist() == [2]
+        assert lag0[2] == std_cross[2] == slice(None)
         assert lag0[0].tolist() == [0.0] and lag0[1].tolist() == [0.0]
         assert std_cross[0].tolist() == [t_next] and np.array_equal(std_cross[1], data.t)
     fresh = PosteriorGp(unstable_prior, data, Hyperparams()).std([0.1])
@@ -399,9 +402,9 @@ def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     calls = []
     eval_blocks = OperatorKernel.eval_blocks
 
-    def counted(self, ts, tps, hp):
+    def counted(self, ts, tps, hp, rows=slice(None)):
         calls.append(np.atleast_1d(ts).size)
-        return eval_blocks(self, ts, tps, hp)
+        return eval_blocks(self, ts, tps, hp, rows)
 
     monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
     run_closed_loop(unstable_prior, plant, cfg, Hyperparams())
@@ -434,6 +437,98 @@ def test_run_table_gathers_every_step_gram_bit_for_bit(tmp_path):
             data = build_step_dataset(prior, cfg, z[: k + 1])
             for got, want in zip(assemble_gram(prior, data, hp, table), assemble_gram(prior, data, hp)):
                 assert np.array_equal(got, want), (path.name, k)
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _run(path):
+    """``lodempc run`` on the config at ``path``, without its outputs:
+    (controller config, prior, hyperparameters, trajectory)."""
+    exp = load_config(path)
+    cfg, prior = exp.controller, build_prior(exp.system, exp.x_ref)
+    hp, _ = optimize_hyperparams(
+        prior, initial_dataset(prior, cfg), exp.hp_bounds, exp.hp_fixed, exp.jitter
+    )
+    return cfg, prior, hp, run_closed_loop(prior, Plant(exp.system.A, exp.system.B), cfg, hp)
+
+
+@pytest.fixture(scope="module")
+def dense6_run(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dense6") / "dense6.json"
+    path.write_text(json.dumps(DENSE6))
+    return _run(path)
+
+
+def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, dense6_run):
+    # the factorization reads gram.T, in place, as the same matrix: every
+    # gathered Gram, through the run's table or its own, is exactly
+    # symmetric, down to the sign of a zero
+    cases = []
+    for name in ("baseline", "past", "virtual"):
+        exp = load_config(CONFIG_DIR / f"regulation_{name}.json")
+        prior = build_prior(exp.system, exp.x_ref)
+        hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
+        cases.append((prior, exp.controller, hp, [exp.controller.x0 + exp.controller.u0]))
+    cfg, prior, hp, traj = dense6_run
+    cases += [(prior, cfg, hp, traj.z[: k + 1]) for k in (0, 50)]
+    masked = history(6, z_now=(np.nan, 0.2, 0.1))
+    masked[3, 2] = np.nan
+    cases.append((unstable_prior, make_cfg(m_p=4, t_v=1.0), Hyperparams(), masked))
+    for prior, cfg, hp, z_hist in cases:
+        data = build_step_dataset(prior, cfg, z_hist)
+        for table in (run_lag_table(prior, cfg, hp), None):
+            gram, _ = assemble_gram(prior, data, hp, table)
+            assert np.array_equal(gram.view(np.int64), gram.T.view(np.int64))
+    assert data.slots.size < data.values.size
+
+
+def test_dense6_step_holds_one_gram(dense6_run):
+    # the Gram is factored where it is gathered: a dense6 step peaks at one
+    # n x n array and its query buffers, not at a Gram plus a copy (2.0x)
+    cfg, prior, hp, _ = dense6_run
+    z_hist = [cfg.x0 + cfg.u0]
+    n = build_step_dataset(prior, cfg, z_hist).slots.size
+    table = run_lag_table(prior, cfg, hp)
+    mpc_step(prior, cfg, hp, z_hist, table)
+    tracemalloc.start()
+    try:
+        mpc_step(prior, cfg, hp, z_hist, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 707 and peak <= 1.4 * 8 * n * n
+
+
+def _assert_inputs_mean_is_full_mean(cfg, prior, hp, z_hist):
+    # the control law reads the input channels' mean alone: bit for bit
+    # the columns of the full mean at its knots
+    signal, _ = mpc_step(prior, cfg, hp, z_hist)
+    gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist), hp)
+    inputs = np.arange(cfg.n_x, cfg.n_z)
+    full = gp.mean(signal.knot_times)
+    assert np.array_equal(gp.mean(signal.knot_times, inputs), full[:, inputs])
+    assert np.array_equal(signal.knot_values, full[:, inputs])
+
+
+def test_mean_at_the_input_channels_is_bit_identical(unstable_prior, dense6_run):
+    # the mean evaluates the cross kernel at the input rows only, but
+    # multiplies alpha by the full-shape cross kernel: a product over the
+    # read rows alone rounds differently
+    cfg, prior, hp, traj = _run(CONFIG_DIR / "regulation_virtual.json")
+    for k in range(cfg.n_steps):
+        _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
+    cfg, prior, hp, traj = dense6_run
+    for k in (0, 20, 50, 99):
+        _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
+    # one knot (hold_endpoint), and two inputs
+    cfg = make_cfg(m_p=3, t_v=1.0)
+    for k in (0, 7):
+        _assert_inputs_mean_is_full_mean(cfg, unstable_prior, Hyperparams(), history(k))
+    cfg, prior, hp, traj = _run(GOLDEN_DIR / "algebra_two_input.json")
+    assert cfg.n_u == 2 and cfg.control_application == "hold_endpoint"
+    for k in range(cfg.n_steps):
+        _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
 
 
 def _exact_piecewise_linear(a, b, x, signal):
@@ -522,9 +617,9 @@ def test_closed_loop_holds_one_posterior_at_a_time(unstable_prior, monkeypatch):
         live.add(self)
         init(self, *args, **kw)
 
-    def counted(a):
+    def counted(a, **kw):
         alive_at_factor.append(len(live))
-        return factor(a)
+        return factor(a, **kw)
 
     monkeypatch.setattr(PosteriorGp, "__init__", tracked)
     monkeypatch.setattr(gpcore, "cho_factor", counted)

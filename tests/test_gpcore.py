@@ -463,6 +463,21 @@ def test_mean_chunking_is_seamless(unstable_prior):
     np.testing.assert_allclose(whole, parts, atol=1e-13)
 
 
+def test_mean_at_some_channels_is_the_full_mean_bit_for_bit(unstable_prior):
+    # the cross kernel is evaluated at the asked channels alone, across
+    # query chunks, with masked training slots, and with no data at all
+    hp = Hyperparams(signal_variance=1.4, lengthscale_sq=0.9)
+    values = np.random.default_rng(5).normal(0.0, 1.0, (6, 3))
+    values[::2, 1] = np.nan
+    masked = Dataset(np.linspace(0.0, 1.0, 6), values, np.full((6, 3), 0.01))
+    tq = np.linspace(-1.0, 3.0, gpcore.QUERY_CHUNK + 9)
+    for data in (masked, Dataset()):
+        gp = PosteriorGp(unstable_prior, data, hp)
+        full = gp.mean(tq)
+        for channels in ([2], [0, 2], [1, 0], slice(1, None)):
+            assert np.array_equal(gp.mean(tq, channels), full[:, channels]), channels
+
+
 def test_representer_weights_match_dense_solve(unstable_prior):
     rng = np.random.default_rng(7)
     hp = Hyperparams(signal_variance=1.4, lengthscale_sq=0.9)
@@ -541,10 +556,39 @@ def test_not_positive_definite_raises_linalg_error_and_escalates_as_scipy(monkey
     gram = v @ v.T  # rank 3: positive semidefinite, not definite
     with pytest.raises(scipy.linalg.LinAlgError):
         gpcore.cho_factor(gram)
-    c, boost = gpcore._cho_with_escalation(gram, 1e-12)
-    monkeypatch.setattr(gpcore, "cho_factor", lambda a: scipy.linalg.cho_factor(a, lower=True)[0])
-    c_ref, boost_ref = gpcore._cho_with_escalation(gram, 1e-12)
+    # the escalation owns and overwrites its Gram, so each call gets a copy
+    c, boost = gpcore._cho_with_escalation(gram.copy(), 1e-12)
+    monkeypatch.setattr(
+        gpcore,
+        "cho_factor",
+        lambda a, overwrite_a=False: scipy.linalg.cho_factor(a, lower=True, overwrite_a=overwrite_a)[0],
+    )
+    c_ref, boost_ref = gpcore._cho_with_escalation(gram.copy(), 1e-12)
     assert boost > 0 and boost == boost_ref and np.array_equal(c, c_ref)
+
+
+def test_dataset_gram_that_needs_a_boost_is_factored_in_place(unstable_prior):
+    # 30 exact points 0.01 apart at a large signal variance, one channel
+    # masked on every third row: the Gram fails three times before it
+    # factors.  Each retry rebuilds it from the triangle potrf leaves
+    # alone, so the escalation ends on the boost, and on the factor (both
+    # triangles), that scipy's cho_factor gives on untouched copies
+    values = np.random.default_rng(0).normal(0.0, 1.0, (30, 3))
+    values[::3, 1] = np.nan
+    data = Dataset(np.arange(30) * 0.01, values, np.zeros((30, 3)))
+    gram, _ = assemble_gram(unstable_prior, data, Hyperparams(1e7, 1.0, jitter=0.0))
+    untouched = gram.copy()
+    c, boost = gpcore._cho_with_escalation(gram, 0.0)
+    assert np.shares_memory(c, gram)
+    want = 0.0
+    while True:
+        try:
+            ref = scipy.linalg.cho_factor(untouched + want * np.eye(gram.shape[0]), lower=True)[0]
+            break
+        except scipy.linalg.LinAlgError:
+            want = 1e-9 if want == 0.0 else want * 10
+    assert boost == want > 1e-8
+    assert np.array_equal(c.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

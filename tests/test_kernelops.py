@@ -246,6 +246,17 @@ def test_joint_matrix_is_bit_exact_symmetric(kernel):
     assert np.array_equal(gram, gram.T)
 
 
+def test_joint_matrix_rows_are_the_full_rows_bit_for_bit(kernel):
+    # ``rows`` evaluates only those row channels: row p*len(rows) + r is
+    # row p*nz + rows[r] of the full matrix
+    hp = Hyperparams(signal_variance=1.7, lengthscale_sq=0.6)
+    ts, tps = np.linspace(-1.0, 2.0, 7), np.linspace(0.0, 3.0, 5)
+    full = kernel.joint_matrix(ts, tps, hp).reshape(ts.size, 3, -1)
+    for rows in ([2], [0, 2], [1, 0], slice(1, None)):
+        part = kernel.joint_matrix(ts, tps, hp, rows)
+        assert np.array_equal(part, full[:, rows].reshape(-1, full.shape[2])), rows
+
+
 def test_joint_matrix_is_positive_semidefinite(kernel):
     hp = Hyperparams(signal_variance=0.5, lengthscale_sq=2.0)
     ts = np.linspace(0.0, 5.0, 17)
