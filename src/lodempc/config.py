@@ -34,7 +34,7 @@ SECTIONS = {
     "bounds": ("z_min", "z_max"),
     "datasets": ("constraint_grid", "past_window", "virtual_start"),
     "hyperparams": ("bounds", "fixed", "jitter"),
-    "flags": ("constraint_noise_is_variance", "control_application", "subgrid_count"),
+    "flags": ("control_application",),
     "outputs": ("directory", "trajectory_csv", "metrics_json", "samples_csv"),
 }
 OPTIONAL_SECTIONS = ("flags", "outputs")
@@ -137,13 +137,6 @@ def _integer(value, field: str) -> int:
     return value
 
 
-def _flag(value, field: str) -> bool:
-    """A JSON true or false; bool("false") would be True."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{field} must be true or false, got {value!r}")
-    return value
-
-
 def _pair(value, field: str) -> tuple:
     """(lo, hi) as floats, a ConfigError naming ``field`` if not a pair."""
     try:
@@ -170,6 +163,11 @@ _positive = _checked(_number, lambda v: v > 0, "be positive")
 _non_negative = _checked(_number, lambda v: v >= 0, "be >= 0")
 _seed = _checked(_integer, lambda n: n >= 0, "be >= 0")
 _count = _checked(_integer, lambda n: n >= 1, "be >= 1")
+#: ``flags.control_application`` may name the one way a plan is applied:
+#: linear between the knots of ``mpc_step``.
+_application = _checked(
+    lambda value, _: value, lambda v: v == "subgrid_interpolation", 'be "subgrid_interpolation"'
+)
 
 
 def _or_null(parse):
@@ -245,12 +243,8 @@ def load_config(path) -> ExperimentConfig:
         constraint_grid=_field(doc, "datasets.constraint_grid", _grid_times),
         m_p=_field(doc, "datasets.past_window", _integer, optional=True),
         t_v=_field(doc, "datasets.virtual_start", _or_null(_number), optional=True),
-        constraint_noise_is_variance=_field(
-            doc, "flags.constraint_noise_is_variance", _flag, optional=True
-        ),
-        control_application=_field(doc, "flags.control_application", _text, optional=True),
-        subgrid_count=_field(doc, "flags.subgrid_count", _integer, optional=True),
     )
+    _field(doc, "flags.control_application", _application, optional=True)
     if controller.n_x != system.n_x or controller.n_u != system.n_u:
         raise ConfigError("initial condition dimensions do not match the system matrices")
     return _build(

@@ -7,8 +7,9 @@ observed z = (x, u), one row per ``dt`` lattice step.  Step ``k`` is at time
 observation, soft box points, the past window and virtual reference points)
 as array blocks into one :class:`Dataset`, and :func:`mpc_step` conditions
 the ODE-consistent prior on it.  The posterior mean of the control channels
-over the next interval is applied to the plant, and the new row is appended;
-row 0 is the given initial condition.  Inspecting a step means replaying it:
+at ``SUBGRID_COUNT + 1`` knots over the next interval, linear between them,
+is applied to the plant, and the new row is appended; row 0 is the given
+initial condition.  Inspecting a step means replaying it:
 ``mpc_step(prior, cfg, hp, traj.z[:k+1])`` gives step ``k``'s control and
 std back bit for bit, and ``PosteriorGp(prior, build_step_dataset(prior,
 cfg, traj.z[:k+1]), hp)`` its posterior.
@@ -51,6 +52,10 @@ TIME_TOL = 1e-9
 #: State norm beyond which the closed loop is declared divergent.
 DIVERGENCE_LIMIT = 1e6
 
+#: Knot intervals of a step's control over [t_k, t_k + dt]: its posterior
+#: mean at SUBGRID_COUNT + 1 knots spread evenly, linear between them.
+SUBGRID_COUNT = 10
+
 #: A run's lag table holds R^2 int64 indices over its R distinct times, R at
 #: most its lattice and grid times together (32 MB at this cap).  A run with
 #: more of those builds none; its steps gather from tables over their own
@@ -77,9 +82,6 @@ class ControllerConfig:
     constraint_grid: tuple
     m_p: int = 0
     t_v: float | None = None
-    constraint_noise_is_variance: bool = False
-    control_application: str = "hold_endpoint"
-    subgrid_count: int = 10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
@@ -107,12 +109,6 @@ class ControllerConfig:
             raise ValueError("x_ref must match the state dimension")
         if self.m_p < 0:
             raise ValueError("m_p must be >= 0")
-        if self.control_application not in ("hold_endpoint", "subgrid_interpolation"):
-            raise ValueError(
-                f"unknown control_application {self.control_application!r}"
-            )
-        if self.subgrid_count < 1:
-            raise ValueError("subgrid_count must be >= 1")
         if any(b <= a for a, b in zip(self.constraint_grid, self.constraint_grid[1:])):
             raise ValueError("constraint grid times must be strictly increasing")
         grid_t = np.array(self.constraint_grid, dtype=float)
@@ -155,8 +151,7 @@ def build_step_dataset(prior: LodeGpPrior, cfg: ControllerConfig, z_hist) -> Dat
 
     * the current observation z_hist[k] at t_k, exact (NaN masks a channel);
     * soft box points at the grid times after step k up to ``t_v``: value =
-      box center, noise from the half-width (squared unless the config says
-      the half-width already is a variance);
+      box center, noise variance the squared half-width;
     * up to ``m_p`` observations before step k, exact;
     * exact reference points at the grid times after both step k and
       ``t_v`` (none if ``t_v`` is None).
@@ -182,7 +177,7 @@ def build_step_dataset(prior: LodeGpPrior, cfg: ControllerConfig, z_hist) -> Dat
     b_past = b_soft + past.size
     values[0] = z_hist[k_now]
     values[1:b_soft] = 0.5 * (hi + lo)
-    noise[1:b_soft] = half if cfg.constraint_noise_is_variance else half * half
+    noise[1:b_soft] = half * half
     values[b_soft:b_past] = z_hist[past]
     values[b_past:] = prior.prior_mean
     return Dataset(t, values, noise)
@@ -207,9 +202,8 @@ def mpc_step(
     """The control law of step k = len(z_hist) - 1: condition on its dataset
     and return the control for [t_k, t_k + dt] and the posterior std at its
     last knot, t_k + dt.  The control is the posterior mean of the input
-    channels at its knots: t_k + dt alone (``hold_endpoint``, a held input)
-    or ``subgrid_count + 1`` knots spread evenly over the interval.  The
-    posterior is freed on return.
+    channels at ``SUBGRID_COUNT + 1`` knots spread evenly over the interval.
+    The posterior is freed on return.
 
     A pure function of its arguments: ``mpc_step(prior, cfg, hp,
     traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``
@@ -217,10 +211,7 @@ def mpc_step(
     with or without it."""
     gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist), hp, table)
     t_now = cfg.lattice[len(z_hist) - 1]
-    if cfg.control_application == "hold_endpoint":
-        knots = np.array([t_now + cfg.dt])
-    else:
-        knots = np.linspace(t_now, t_now + cfg.dt, cfg.subgrid_count + 1)
+    knots = np.linspace(t_now, t_now + cfg.dt, SUBGRID_COUNT + 1)
     return ControlSignal(knots, gp.mean(knots, np.arange(cfg.n_x, cfg.n_z))), gp.std(knots[-1:])[0]
 
 

@@ -1,10 +1,8 @@
 """Ground-truth simulator for dx/dt = A x + B u(t).
 
-The input over one interval is a :class:`ControlSignal`.  A held input (one
-knot) is stepped exactly through the matrix exponential of the augmented
-matrix [[A, B], [0, 0]] (scaling-and-squaring); a piecewise-linear input is
-integrated with classical RK4 on substeps that each lie inside one knot
-interval.  Exact stepping isolates controller behavior from integrator error.
+The input over one interval is a :class:`ControlSignal`: knots, linear
+between them.  The plant integrates it with classical RK4 on substeps that
+each lie inside one knot interval, since RK4 loses its order across a kink.
 """
 
 from __future__ import annotations
@@ -15,14 +13,14 @@ import numpy as np
 
 from .lodegp import LinearSystem
 
-__all__ = ["ControlSignal", "Plant", "Trajectory", "step_exact"]
+__all__ = ["ControlSignal", "Plant", "Trajectory"]
 
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """The input u(t) as knots: ``knot_times`` (K,) strictly increasing and
-    ``knot_values`` (K, n_u), linear between knots and held outside them, so
-    one knot is a held input.  Both are read-only arrays."""
+    """The input u(t) as knots: ``knot_times`` (K,), K >= 2, strictly
+    increasing and ``knot_values`` (K, n_u), linear between knots and held
+    outside them.  Both are read-only arrays."""
 
     knot_times: np.ndarray
     knot_values: np.ndarray
@@ -30,8 +28,8 @@ class ControlSignal:
     def __post_init__(self) -> None:
         times = np.array(self.knot_times, dtype=float)
         values = np.array(self.knot_values, dtype=float)
-        if times.ndim != 1 or not times.size or np.any(np.diff(times) <= 0):
-            raise ValueError(f"knot times must be 1-D, non-empty and strictly increasing: {times}")
+        if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+            raise ValueError(f"knot times must be 1-D, at least two and strictly increasing: {times}")
         if values.ndim != 2 or values.shape[0] != times.size:
             raise ValueError(
                 f"knot_values must have shape ({times.size}, n_u), got {values.shape}"
@@ -52,26 +50,6 @@ class ControlSignal:
         ).T.copy()
 
 
-def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
-    """Advance one step under constant input using the matrix exponential of
-    the augmented matrix: x+ = e^{Ah} x + (integral of e^{As} ds) B u.
-    Imported here, ``scipy.linalg`` loads only for held inputs."""
-    from scipy.linalg import expm
-
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    n_x, n_u = B.shape
-    aug = np.zeros((n_x + n_u, n_x + n_u))
-    aug[:n_x, :n_x] = A
-    aug[:n_x, n_x:] = B
-    phi = expm(aug * h)
-    return phi[:n_x, :n_x] @ np.asarray(x, dtype=float) + phi[:n_x, n_x:] @ np.atleast_1d(
-        np.asarray(u_const, dtype=float)
-    )
-
-
 def _rk4(A, x, bu, h: float) -> np.ndarray:
     """The classical RK4 formula for dx/dt = A x + B u(t) over one step h,
     with ``bu`` the forcing B u at its start, midpoint and end (rows 0, 1, 2)."""
@@ -86,12 +64,9 @@ class Plant(LinearSystem):
     """Simulator of the system dx/dt = A x + B u, which validates (A, B)."""
 
     def advance(self, x, signal: ControlSignal, t: float, h: float) -> np.ndarray:
-        """Integrate over [t, t+h]: exactly for a held (one-knot) signal,
-        otherwise RK4 on at least ten substeps, a multiple of the signal's
-        knot intervals, so that substeps of knots spread evenly over [t, t+h]
-        never straddle a kink (RK4 loses its order across one)."""
-        if signal.knot_times.size == 1:
-            return step_exact(self.A, self.B, x, signal.knot_values[0], h)
+        """Integrate over [t, t+h] by RK4 on at least ten substeps, a
+        multiple of the signal's knot intervals, so that substeps of knots
+        spread evenly over [t, t+h] never straddle a kink."""
         intervals = signal.knot_times.size - 1
         substeps = -(-10 // intervals) * intervals
         x = np.asarray(x, dtype=float)

@@ -1,11 +1,12 @@
 """Shared fixtures: the 2-state unstable benchmark system and its GP prior,
 and seeded random controllable 4-state priors.  Shared helpers: the dense
 6-state benchmark config, a run's reconstruction from its recorded samples,
-a textbook RK4 oracle for the plant, and the exact-algebra oracles the
-package does not need at run time (polynomial determinant, identity and
-inverse, a Smith decomposition's certificate and its recovered left
-transform, a kernel entry's symbol, a kernel term differentiated step by
-step, a kernel term summed at one point)."""
+a textbook RK4 oracle for the plant, the exact flow under a held input
+(matrix exponential) and a held input as a signal, and the exact-algebra
+oracles the package does not need at run time (polynomial determinant,
+identity and inverse, a Smith decomposition's certificate and its recovered
+left transform, a kernel entry's symbol, a kernel term differentiated step
+by step, a kernel term summed at one point)."""
 
 import math
 from itertools import combinations
@@ -13,8 +14,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import expm
 
-from lodempc import Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
+from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
 from lodempc.kernelops import GaussPolyTerm
 from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix
 
@@ -109,6 +111,29 @@ def rk4_by_value(a, b, x, sig, t, h, substeps=1):
         k4 = a @ (x + sub * k3) + b @ sig.value(tk + sub)
         x = x + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def step_exact(A, B, x, u_const, h: float) -> np.ndarray:
+    """Advance one step under constant input using the matrix exponential of
+    the augmented matrix: x+ = e^{Ah} x + (integral of e^{As} ds) B u."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B[:, None]
+    n_x, n_u = B.shape
+    aug = np.zeros((n_x + n_u, n_x + n_u))
+    aug[:n_x, :n_x] = A
+    aug[:n_x, n_x:] = B
+    phi = expm(aug * h)
+    return phi[:n_x, :n_x] @ np.asarray(x, dtype=float) + phi[:n_x, n_x:] @ np.atleast_1d(
+        np.asarray(u_const, dtype=float)
+    )
+
+
+def held(u) -> ControlSignal:
+    """The constant input ``u`` as a signal: two equal knots, held outside
+    them, so every time reads ``u`` exactly."""
+    return ControlSignal([0.0, 1.0], [u, u])
 
 
 def identity(n: int) -> PolyMatrix:

@@ -27,16 +27,18 @@ from lodempc.gpcore import (
 )
 from lodempc.kernelops import Hyperparams, apply_symbol
 from lodempc.lodegp import LinearSystem, build_h, build_prior
-from lodempc.plant import ControlSignal, Plant, step_exact
+from lodempc.plant import Plant
 from lodempc.polyalg import D, ONE, ZERO, PolyMatrix, smith_normal_form
 
 from conftest import (
     determinant,
     entry_symbol,
     evaluate_term,
+    held,
     left_transform,
     posterior_from_trajectory,
     rk4_by_value,
+    step_exact,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -319,7 +321,7 @@ def test_criterion_8_integrator_cross_oracle():
     u = [1.3]
 
     exact = step_exact(plant.A, plant.B, x, u, 0.1)
-    sig = ControlSignal([0.0], [u])
+    sig = held(u)
     got = rk4_by_value(plant.A, plant.B, x, sig, 0.0, 0.1, 20)
     agree = float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
 

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
-from lodempc import cli
+from lodempc import cli, controller, gpcore
 from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
 from lodempc.controller import ControllerConfig
@@ -71,7 +72,6 @@ def test_load_config_happy_path(config_path, tmp_path):
     )
     assert cfg.controller.m_p == 0
     assert cfg.controller.t_v is None
-    assert cfg.controller.control_application == "hold_endpoint"
     assert cfg.hp_fixed == {"signal_variance": 0.5, "lengthscale_sq": 1.0}
     assert cfg.jitter == 1e-9
     assert cfg.seed == 7
@@ -88,16 +88,11 @@ def test_load_config_explicit_grid_times(tmp_path):
 
 
 def test_load_config_flags_section(tmp_path):
+    # the one way to apply a plan may be named; naming it changes nothing
     doc = base_doc(tmp_path / "out")
-    doc["flags"] = {
-        "control_application": "subgrid_interpolation",
-        "subgrid_count": 4,
-        "constraint_noise_is_variance": True,
-    }
-    cfg = load_config(write_doc(tmp_path, doc))
-    assert cfg.controller.control_application == "subgrid_interpolation"
-    assert cfg.controller.subgrid_count == 4
-    assert cfg.controller.constraint_noise_is_variance
+    bare = load_config(write_doc(tmp_path, doc, "bare.json")).controller
+    doc["flags"] = {"control_application": "subgrid_interpolation"}
+    assert load_config(write_doc(tmp_path, doc)).controller == bare
 
 
 def test_load_config_absent_optional_fields_take_the_library_defaults(tmp_path):
@@ -108,9 +103,7 @@ def test_load_config_absent_optional_fields_take_the_library_defaults(tmp_path):
     cfg = load_config(write_doc(tmp_path, doc))
     fields = dataclasses.fields(ControllerConfig)
     optional = [f for f in fields if f.default is not dataclasses.MISSING]
-    assert [f.name for f in optional] == [
-        "m_p", "t_v", "constraint_noise_is_variance", "control_application", "subgrid_count"
-    ]
+    assert [f.name for f in optional] == ["m_p", "t_v"]
     for f in optional:
         assert getattr(cfg.controller, f.name) == f.default, f.name
     assert cfg.jitter == Hyperparams().jitter
@@ -321,7 +314,7 @@ def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypa
 
 
 def test_run_closes_the_loop_on_two_inputs(tmp_path, monkeypatch):
-    # no outputs section and no flags: each step holds a two-channel input
+    # no outputs section and no flags: each step applies a two-channel plan
     for name in ("a", "b"):
         monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / name))
         assert main(["run", str(GOLDEN_DIR / "algebra_two_input.json")]) == 0
@@ -358,14 +351,23 @@ def test_run_exit_one_on_horizon_off_the_lattice(tmp_path, capsys):
     assert "horizon length must be an integer multiple of dt" in capsys.readouterr().err
 
 
-def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
-    # read as missing, the flag would fall back to the zero-order hold, which
-    # destabilizes this experiment (exit 2)
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("control_aplication", "subgrid_interpolation"),
+        # the knot count and the soft-point noise rule are fixed: their
+        # former keys are unknown, even at the values that were defaults
+        ("subgrid_count", 10),
+        ("constraint_noise_is_variance", False),
+    ],
+)
+def test_run_exit_one_on_an_unknown_flag(tmp_path, capsys, key, value):
+    # a misspelt or removed key is rejected, not read as missing
     doc = json.loads((CONFIG_DIR / "regulation_past.json").read_text())
-    doc["flags"] = {"control_aplication": doc["flags"]["control_application"]}
+    doc["flags"] = {key: value}
     doc["outputs"]["directory"] = str(tmp_path / "out")
     assert main(["run", str(write_doc(tmp_path, doc))]) == 1
-    assert "unknown key 'control_aplication' in section 'flags'" in capsys.readouterr().err
+    assert f"unknown key '{key}' in section 'flags'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -391,9 +393,6 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("datasets", "past_window"), True, "datasets.past_window"),
         (("datasets", "past_window"), "3", "datasets.past_window"),
         (("datasets", "constraint_grid", "count"), 99.5, "constraint_grid count"),
-        (("flags", "subgrid_count"), 4.9, "flags.subgrid_count"),
-        (("flags", "constraint_noise_is_variance"), "false", "flags.constraint_noise_is_variance"),
-        (("flags", "constraint_noise_is_variance"), 0, "flags.constraint_noise_is_variance"),
         # numbers are JSON numbers: no numeric strings, no true/false
         (("horizon", "t0"), True, "horizon.t0"),
         (("horizon", "t_end"), "10", "horizon.t_end"),
@@ -430,7 +429,10 @@ def test_run_exit_one_on_misspelt_flag(tmp_path, capsys):
         (("hyperparams", "fixed"), 0, "hyperparams.fixed"),
         (("hyperparams", "fixed"), False, "hyperparams.fixed"),
         (("hyperparams", "fixed"), "", "hyperparams.fixed"),
-        # the application is a JSON string, never another value cast to one
+        # the application is the one way to apply a plan, named as a JSON
+        # string: not the removed zero-order hold, nor another value
+        (("flags", "control_application"), "hold_endpoint", "flags.control_application"),
+        (("flags", "control_application"), "", "flags.control_application"),
         (("flags", "control_application"), True, "flags.control_application"),
         (("flags", "control_application"), None, "flags.control_application"),
         (("flags", "control_application"), 3, "flags.control_application"),
@@ -482,26 +484,31 @@ def test_run_exit_one_on_non_controllable_system(tmp_path, capsys):
     assert "not controllable" in capsys.readouterr().err
 
 
-def test_run_exit_two_on_divergence(tmp_path):
-    # zero-order hold plus a long exact-history window destabilizes the
-    # unstable benchmark; the loop guard converts that into exit code 2
-    doc = {
-        "system": {"A": [[0.0, 1.0], [1.0, 1.0]], "B": [[0.0], [1.0]]},
-        "reference": {"x_ref": [0.0, 0.0]},
-        "initial": {"x0": [1.0, 0.0], "u0": [0.0]},
-        "horizon": {"t0": 0.0, "t_end": 12.0, "dt": 0.1},
-        "bounds": {"z_min": [-1.0, -1.0, -2.5], "z_max": [1.0, 1.0, 2.5]},
-        "datasets": {
-            "constraint_grid": {"start": 0.1, "stop": 12.0, "count": 120},
-            "past_window": 20,
-        },
-        "hyperparams": {
-            "fixed": {"signal_variance": 0.289, "lengthscale_sq": 0.916},
-            "jitter": 1e-8,
-        },
-        "outputs": {"directory": str(tmp_path / "out")},
-    }
-    assert main(["run", str(write_doc(tmp_path, doc))]) == 2
+def test_run_exit_two_on_divergence(tmp_path, capsys, monkeypatch):
+    # the loop guard converts a state past DIVERGENCE_LIMIT into exit code 2,
+    # and no outputs are written
+    monkeypatch.setattr(controller, "DIVERGENCE_LIMIT", 0.1)
+    assert main(["run", str(write_doc(tmp_path, base_doc(tmp_path / "out")))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state norm") and "closed loop aborted" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_exit_two_on_factorization_failure(tmp_path, capsys, monkeypatch):
+    # a Gram that fails to factor at every boost up to MAX_JITTER is exit
+    # code 2, after the escalation has tried each boost
+    calls = []
+
+    def failing(a, overwrite_a=False):
+        calls.append(a.shape)
+        raise LinAlgError("LAPACK potrf returned info 1")
+
+    monkeypatch.setattr(gpcore, "cho_factor", failing)
+    assert main(["run", str(write_doc(tmp_path, base_doc(tmp_path / "out")))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Cholesky failed")
+    assert f"jitter escalated to {gpcore.MAX_JITTER:g}" in err
+    assert len(calls) >= 5 and not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

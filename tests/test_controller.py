@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from lodempc import controller, gpcore
 from lodempc.controller import (
+    SUBGRID_COUNT,
     ControllerConfig,
     PlantDivergenceError,
     build_step_dataset,
@@ -23,9 +24,9 @@ from lodempc.config import load_config
 from lodempc.gpcore import Dataset, PosteriorGp, assemble_gram, optimize_hyperparams
 from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
-from lodempc.plant import Plant, step_exact
+from lodempc.plant import Plant
 
-from conftest import DENSE6, posterior_from_trajectory
+from conftest import DENSE6, posterior_from_trajectory, step_exact
 
 
 def make_cfg(**overrides):
@@ -70,8 +71,6 @@ def test_config_derived_quantities():
         {"z_min": (2.0, -1.0, -2.5)},  # lo > hi
         {"x_ref": (0.0,)},
         {"m_p": -1},
-        {"control_application": "zeroth_order_hold"},
-        {"subgrid_count": 0},
         {"constraint_grid": (0.2, 0.1)},  # not increasing
         {"constraint_grid": (0.15,)},  # off the dt lattice
     ],
@@ -136,12 +135,6 @@ def test_d_con_future_only_with_box_statistics(unstable_prior):
     np.testing.assert_array_equal(values, np.zeros((5, 3)))  # box centers
     np.testing.assert_array_equal(noise, np.tile([1.0, 1.0, 2.5**2], (5, 1)))  # half-width squared
     assert len(ds) == 6
-
-
-def test_d_con_variance_flag_uses_half_width_directly(unstable_prior):
-    cfg = make_cfg(constraint_noise_is_variance=True)
-    _, _, noise = soft_rows(build_step_dataset(unstable_prior, cfg, history(19)))
-    np.testing.assert_array_equal(noise, [[1.0, 1.0, 2.5]])
 
 
 def test_d_con_asymmetric_box_center(unstable_prior):
@@ -230,31 +223,20 @@ def test_initial_dataset_virtual_switch(unstable_prior):
 # ---------------------------------------------------------------------------
 
 
-def test_mpc_step_hold_returns_constant_signal(unstable_prior):
+def test_mpc_step_returns_piecewise_linear(unstable_prior):
+    # SUBGRID_COUNT + 1 knots spread evenly over [t_k, t_k + dt], each the
+    # mean of the control channel there, of the posterior on the step's own
+    # dataset; the std is that posterior's at the last knot, t_next
     cfg = make_cfg()
     signal, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
-    # one knot, at t_next: a held input
-    assert signal.knot_times.tolist() == [0.1]
-    assert signal.knot_values.shape == (1, 1)
-    # the held value is the mean of the control channel at t_next, of the
-    # posterior on the step's own dataset, and the std is that posterior's
     gp = PosteriorGp(unstable_prior, build_step_dataset(unstable_prior, cfg, history(0)), Hyperparams())
-    np.testing.assert_allclose(signal.value(0.1), [gp.mean(np.array([0.1]))[0, 2]])
+    assert np.array_equal(signal.knot_times, np.linspace(0.0, 0.1, SUBGRID_COUNT + 1))
+    assert signal.knot_values.shape == (SUBGRID_COUNT + 1, 1)
+    np.testing.assert_allclose(
+        signal.knot_values[:, 0], gp.mean(signal.knot_times)[:, 2], atol=1e-12
+    )
     assert std_next.shape == (3,)
     assert np.array_equal(std_next, gp.std(np.array([0.1]))[0])
-
-
-def test_mpc_step_subgrid_returns_piecewise_linear(unstable_prior):
-    cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
-    signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
-    gp = PosteriorGp(unstable_prior, build_step_dataset(unstable_prior, cfg, history(0)), Hyperparams())
-    assert signal.knot_values.shape == (5, 1)
-    assert signal.knot_times[0] == pytest.approx(0.0)
-    assert signal.knot_times[-1] == pytest.approx(0.1)
-    knots = np.array(signal.knot_times)
-    np.testing.assert_allclose(
-        np.array(signal.knot_values)[:, 0], gp.mean(knots)[:, 2], atol=1e-12
-    )
 
 
 def test_mpc_step_pins_current_observation(unstable_prior):
@@ -266,14 +248,13 @@ def test_mpc_step_pins_current_observation(unstable_prior):
     np.testing.assert_allclose(at_now, z_now, atol=1e-4)
 
 
-@pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
-def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch, application):
+def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch):
     # one dataset; the Gram's lag table, the cross kernel at the mean's
     # query times, and the std's: its prior variance is the one-point lag-0
     # term, and its data term its own one-row cross kernel at t_next.  With
     # the run's table, whose kernel is frozen at these hyperparameters, the
     # Gram evaluates none.
-    cfg = make_cfg(control_application=application, subgrid_count=4)
+    cfg = make_cfg()
     data = build_step_dataset(unstable_prior, cfg, history(0))
     table = run_lag_table(unstable_prior, cfg, Hyperparams())
     calls, datasets = [], []
@@ -352,13 +333,12 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
     assert np.all(traj.stds >= 0.0)
 
 
-@pytest.mark.parametrize("application", ["hold_endpoint", "subgrid_interpolation"])
-def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch, application):
+def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch):
     # the trajectory is the loop's only state: replaying step k on the
     # recorded z[:k+1], without the run's lag table, gives back its control
     # and std exactly; all four dataset blocks are in play.  The run factors
     # each step's Gram once.
-    cfg = make_cfg(m_p=5, t_v=1.0, control_application=application, subgrid_count=4)
+    cfg = make_cfg(m_p=5, t_v=1.0)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
     factored = []
@@ -381,7 +361,7 @@ def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch, appli
 def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkeypatch):
     # a run past MAX_TABLE_TIMES builds no table, and its steps gather from
     # tables over their own times: the same trajectory, bit for bit
-    cfg = make_cfg(m_p=5, t_v=1.0, control_application="subgrid_interpolation", subgrid_count=4)
+    cfg = make_cfg(m_p=5, t_v=1.0)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
     assert run_lag_table(unstable_prior, cfg, hp) is not None
@@ -521,12 +501,9 @@ def test_mean_at_the_input_channels_is_bit_identical(unstable_prior, dense6_run)
     cfg, prior, hp, traj = dense6_run
     for k in (0, 20, 50, 99):
         _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
-    # one knot (hold_endpoint), and two inputs
-    cfg = make_cfg(m_p=3, t_v=1.0)
-    for k in (0, 7):
-        _assert_inputs_mean_is_full_mean(cfg, unstable_prior, Hyperparams(), history(k))
+    # two inputs
     cfg, prior, hp, traj = _run(GOLDEN_DIR / "algebra_two_input.json")
-    assert cfg.n_u == 2 and cfg.control_application == "hold_endpoint"
+    assert cfg.n_u == 2
     for k in range(cfg.n_steps):
         _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
 
@@ -548,10 +525,9 @@ def _exact_piecewise_linear(a, b, x, signal):
 
 
 def test_closed_loop_plant_substeps_follow_subgrid_knots(unstable_prior):
-    # with 4 knots per step, RK4 substeps must not straddle a knot kink:
-    # each step then matches the exact piecewise-linear flow (ten
-    # straddling substeps are off by about 1e-6 here)
-    cfg = make_cfg(control_application="subgrid_interpolation", subgrid_count=4)
+    # RK4 substeps must not straddle a knot kink of the plan: each step
+    # then matches the exact piecewise-linear flow
+    cfg = make_cfg()
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams()
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)
@@ -567,7 +543,6 @@ def test_closed_loop_regulates_the_unstable_plant(unstable_prior):
     cfg = make_cfg(
         t_end=4.0,
         constraint_grid=tuple(np.round(np.arange(0.1, 4.01, 0.1), 10)),
-        control_application="subgrid_interpolation",
     )
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
@@ -608,7 +583,7 @@ def test_closed_loop_holds_one_posterior_at_a_time(unstable_prior, monkeypatch):
     # mpc_step frees its posterior on return: when a step factors its Gram,
     # its own posterior is the only one alive, so the loop never holds two
     # Cholesky factors
-    cfg = make_cfg(m_p=5, t_v=1.0, control_application="subgrid_interpolation")
+    cfg = make_cfg(m_p=5, t_v=1.0)
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     live, alive_at_factor = weakref.WeakSet(), []
     init, factor = PosteriorGp.__init__, gpcore.cho_factor
@@ -637,7 +612,7 @@ def test_posterior_from_trajectory_reconstructs_run(unstable_prior):
     # the reconstruction passes near the recorded samples (pin accuracy is
     # bounded by jitter times the representer-weight scale) and, unlike the
     # raw records, is differentiable and consistent with the dynamics
-    cfg = make_cfg(control_application="subgrid_interpolation")
+    cfg = make_cfg()
     plant = Plant([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]])
     hp = Hyperparams(signal_variance=0.3, lengthscale_sq=0.9, jitter=1e-9)
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)

@@ -478,6 +478,21 @@ def test_mean_at_some_channels_is_the_full_mean_bit_for_bit(unstable_prior):
             assert np.array_equal(gp.mean(tq, channels), full[:, channels]), channels
 
 
+def test_cross_kernel_is_fortran_ordered(unstable_prior):
+    # cross @ alpha rounds by the cross kernel's memory order (a C-ordered
+    # copy moved a mean by 6.7e-15): the full kernel is F-ordered as numpy's
+    # column take leaves it, and the channel scatter builds its own F-ordered
+    hp = Hyperparams(signal_variance=1.4, lengthscale_sq=0.9)
+    values = np.random.default_rng(5).normal(0.0, 1.0, (6, 3))
+    values[::2, 1] = np.nan
+    gp = PosteriorGp(unstable_prior, Dataset(np.linspace(0.0, 1.0, 6), values, np.zeros((6, 3))), hp)
+    for tq in (np.linspace(0.0, 0.1, 11), np.array([0.35, 2.0])):
+        for channels in (None, [2], [0, 2]):
+            cross = gp._cross(tq, channels)
+            assert cross.shape == (3 * tq.size, 15)
+            assert cross.flags.f_contiguous and not cross.flags.c_contiguous, channels
+
+
 def test_representer_weights_match_dense_solve(unstable_prior):
     rng = np.random.default_rng(7)
     hp = Hyperparams(signal_variance=1.4, lengthscale_sq=0.9)

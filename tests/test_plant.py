@@ -1,4 +1,5 @@
-"""Ground-truth integrator: exact constant-input stepping vs RK4."""
+"""Ground-truth integrator: the plant's RK4 against the exact flow under a
+held input (the matrix-exponential oracle) and a fine-step simulation."""
 
 import math
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lodempc.plant import ControlSignal, Plant, Trajectory, step_exact
+from lodempc.plant import ControlSignal, Plant, Trajectory
 
-from conftest import rk4_by_value
+from conftest import held, rk4_by_value, step_exact
 
 
 A_BENCH = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -21,11 +22,11 @@ B_BENCH = np.array([[0.0], [1.0]])
 # ---------------------------------------------------------------------------
 
 
-def test_constant_signal_value_everywhere():
-    # one knot is a held input
-    sig = ControlSignal([0.0], [[2.5]])
-    np.testing.assert_allclose(sig.value(-3.0), [2.5])
-    np.testing.assert_allclose(sig.value(7.0), [2.5])
+def test_one_knot_signal_is_rejected():
+    # a signal is at least one interval: the plant's substep rule divides by
+    # the knot intervals
+    with pytest.raises(ValueError, match="at least two"):
+        ControlSignal([0.0], [[2.5]])
 
 
 def test_piecewise_linear_interpolates_and_clamps():
@@ -64,7 +65,7 @@ def test_signal_validation():
 
 
 # ---------------------------------------------------------------------------
-# step_exact: closed-form oracles
+# step_exact (the held-input oracle): closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -110,7 +111,7 @@ def test_step_exact_accepts_flat_b():
 
 
 def rk4_constant(a, b, x, u, h, steps):
-    return rk4_by_value(np.asarray(a), np.asarray(b), x, ControlSignal([0.0], [u]), 0.0, h, steps)
+    return rk4_by_value(np.asarray(a), np.asarray(b), x, held(u), 0.0, h, steps)
 
 
 def test_integrator_routes_agree_on_constant_input():
@@ -120,6 +121,8 @@ def test_integrator_routes_agree_on_constant_input():
     exact = step_exact(A_BENCH, B_BENCH, x, u, h)
     rk = rk4_constant(A_BENCH, B_BENCH, x, u, h, steps=10)
     assert np.max(np.abs(exact - rk)) / np.max(np.abs(exact)) <= 1e-8
+    # the plant steps one knot interval in ten substeps: the same floats
+    assert np.array_equal(Plant(A_BENCH, B_BENCH).advance(x, held(u), 0.0, h), rk)
 
 
 @settings(max_examples=30)
@@ -178,25 +181,6 @@ def test_rk4_linearity_in_state():
 # ---------------------------------------------------------------------------
 # Plant
 # ---------------------------------------------------------------------------
-
-
-def test_plant_advance_constant_uses_exact_path():
-    plant = Plant(A_BENCH, B_BENCH)
-    sig = ControlSignal([0.0], [[0.4]])
-    got = plant.advance([1.0, 0.0], sig, 0.0, 0.1)
-    want = step_exact(A_BENCH, B_BENCH, [1.0, 0.0], [0.4], 0.1)
-    np.testing.assert_array_equal(got, want)
-    # one knot anywhere is a held input: random systems, one or two inputs,
-    # the knot before, inside or after [t, t + h]
-    rng = np.random.default_rng(11)
-    for n_u in (1, 2, 1, 2):
-        n_x = int(rng.integers(1, 5))
-        a, b = rng.normal(0.0, 1.0, (n_x, n_x)), rng.normal(0.0, 1.0, (n_x, n_u))
-        x0, u = rng.normal(0.0, 1.0, n_x), rng.normal(0.0, 1.0, n_u)
-        t, h = float(rng.uniform(-1.0, 5.0)), float(rng.uniform(0.01, 0.5))
-        for knot in (t - 1.0, t + 0.5 * h, t + h, t + 2.0 * h):
-            got = Plant(a, b).advance(x0, ControlSignal([knot], [u]), t, h)
-            assert np.array_equal(got, step_exact(a, b, x0, u, h))
 
 
 def test_plant_advance_piecewise_linear_converges_to_analytic():
