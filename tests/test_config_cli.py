@@ -313,6 +313,25 @@ def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypa
     assert a == b
 
 
+def test_run_naming_the_one_application_writes_the_same_files(tmp_path, monkeypatch):
+    # a flags section naming the one way to apply a plan runs as the
+    # document without one, file for file (all but the wall time)
+    doc = base_doc(tmp_path / "unused")
+    bare = write_doc(tmp_path, doc, "bare.json")
+    doc["flags"] = {"control_application": "subgrid_interpolation"}
+    named = write_doc(tmp_path, doc, "named.json")
+    for name, path in (("a", bare), ("b", named)):
+        monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / name))
+        assert main(["run", str(path)]) == 0
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files and files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for f in files:
+        a, b = ((tmp_path / name / f).read_bytes() for name in ("a", "b"))
+        if f == "metrics.json":
+            a, b = (dict(json.loads(m), wall_time_s=None) for m in (a, b))
+        assert a == b, f
+
+
 def test_run_closes_the_loop_on_two_inputs(tmp_path, monkeypatch):
     # no outputs section and no flags: each step applies a two-channel plan
     for name in ("a", "b"):

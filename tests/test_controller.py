@@ -1,5 +1,6 @@
 """Shrinking-horizon loop: config validation, dataset assembly, stepping."""
 
+import dataclasses
 import json
 import tracemalloc
 import weakref
@@ -78,6 +79,22 @@ def test_config_derived_quantities():
 def test_config_rejects_inconsistencies(overrides):
     with pytest.raises(ValueError):
         make_cfg(**overrides)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("control_application", "subgrid_interpolation"),
+        ("subgrid_count", 10),
+        ("constraint_noise_is_variance", False),
+    ],
+)
+def test_config_has_no_plan_application_knobs(name, value):
+    # one way to apply a plan: the former knobs are not fields, even at the
+    # values that were their defaults
+    assert len(dataclasses.fields(ControllerConfig)) == 11
+    with pytest.raises(TypeError, match=name):
+        make_cfg(**{name: value})
 
 
 def test_config_accepts_degenerate_horizon():
@@ -237,6 +254,17 @@ def test_mpc_step_returns_piecewise_linear(unstable_prior):
     )
     assert std_next.shape == (3,)
     assert np.array_equal(std_next, gp.std(np.array([0.1]))[0])
+
+
+def test_mpc_step_knots_start_at_the_current_step(unstable_prior):
+    # a later step's knots are the same linspace over its own interval
+    # [t_7, t_7 + dt], and its first knot pins the current input
+    cfg = make_cfg()
+    z_now = np.array([0.7, -0.2, 0.3])
+    signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(7, z_now))
+    t_now = cfg.lattice[7]
+    assert np.array_equal(signal.knot_times, np.linspace(t_now, t_now + cfg.dt, SUBGRID_COUNT + 1))
+    np.testing.assert_allclose(signal.value(t_now), z_now[2:], atol=1e-4)
 
 
 def test_mpc_step_pins_current_observation(unstable_prior):
