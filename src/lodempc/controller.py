@@ -3,16 +3,16 @@
 The closed loop's only state is its trajectory: one array ``z`` of the
 observed z = (x, u), one row per ``dt`` lattice step.  Step ``k`` is at time
 ``t0 + k*dt`` and is a pure function of ``z[:k+1]``: one builder,
-:func:`build_step_dataset`, writes the paper's four fragments (the current
-observation, soft box points, the past window and virtual reference points)
-as array blocks into one :class:`Dataset`, and :func:`mpc_step` conditions
-the ODE-consistent prior on it.  The posterior mean of the control channels
-at ``SUBGRID_COUNT + 1`` knots over the next interval, linear between them,
-is applied to the plant, and the new row is appended; row 0 is the given
-initial condition.  Inspecting a step means replaying it:
-``mpc_step(prior, cfg, hp, traj.z[:k+1])`` gives step ``k``'s control and
-std back bit for bit, and ``PosteriorGp(prior, build_step_dataset(prior,
-cfg, traj.z[:k+1]), hp)`` its posterior.
+:func:`build_step_dataset`, writes the paper's four fragments (the past
+window, the current observation, soft box points and virtual reference
+points) into one :class:`Dataset` in time order, the Gram's row order, and
+:func:`mpc_step` conditions the ODE-consistent prior on it.  The posterior
+mean of the control channels at ``SUBGRID_COUNT + 1`` knots over the next
+interval, linear between them, is applied to the plant, and the new row is
+appended; row 0 is the given initial condition.  Inspecting a step means
+replaying it: ``mpc_step(prior, cfg, hp, traj.z[:k+1])`` gives step ``k``'s
+control and std back bit for bit, and ``PosteriorGp(prior,
+build_step_dataset(prior, cfg, traj.z[:k+1]), hp)`` its posterior.
 
 :class:`ControllerConfig` holds the lattice times ``t0 + k*dt`` and maps
 each constraint grid time to its lattice index once, so "after now" is an
@@ -147,40 +147,29 @@ class ControllerConfig:
 
 def build_step_dataset(prior: LodeGpPrior, cfg: ControllerConfig, z_hist) -> Dataset:
     """The conditioning data of step k, where ``z_hist`` holds the observed
-    z = (x, u) at steps 0..k, one row per step.  Four blocks, in this order:
+    z = (x, u) at steps 0..k, one row per step.  Rows in time order:
 
-    * the current observation z_hist[k] at t_k, exact (NaN masks a channel);
-    * soft box points at the grid times after step k up to ``t_v``: value =
-      box center, noise variance the squared half-width;
-    * up to ``m_p`` observations before step k, exact;
-    * exact reference points at the grid times after both step k and
-      ``t_v`` (none if ``t_v`` is None).
-    """
+    * up to ``m_p`` observations before step k, then the current observation
+      z_hist[k] at t_k, all exact (NaN masks a channel);
+    * at each grid time after step k, up to ``t_v`` a soft box point (value
+      the box's midpoint, noise variance its squared half-width), after it
+      an exact reference point (none if ``t_v`` is None)."""
     z_hist = np.asarray(z_hist, dtype=float)
     if z_hist.ndim != 2 or not 0 < len(z_hist) <= cfg.lattice.size or z_hist.shape[1] != cfg.n_z:
         raise ValueError(
             f"z_hist must have shape (k+1, {cfg.n_z}) with k <= {cfg.n_steps}, got {z_hist.shape}"
         )
     k_now = len(z_hist) - 1
+    window = slice(k_now - min(cfg.m_p, k_now), k_now + 1)
     ahead = cfg._grid_k > k_now
-    pinned = ahead & cfg._grid_virtual
-    soft = ahead & ~pinned
-    past = np.arange(k_now - min(cfg.m_p, k_now), k_now)
-    t = np.concatenate(
-        [cfg.lattice[k_now : k_now + 1], cfg._grid_t[soft], cfg.lattice[past], cfg._grid_t[pinned]]
-    )
-    values = np.empty((t.size, cfg.n_z))
-    noise = np.zeros((t.size, cfg.n_z))
+    pinned = cfg._grid_virtual[ahead, None]
     lo, hi = np.array(cfg.z_min), np.array(cfg.z_max)
-    half = 0.5 * (hi - lo)
-    b_soft = 1 + np.count_nonzero(soft)
-    b_past = b_soft + past.size
-    values[0] = z_hist[k_now]
-    values[1:b_soft] = 0.5 * (hi + lo)
-    noise[1:b_soft] = half * half
-    values[b_soft:b_past] = z_hist[past]
-    values[b_past:] = prior.prior_mean
-    return Dataset(t, values, noise)
+    half, centre = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return Dataset(
+        np.concatenate([cfg.lattice[window], cfg._grid_t[ahead]]),
+        np.concatenate([z_hist[window], np.where(pinned, prior.prior_mean, centre)]),
+        np.concatenate([np.zeros_like(z_hist[window]), np.where(pinned, 0.0, half * half)]),
+    )
 
 
 def initial_dataset(prior: LodeGpPrior, cfg: ControllerConfig) -> Dataset:

@@ -316,14 +316,12 @@ class PosteriorGp:
         """Solution alpha of (K + Sigma) alpha = z - mu."""
         return self._alpha
 
-    def _cross(self, t_query: np.ndarray, channels=None) -> np.ndarray:
+    def _cross(self, t_query: np.ndarray, channels=slice(None)) -> np.ndarray:
         """Kernel between query slots (rows, all channels) and training
-        slots (columns, unmasked only), F-ordered as numpy's column take leaves
-        it.  ``channels`` evaluates only their rows; the others are 0."""
+        slots (columns, unmasked only), scattered into one F-ordered buffer.
+        ``channels`` evaluates only their rows; the others are 0."""
         shape = (t_query.size, -1, self.data.slots.size)
         cross = self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp, channels)
-        if channels is None:
-            return cross[:, self.data.slots]
         full = np.zeros((t_query.size * self.prior.n_z, shape[2]), order="F")
         full.reshape(shape)[:, channels] = cross[:, self.data.slots].reshape(shape)
         return full
@@ -335,12 +333,12 @@ class PosteriorGp:
         cross = np.asarray_chkfinite(cross.T)
         return _checked("trtrs", *flapack.dtrtrs(self._cho, cross, lower=1))
 
-    def _chunks(self, tq: np.ndarray, channels=None):
+    def _chunks(self, tq: np.ndarray, channels=slice(None)):
         """(query rows, cross kernel) per QUERY_CHUNK query times."""
         for lo in range(0, tq.size, QUERY_CHUNK):
             yield slice(lo, lo + QUERY_CHUNK), self._cross(tq[lo : lo + QUERY_CHUNK], channels)
 
-    def mean(self, t_query, channels=None) -> np.ndarray:
+    def mean(self, t_query, channels=slice(None)) -> np.ndarray:
         """Posterior mean, shape (len(t_query), n_z), or ``mean(t)[:, channels]``
         bit for bit: alpha's product keeps the full cross kernel's shape and
         order, because BLAS may round a row differently in another one."""
@@ -349,7 +347,7 @@ class PosteriorGp:
         if self._alpha.size:
             for rows, cross in self._chunks(tq, channels):
                 out[rows] += (cross @ self._alpha).reshape(-1, self.prior.n_z)
-        return out if channels is None else out[:, channels]
+        return out[:, channels]
 
     def cov(self, t_query) -> np.ndarray:
         """Posterior covariance over (query time, channel) slots,
@@ -537,8 +535,9 @@ def optimize_hyperparams(
     scored by value alone, the best probes seed projected BFGS descents
     (:func:`_descend`) on the value and its closed-form gradient, and the
     best point any descent saw wins (ties by probe order).  A failed
-    factorization scores -inf.  ``fixed`` pins parameters by name; with all
-    of them pinned no likelihood is evaluated and the report is None.
+    factorization scores -inf, and a fit whose every probe fails raises
+    FactorizationError.  ``fixed`` pins parameters by name; with all of them
+    pinned no likelihood is evaluated and the report is None.
     """
     limits = dict(DEFAULT_HYPERPARAM_BOUNDS)
     if bounds:
@@ -572,8 +571,10 @@ def optimize_hyperparams(
     order = sorted(range(len(probes)), key=lambda k: (scores[k], k))
     starts = [probes[k] for k in order[:N_STARTS] if math.isfinite(scores[k])]
     if not starts:
-        # Every probe failed to factorize; fall back to the box center.
-        starts = [np.array([0.5 * (ax[0] + ax[-1]) for ax in axes])]
+        raise FactorizationError(
+            f"all {len(probes)} hyperparameter probes failed to factor "
+            f"with jitter escalated to {MAX_JITTER:g}"
+        )
 
     log_bounds = [(ax[0], ax[-1]) for ax in axes]
     lo, hi = np.array(log_bounds).T

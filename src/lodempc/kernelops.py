@@ -218,10 +218,10 @@ class OperatorKernel:
         out *= np.exp(-0.5 * lam * u * u)
         return out.reshape(-1, nz, ts.size, tps.size)
 
-    def joint_matrix(self, ts, tps, hp: Hyperparams, rows=None) -> np.ndarray:
+    def joint_matrix(self, ts, tps, hp: Hyperparams, rows=slice(None)) -> np.ndarray:
         """Kernel matrix over (time, channel) pairs, point-major: row p*size + i
-        is (ts[p], channel i), or channel rows[i] for ``rows`` (as in :meth:`eval_blocks`)."""
-        blocks = self.eval_blocks(ts, tps, hp, slice(None) if rows is None else rows)
+        is (ts[p], channel rows[i]) (``rows`` as in :meth:`eval_blocks`)."""
+        blocks = self.eval_blocks(ts, tps, hp, rows)
         n_ch, nz, n_rows, n_cols = blocks.shape
         return blocks.transpose(2, 0, 3, 1).reshape(n_rows * n_ch, n_cols * nz)
 

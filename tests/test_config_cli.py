@@ -346,6 +346,27 @@ def test_run_closes_the_loop_on_two_inputs(tmp_path, monkeypatch):
     assert csv.read_bytes() == (tmp_path / "b" / "trajectory.csv").read_bytes()
 
 
+def test_run_on_two_inputs_keeps_its_recorded_metrics(tmp_path, monkeypatch):
+    # the closed-loop floats of a multi-input run, in the benchmark's band
+    # (1e-6 absolute plus 1e-3 relative); recorded with one and with two
+    # BLAS threads, which gave the same files
+    monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
+    assert main(["run", str(GOLDEN_DIR / "algebra_two_input.json")]) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    got = {
+        "constraint_error": metrics["constraint_error"],
+        "control_error": metrics["control_error"],
+        "final_state_norm": float(np.linalg.norm(metrics["final_state"])),
+    }
+    recorded = {
+        "constraint_error": 0.0,
+        "control_error": 0.20891685241826696,
+        "final_state_norm": 0.39270250295768777,
+    }
+    for name, ref in recorded.items():
+        assert abs(got[name] - ref) <= 1e-6 + 1e-3 * abs(ref), (name, got[name], ref)
+
+
 def test_output_dir_env_override(config_path, tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(override))
@@ -528,6 +549,31 @@ def test_run_exit_two_on_factorization_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: Cholesky failed")
     assert f"jitter escalated to {gpcore.MAX_JITTER:g}" in err
     assert len(calls) >= 5 and not (tmp_path / "out").exists()
+
+
+def test_fit_whose_every_probe_fails_exits_two(tmp_path, capsys, monkeypatch):
+    # a free-hyperparameter fit in which no probe factors at any boost ends
+    # there, for run and samples alike: each of the 25 probes tries the
+    # jitter and 5 boosts, no descent starts from an unscored point, and
+    # nothing is written
+    calls = []
+
+    def failing(a, overwrite_a=False):
+        calls.append(a.shape)
+        raise LinAlgError("LAPACK potrf returned info 1")
+
+    monkeypatch.setattr(gpcore, "cho_factor", failing)
+    doc = json.loads((CONFIG_DIR / "regulation_baseline.json").read_text())
+    doc["outputs"]["directory"] = str(tmp_path / "out")
+    path = write_doc(tmp_path, doc)
+    for command in ("run", "samples"):
+        calls.clear()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all 25 hyperparameter probes failed to factor")
+        assert f"jitter escalated to {gpcore.MAX_JITTER:g}" in err
+        assert len(calls) == 25 * 6, command
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

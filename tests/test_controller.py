@@ -491,6 +491,33 @@ def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, dense6_run
     assert data.slots.size < data.values.size
 
 
+def test_step_datasets_are_written_in_time_order(monkeypatch, dense6_run):
+    # the builder writes its rows in the Gram's order, so Dataset's sort is
+    # the identity on the step path: every step of regulation_virtual (the
+    # past window, soft box points and virtual pins) and dense6 steps with
+    # an empty, a partial and a full past window
+    seen = []
+
+    def recorder(t, values, noise_var):
+        seen.append((np.asarray(t), np.asarray(noise_var)))
+        return Dataset(t, values, noise_var)
+
+    monkeypatch.setattr(controller, "Dataset", recorder)
+    exp = load_config(CONFIG_DIR / "regulation_virtual.json")
+    cfg, prior = exp.controller, build_prior(exp.system, exp.x_ref)
+    hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
+    run_closed_loop(prior, Plant(exp.system.A, exp.system.B), cfg, hp)
+    assert len(seen) == cfg.n_steps
+    t, noise = seen[0]  # soft points up to t_v, pins after it
+    assert np.any(noise > 0) and np.any(t > cfg.t_v) and len(seen[-1][0]) == cfg.m_p + 2
+    dense_cfg, dense_prior, _, traj = dense6_run
+    for k in (0, 20, 99):
+        build_step_dataset(dense_prior, dense_cfg, traj.z[: k + 1])
+    assert [len(t) for t, _ in seen[-3:]] == [101, 101, 22]
+    for k, (t, _) in enumerate(seen):
+        assert np.all(np.diff(t) > 0), k
+
+
 def test_dense6_step_holds_one_gram(dense6_run):
     # the Gram is factored where it is gathered: a dense6 step peaks at one
     # n x n array and its query buffers, not at a Gram plus a copy (2.0x)
