@@ -65,7 +65,7 @@ DEFAULT_HYPERPARAM_BOUNDS = {
 
 #: Log-spaced probes per free hyperparameter axis of the fit's start grid.
 PROBES_PER_AXIS = 5
-#: Best-scoring probes that seed a descent (:func:`_descend`) each.
+#: At most this many probes seed a descent (:func:`_descend`) each.
 N_STARTS = 3
 #: A fitted parameter this close to a box edge, in log space, is reported
 #: as ending on it.
@@ -511,12 +511,14 @@ def _descend(fg, x0, lo, hi) -> tuple:
 class FitReport:
     """How a hyperparameter fit ended: the best log marginal likelihood, the
     value-only probe evaluations and value-and-gradient descent evaluations
-    it took, the number of descents, and each free parameter that ended on
-    a box edge (name -> "lower" or "upper")."""
+    it took, how many of those failed to factor even at MAX_JITTER (and
+    scored -inf), the number of descents, and each free parameter that
+    ended on a box edge (name -> "lower" or "upper")."""
 
     log_marginal_likelihood: float
     value_evals: int
     value_and_gradient_evals: int
+    failed_evals: int
     starts: int
     at_bound: dict
 
@@ -532,12 +534,14 @@ def optimize_hyperparams(
     log lengthscale_sq) inside box bounds; returns (hyperparams, report).
 
     Deterministic multi-start scheme: a fixed log-spaced probe grid is
-    scored by value alone, the best probes seed projected BFGS descents
-    (:func:`_descend`) on the value and its closed-form gradient, and the
-    best point any descent saw wins (ties by probe order).  A failed
-    factorization scores -inf, and a fit whose every probe fails raises
-    FactorizationError.  ``fixed`` pins parameters by name; with all of them
-    pinned no likelihood is evaluated and the report is None.
+    scored by value alone.  A probe that no grid neighbour (diagonals
+    included) scores strictly better than is the bottom of its basin; the
+    best N_STARTS such probes (ties by probe order) seed projected BFGS
+    descents (:func:`_descend`) on the value and its closed-form gradient,
+    and the best point any descent saw wins.  A failed factorization scores
+    -inf and never starts a descent, and a fit whose every probe fails
+    raises FactorizationError.  ``fixed`` pins parameters by name; with all
+    of them pinned no likelihood is evaluated and the report is None.
     """
     limits = dict(DEFAULT_HYPERPARAM_BOUNDS)
     if bounds:
@@ -554,11 +558,14 @@ def optimize_hyperparams(
     if not free:
         return make_hp(()), None
     table = LagTable(data.t)
+    failed_evals = 0
 
     def objective(log_free: np.ndarray, wrt=()):
+        nonlocal failed_evals
         try:
             value, grad = log_marginal_likelihood(prior, data, make_hp(log_free), wrt, table)
         except FactorizationError:
+            failed_evals += 1
             return math.inf, np.zeros(len(wrt))
         return -value, -grad
 
@@ -567,9 +574,14 @@ def optimize_hyperparams(
         for name in free
     ]
     probes = [np.array(p) for p in itertools.product(*axes)]
-    scores = [objective(p)[0] for p in probes]
+    scores = np.array([objective(p)[0] for p in probes])
+    # beaten[k]: a neighbour of probe k on the grid, diagonals included,
+    # scores strictly better (a tie does not)
+    cells = np.array(list(itertools.product(range(PROBES_PER_AXIS), repeat=len(free))))
+    neighbours = np.abs(cells[:, None] - cells[None]).max(axis=2) == 1
+    beaten = (neighbours & (scores < scores[:, None])).any(axis=1)
     order = sorted(range(len(probes)), key=lambda k: (scores[k], k))
-    starts = [probes[k] for k in order[:N_STARTS] if math.isfinite(scores[k])]
+    starts = [probes[k] for k in order if np.isfinite(scores[k]) and not beaten[k]][:N_STARTS]
     if not starts:
         raise FactorizationError(
             f"all {len(probes)} hyperparameter probes failed to factor "
@@ -595,6 +607,7 @@ def optimize_hyperparams(
         log_marginal_likelihood=-best_f,
         value_evals=len(probes),
         value_and_gradient_evals=descent_evals,
+        failed_evals=failed_evals,
         starts=len(starts),
         at_bound=at_bound,
     )

@@ -257,13 +257,14 @@ def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
         "log_marginal_likelihood",
         "value_evals",
         "value_and_gradient_evals",
+        "failed_evals",
         "starts",
         "at_bound",
     }
     assert fit["at_bound"] == {"signal_variance": "lower"}
     assert metrics["hyperparams"]["signal_variance"] == pytest.approx(0.01, rel=1e-9)
     assert np.isfinite(fit["log_marginal_likelihood"])
-    assert (fit["value_evals"], fit["starts"]) == (25, 3)
+    assert (fit["value_evals"], fit["failed_evals"], fit["starts"]) == (25, 0, 1)
     assert fit["value_and_gradient_evals"] > 0
 
 
