@@ -14,9 +14,12 @@ symbol applied once, each coefficient read off the Hermite closed form of
 The kernel is built over the integers: with D the common denominator of the
 nullspace columns' coefficients, D*v has integer coefficients, so each symbol
 is an integer polynomial W_ij = D^2 w_ij and every entry is an integer term
-over the one denominator D^2.  Only entries i <= j are built; entry (j, i) is
-entry (i, j) mirrored u -> -u (odd u powers negated, term order kept), so
-K_ji(u) is bit-equal to K_ij(-u).
+over the one denominator D^2.  The symbols are formed from the primitive
+part D*v/g, g the content of D*v (a dense 6-state system's 1,226-digit ints
+have 99 digits there), and each finished term is scaled by g^2: the same
+ints, from far shorter products.  Only entries i <= j are built; entry
+(j, i) is entry (i, j) mirrored u -> -u (odd u powers negated, term order
+kept), so K_ji(u) is bit-equal to K_ij(-u).
 
 Floats enter in one place: an :class:`OperatorKernel` compiles each
 coefficient once, when it is built, as one correctly rounded int division
@@ -32,13 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .polyalg import PolyMatrix, signed_sum
+from .polyalg import ZERO, Poly, PolyMatrix, signed_sum
 
 __all__ = [
     "Hyperparams",
@@ -164,6 +166,8 @@ class OperatorKernel:
 
     def entry(self, i: int, j: int) -> GaussPolyTerm:
         """The exact (i, j) term, its coefficients reduced Fractions."""
+        from fractions import Fraction
+
         return self.entries[i][j].scaled(Fraction(1, self.denominator))
 
     @cached_property
@@ -247,28 +251,16 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     """
     if v_cols.cols == 0:
         raise ValueError("operator matrix has no columns: empty nullspace")
-    nz, columns = v_cols.rows, range(v_cols.cols)
-    den = math.lcm(*(c.denominator for poly in v_cols.entries for c in poly.coeffs))
-    ints = [
-        [[c.numerator * (den // c.denominator) for c in v_cols[i, col].coeffs] for col in columns]
-        for i in range(nz)
-    ]
+    nz = v_cols.rows
+    den = math.lcm(*(p.den for p in v_cols.entries))
+    g = math.gcd(*(c * (den // p.den) for p in v_cols.entries for c in p.nums))
+    prim = [[Poly([c * (den // p.den) // g for c in p.nums]) for p in v_cols.row(i)] for i in range(nz)]
+    mirror = [[Poly([-c if k % 2 else c for k, c in enumerate(p.nums)]) for p in row] for row in prim]
     entries = [[None] * nz for _ in range(nz)]
     for i in range(nz):
         for j in range(i, nz):
-            entries[i][j] = apply_symbol(_int_symbol(ints[i], ints[j]))
+            symbol = sum((p * q for p, q in zip(prim[i], mirror[j])), ZERO)
+            entries[i][j] = apply_symbol(symbol.nums).scaled(g * g)
             if j > i:
                 entries[j][i] = entries[i][j].mirrored()
     return OperatorKernel(tuple(tuple(row) for row in entries), den * den)
-
-
-def _int_symbol(p_row: list, q_row: list) -> list:
-    """Coefficients of sum_c p_c(s) * q_c(-s) for int coefficient lists."""
-    out = [0] * max((len(p) + len(q) - 1 for p, q in zip(p_row, q_row)), default=0)
-    for p, q in zip(p_row, q_row):
-        q = [-b if l % 2 else b for l, b in enumerate(q)]
-        for k, a in enumerate(p):
-            if a:
-                for l, b in enumerate(q):
-                    out[k + l] += a * b
-    return out

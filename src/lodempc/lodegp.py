@@ -13,7 +13,6 @@ The exact check H·V = 0 belongs to the ``algebra`` command and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -118,19 +117,19 @@ class LodeGpPrior:
 def build_h(system: LinearSystem) -> PolyMatrix:
     """Operator matrix H = [A - d*I | B] with exact rational entries.
 
-    Float matrix entries are converted exactly (binary expansion), so every
-    downstream polynomial step is deterministic and exact.
+    Float matrix entries are converted exactly (``float.as_integer_ratio``),
+    so every downstream polynomial step is deterministic and exact.
     """
     rows = []
     for i in range(system.n_x):
         row = []
         for j in range(system.n_x):
-            p = Poly.const(Fraction(system.A[i, j]))
+            p = Poly.const(system.A[i, j])
             if i == j:
                 p = p - D
             row.append(p)
         for j in range(system.n_u):
-            row.append(Poly.const(Fraction(system.B[i, j])))
+            row.append(Poly.const(system.B[i, j]))
         rows.append(row)
     return PolyMatrix.from_rows(rows)
 

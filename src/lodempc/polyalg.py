@@ -3,16 +3,18 @@ matrices, and Smith normal form with its right transformation matrix.
 
 The indeterminate is written ``d`` and stands for the time-differentiation
 operator, so a matrix of these polynomials encodes a system of linear
-constant-coefficient ODEs.  Coefficients are :class:`fractions.Fraction`
-throughout: every operation in this module is exact, which keeps the Smith
-reduction and the nullspace extraction free of pivoting and rounding
-artifacts.  All values are immutable and all functions are pure.
+constant-coefficient ODEs.  A polynomial is int numerators over one positive
+int denominator, reduced by one content gcd per operation; division is
+pseudo-division by the divisor's int leading coefficient.  Every operation
+is exact, which keeps the Smith reduction and the nullspace extraction free
+of pivoting and rounding artifacts.  All values are immutable and all
+functions are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -32,77 +34,74 @@ __all__ = [
 NEG_INFINITY = float("-inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Poly:
-    """A univariate polynomial with exact rational coefficients.
+    """A univariate polynomial with exact rational coefficients, from ints,
+    Fractions or floats.  ``nums[k] / den`` multiplies the k-th power of the
+    indeterminate, in canonical form: no trailing zero, and no factor common
+    to ``den`` and every numerator."""
 
-    ``coeffs[k]`` multiplies the k-th power of the indeterminate.  Trailing
-    zeros are stripped on construction, so the zero polynomial stores an
-    empty tuple and equality/hashing see a canonical form.
-    """
+    nums: tuple
+    den: int
 
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, coeffs: Sequence = ()) -> "Poly":
+        ratios = [c.as_integer_ratio() if isinstance(c, float) else (int(c.numerator), int(c.denominator))
+                  for c in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        return _make([n * (den // d) for n, d in ratios], den)
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls((Fraction(value),))
+        return cls((value,))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, formed on each read."""
+        from fractions import Fraction
+
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self):
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     @property
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading_coeff(self):
+        return self.coeffs[-1] if self.nums else 0
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(tuple(out))
+        return _add(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return self.scaled(-1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(tuple(out))
-        return self.scaled(other)
+        if not isinstance(other, Poly):
+            return self.scaled(other)
+        a, b = self.nums, other.nums
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scaled(self, factor) -> "Poly":
-        factor = Fraction(factor)
-        return Poly(tuple(c * factor for c in self.coeffs))
+        return self * Poly((factor,))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division: returns (q, r) with self = q*other + r and
@@ -111,23 +110,46 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        deg_b = len(other.coeffs) - 1
-        if len(self.coeffs) - 1 < deg_b:
-            return Poly(), self
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * (len(rem) - deg_b)
-        for k in range(len(rem) - deg_b - 1, -1, -1):
-            c = rem[k + deg_b] / lead
-            if c == 0:
-                continue
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return Poly(tuple(quot)), Poly(tuple(rem[:deg_b]))
+        b, deg_b = other.nums, len(other.nums) - 1
+        # scale * self.nums = quot * b + rem in ints; each step scales by the
+        # least factor that lets b's leading coefficient divide the next one.
+        lead, scale = b[-1], 1
+        rem, quot = list(self.nums), [0] * (len(self.nums) - deg_b)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + deg_b]
+            g = math.gcd(c, lead)
+            if g != abs(lead):
+                f = abs(lead) // g
+                rem, quot, scale = [x * f for x in rem], [x * f for x in quot], scale * f
+            quot[k] = q = c // g if lead > 0 else -c // g
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+        den = scale * self.den
+        return _make([x * other.den for x in quot], den), _make(rem[:deg_b], den)
 
     def __str__(self) -> str:
         return signed_sum((c, (("d", k),)) for k, c in enumerate(self.coeffs) if c)
+
+
+def _make(nums: list, den: int) -> Poly:
+    """The canonical Poly of nums / den, den > 0; ``nums`` is consumed."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)  # stops reading at 1
+    p = object.__new__(Poly)
+    object.__setattr__(p, "nums", tuple(c // g for c in nums) if g != 1 else tuple(nums))
+    object.__setattr__(p, "den", den // g)
+    return p
+
+
+def _add(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q over the lcm of the two denominators."""
+    g = math.gcd(p.den, q.den)
+    fp, fq = q.den // g, sign * (p.den // g)
+    out = [c * fp for c in p.nums] + [0] * (len(q.nums) - len(p.nums))
+    for k, c in enumerate(q.nums):
+        out[k] += c * fq
+    return _make(out, p.den * fp)
 
 
 def signed_sum(terms) -> str:
@@ -268,10 +290,10 @@ def smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
     for k in range(min(m, n)):
         if not _reduce_pivot(a, v, k, m, n):
             break
-        lead = a[k][k].leading_coeff
-        if lead != 1:
-            inv = 1 / lead
-            a[k] = [p.scaled(inv) for p in a[k]]
+        lead, den = a[k][k].nums[-1], a[k][k].den
+        if lead != den:
+            inv = _make([den if lead > 0 else -den], abs(lead))
+            a[k] = [p * inv for p in a[k]]
 
     flatten = lambda grid: tuple(p for row in grid for p in row)
     return SmithDecomposition(D=PolyMatrix(m, n, flatten(a)), V=PolyMatrix(n, n, flatten(v)))
@@ -302,6 +324,8 @@ def _col_sub(grid, j: int, k: int, factor: Poly) -> None:
 
 def _non_divisible_entry(a, k: int, m: int, n: int):
     pivot = a[k][k]
+    if pivot.degree == 0:  # a nonzero constant divides every entry
+        return None
     for i in range(k + 1, m):
         for j in range(k + 1, n):
             if a[i][j].is_zero:

@@ -6,9 +6,12 @@ a textbook RK4 oracle for the plant, the exact flow under a held input
 oracles the package does not need at run time (polynomial determinant,
 identity and inverse, a Smith decomposition's certificate and its recovered
 left transform, a kernel entry's symbol, a kernel term differentiated step
-by step, a kernel term summed at one point)."""
+by step, a kernel term summed at one point, and the former Fraction
+polynomial arithmetic and Smith reduction that the int ones must match)."""
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +21,7 @@ from scipy.linalg import expm
 
 from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
 from lodempc.kernelops import GaussPolyTerm
-from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix
+from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix, SmithDecomposition
 
 settings.register_profile(
     "default",
@@ -262,3 +265,151 @@ def differentiate_symbol(symbol) -> GaussPolyTerm:
             for key, c in cur.coeffs.items():
                 acc[key] = acc.get(key, 0) + w * c
     return GaussPolyTerm(acc)
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """The package's former polynomial: one reduced Fraction per
+    coefficient, each operation normalizing every coefficient on its own.
+    An oracle for :class:`Poly`'s int arithmetic, which must give the same
+    coefficients."""
+
+    coeffs: tuple = ()
+
+    def __post_init__(self) -> None:
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+
+    @property
+    def leading_coeff(self) -> Fraction:
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return FractionPoly(tuple(out))
+
+    def __neg__(self):
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPoly):
+            if self.is_zero or other.is_zero:
+                return FractionPoly()
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if a == 0:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return FractionPoly(tuple(out))
+        return self.scaled(other)
+
+    def scaled(self, factor):
+        factor = Fraction(factor)
+        return FractionPoly(tuple(c * factor for c in self.coeffs))
+
+    def __divmod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by the zero polynomial")
+        deg_b = len(other.coeffs) - 1
+        if len(self.coeffs) - 1 < deg_b:
+            return FractionPoly(), self
+        rem = list(self.coeffs)
+        lead = other.coeffs[-1]
+        quot = [Fraction(0)] * (len(rem) - deg_b)
+        for k in range(len(rem) - deg_b - 1, -1, -1):
+            c = rem[k + deg_b] / lead
+            if c == 0:
+                continue
+            quot[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+        return FractionPoly(tuple(quot)), FractionPoly(tuple(rem[:deg_b]))
+
+
+def fraction_smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
+    """Smith normal form by the package's former reduction in
+    :class:`FractionPoly` arithmetic: the same pivot rule (smallest degree,
+    then lowest (row, col)), Euclidean division passes, offending rows folded
+    into the pivot row, and pivot rows scaled monic.  D and V come back as
+    PolyMatrix values, for an exact comparison."""
+    m, n = h.rows, h.cols
+    a = [[FractionPoly(h[i, j].coeffs) for j in range(n)] for i in range(m)]
+    v = [[FractionPoly((1,) if i == j else ()) for j in range(n)] for i in range(n)]
+    for k in range(min(m, n)):
+        if not _fraction_reduce_pivot(a, v, k, m, n):
+            break
+        lead = a[k][k].leading_coeff
+        if lead != 1:
+            a[k] = [p.scaled(1 / lead) for p in a[k]]
+
+    def matrix(grid, rows, cols):
+        return PolyMatrix(rows, cols, tuple(Poly(p.coeffs) for row in grid for p in row))
+
+    return SmithDecomposition(D=matrix(a, m, n), V=matrix(v, n, n))
+
+
+def _fraction_reduce_pivot(a, v, k: int, m: int, n: int) -> bool:
+    def col_sub(grid, j, factor):
+        for row in grid:
+            row[j] = row[j] - factor * row[k]
+
+    def swap_cols(grid, j):
+        for row in grid:
+            row[k], row[j] = row[j], row[k]
+
+    while True:
+        nonzero = [(a[i][j].degree, i, j) for i in range(k, m) for j in range(k, n) if not a[i][j].is_zero]
+        if not nonzero:
+            return False
+        _, pi, pj = min(nonzero)
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+        if pj != k:
+            swap_cols(a, pj)
+            swap_cols(v, pj)
+        pivot = a[k][k]
+        dirty = False
+        for i in range(k + 1, m):
+            if a[i][k].is_zero:
+                continue
+            quot, rem = divmod(a[i][k], pivot)
+            if not quot.is_zero:
+                a[i] = [x - quot * y for x, y in zip(a[i], a[k])]
+            dirty = dirty or not rem.is_zero
+        for j in range(k + 1, n):
+            if a[k][j].is_zero:
+                continue
+            quot, rem = divmod(a[k][j], pivot)
+            if not quot.is_zero:
+                col_sub(a, j, quot)
+                col_sub(v, j, quot)
+            dirty = dirty or not rem.is_zero
+        if dirty:
+            continue
+        offender = next(
+            (i for i in range(k + 1, m) for j in range(k + 1, n)
+             if not a[i][j].is_zero and not divmod(a[i][j], pivot)[1].is_zero),
+            None,
+        )
+        if offender is None:
+            return True
+        a[k] = [x + y for x, y in zip(a[k], a[offender])]

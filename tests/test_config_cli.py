@@ -2,6 +2,7 @@
 determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from lodempc.cli import ENV_OUTPUT_DIR, main
 from lodempc.config import ConfigError, load_config
 from lodempc.controller import ControllerConfig
 from lodempc.kernelops import Hyperparams
+from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.polyalg import PolyMatrix
 
 from conftest import DENSE6
@@ -291,6 +293,24 @@ def test_run_loads_neither_scipy_linalg_nor_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "trajectory.csv").exists()
 
+
+
+def test_run_loads_no_fractions(tmp_path):
+    # a fresh interpreter: the exact algebra is int arithmetic, and only
+    # reading a reduced coefficient (the algebra command, the tests) imports
+    # fractions, which imports decimal
+    code = (
+        "import sys; import lodempc.cli; banned = ('fractions', 'decimal'); "
+        "assert not [m for m in banned if m in sys.modules], 'imported'; "
+        "rc = lodempc.cli.main(sys.argv[1:]); "
+        "assert not [m for m in banned if m in sys.modules], 'run'; sys.exit(rc)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env[ENV_OUTPUT_DIR] = str(tmp_path)
+    done = subprocess.run([sys.executable, "-c", code, "run", str(CONFIG_DIR / "regulation_past.json")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_lapack_reuses_the_module_of_a_loaded_scipy_linalg():
@@ -700,6 +720,26 @@ def test_algebra_prints_integers_past_the_digit_limit(tmp_path, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert max(map(len, re.findall(r"\d+", capsys.readouterr().out))) > 640
+
+
+def test_dense6_exact_algebra_is_pinned(tmp_path, capsys):
+    # The benchmark's dense 6-state system byte for byte: the algebra text
+    # (CI checks the same sha256 of the console script's output), the
+    # kernel's common denominator D^2 and its compiled float tables.  A
+    # change of exact arithmetic must leave all three as they are.
+    assert main(["algebra", str(write_doc(tmp_path, DENSE6))]) == 0
+    text = capsys.readouterr().out.encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "d4c87b4155746ae54798a945fb561afd31e5a5ce044f1475265cb5765068494c"
+    )
+    system = LinearSystem(A=DENSE6["system"]["A"], B=DENSE6["system"]["B"])
+    kernel = build_prior(system, x_ref=[0.0] * system.n_x).kernel
+    assert len(str(kernel.denominator)) == 2448
+    width, slot, lam_pow, value = kernel._compiled
+    digest = hashlib.sha256(b"%d" % width)
+    for array, dtype in ((slot, "<i8"), (lam_pow, "<i8"), (value, "<f8")):
+        digest.update(array.astype(dtype).tobytes())
+    assert digest.hexdigest() == "72b6f258c27c24d9580424e87aa153c397fb6eb08af416b62dc5b3220465389d"
 
 
 def test_algebra_checks_the_nullspace_exactly(monkeypatch):

@@ -1,15 +1,22 @@
 """Exact rational polynomial arithmetic and the diagonalization pipeline.
 
-Everything here is Fraction-exact: assertions use == on Poly/PolyMatrix,
-never float tolerances.
+Everything here is exact: assertions use == on Poly/PolyMatrix, never float
+tolerances.  The int arithmetic and the Smith reduction are also checked
+coefficient for coefficient against the former Fraction ones (conftest).
 """
 
+import functools
+import importlib.util
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lodempc.config import load_config
+from lodempc.lodegp import LinearSystem, build_h
 from lodempc.polyalg import (
     D,
     ONE,
@@ -21,7 +28,16 @@ from lodempc.polyalg import (
     smith_normal_form,
 )
 
-from conftest import determinant, identity, left_transform, smith_certificate
+from conftest import (
+    FractionPoly,
+    determinant,
+    fraction_smith_normal_form,
+    identity,
+    left_transform,
+    smith_certificate,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +62,9 @@ def test_poly_coefficients_become_fractions():
     p = Poly((1, 2))
     assert all(isinstance(c, Fraction) for c in p.coeffs)
     assert Poly((Fraction(1, 3),)).coeffs == (Fraction(1, 3),)
+    # floats convert exactly, as their binary expansions
+    assert Poly((0.1, -2.5)).coeffs == (Fraction(0.1), Fraction(-5, 2))
+    assert Poly((Fraction(2, 6), Fraction(3, 4))) == Poly((Fraction(1, 3), 0.75))
 
 
 def test_poly_arithmetic_known_products():
@@ -100,6 +119,65 @@ def test_poly_divmod_reconstructs(p, q):
     quo, rem = divmod(p, q)
     assert quo * q + rem == p
     assert rem.is_zero or rem.degree < q.degree
+
+
+# ---------------------------------------------------------------------------
+# The int arithmetic against the former Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+oracle_fractions = st.builds(
+    Fraction, st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**4)
+)
+oracle_coeffs = st.lists(st.one_of(st.integers(-3, 3), oracle_fractions), max_size=6)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert Poly(p.coeffs) == p and hash(Poly(p.coeffs)) == hash(p)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(oracle_coeffs, oracle_coeffs, st.one_of(st.integers(-5, 5), oracle_fractions))
+def test_int_arithmetic_matches_the_fraction_oracle(a, b, factor):
+    p, q, fp, fq = Poly(a), Poly(b), FractionPoly(a), FractionPoly(b)
+    assert p.coeffs == fp.coeffs
+    results = [(p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p * q, fp * fq),
+               (p.scaled(factor), fp.scaled(factor))]
+    if not q.is_zero:
+        results += zip(divmod(p, q), divmod(fp, fq))
+    for got, want in results:
+        assert got.coeffs == want.coeffs
+        assert_canonical(got)
+
+
+@functools.cache
+def dense_system(index: int) -> LinearSystem:
+    """The benchmark's index-th dense 6-state draw, from its generator."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return LinearSystem(*workloads.dense_system(index))
+
+
+@pytest.mark.parametrize("name", [f"dense{i}" for i in range(10)] + ["two_input"])
+def test_smith_matches_the_fraction_oracle_on_systems(name):
+    if name == "two_input":
+        system = load_config(ROOT / "tests" / "golden" / "algebra_two_input.json").system
+    else:
+        system = dense_system(int(name[len("dense"):]))
+    h = build_h(system)
+    assert smith_normal_form(h) == fraction_smith_normal_form(h)
+
+
+oracle_entries = st.lists(st.one_of(st.integers(-3, 3), oracle_fractions), max_size=4).map(Poly)
+
+
+@settings(derandomize=True)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4), st.data())
+def test_smith_matches_the_fraction_oracle_on_random_matrices(rows, cols, data):
+    h = PolyMatrix.from_rows([[data.draw(oracle_entries) for _ in range(cols)] for _ in range(rows)])
+    assert smith_normal_form(h) == fraction_smith_normal_form(h)
 
 
 # ---------------------------------------------------------------------------
