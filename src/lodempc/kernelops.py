@@ -13,22 +13,22 @@ symbol applied once, each coefficient read off the Hermite closed form of
 
 The kernel is built over the integers: with D the common denominator of the
 nullspace columns' coefficients, D*v has integer coefficients, so each symbol
-is an integer polynomial W_ij = D^2 w_ij and every entry is an integer term
-over the one denominator D^2.  The symbols are formed from the primitive
-part D*v/g, g the content of D*v (a dense 6-state system's 1,226-digit ints
-have 99 digits there), and each finished term is scaled by g^2: the same
-ints, from far shorter products.  Only entries i <= j are built; entry
-(j, i) is entry (i, j) mirrored u -> -u (odd u powers negated, term order
-kept), so K_ji(u) is bit-equal to K_ij(-u).
+is an integer polynomial W_ij = D^2 w_ij.  The symbols are formed from the
+primitive part D*v/g, g the content of D*v (a dense 6-state system's
+1,226-digit ints have 99 digits there), so every entry is an int term p
+times one factor g^2/D^2, and no p*g^2 is formed to build it.  Only entries
+i <= j are built; entry (j, i) is entry (i, j) mirrored u -> -u (odd u
+powers negated, term order kept), so K_ji(u) is bit-equal to K_ij(-u).
 
 Floats enter in one place: an :class:`OperatorKernel` compiles each
-coefficient once, when it is built, as one correctly rounded int division
-n / D^2, which is the float of the reduced Fraction.  Grid evaluation runs
-one Horner pass over all entries on those floats.  Reduced Fractions are
-formed only when an entry is read exactly (:meth:`OperatorKernel.entry`,
-``describe``).  The family is also closed under d/dlam, so the lam
-derivative that the likelihood gradient needs is a second compiled table,
-derived from the first one's floats on first use.
+coefficient once, when it is built, as the correctly rounded p*g^2/D^2, the
+float of the reduced Fraction: with R = floor(g^2 2^S / D^2), float(p*R)
+2^-S when p*R and p*(R+1) round alike, else one exact int division.  Grid
+evaluation runs one Horner pass over all entries on those floats.  The
+exact g^2-scaled terms, reduced Fractions, are formed only when an entry is
+read (:meth:`OperatorKernel.entry`, ``describe``).  The family is also
+closed under d/dlam, so the likelihood gradient's lam derivative is a
+second compiled table, derived from the first one's floats on first use.
 """
 
 from __future__ import annotations
@@ -135,30 +135,31 @@ def apply_symbol(symbol: Sequence) -> GaussPolyTerm:
 @dataclass(frozen=True, eq=False)
 class OperatorKernel:
     """Matrix-valued kernel K(t, t') = V(d/dt) k_se V(d/dt')^T, entrywise in
-    closed form over one common denominator.  ``entries[i][j]`` is the (i, j)
-    channel-pair term times ``denominator``, with int coefficients;
-    :meth:`entry` gives the exact term."""
+    closed form over one common denominator.  ``entries[i][j]`` times
+    ``scale / denominator`` is the (i, j) channel-pair term, with int
+    coefficients; :meth:`entry` gives the exact term."""
 
     entries: tuple[tuple[GaussPolyTerm, ...], ...]
     denominator: int
+    scale: int = 1
 
     def __post_init__(self) -> None:
         # Compile once: each entry's terms, in coefficient order, as (slot,
         # lam power, float value); entry k's ascending u coefficients fill
         # row k of one zero-padded (entries, width) buffer per evaluation.
-        # n / denominator is int true division, correctly rounded, so each
-        # value is the float of the reduced Fraction.
+        # Each value is the correctly rounded c * scale / denominator, the
+        # float of the reduced Fraction.
         terms = [term for row in self.entries for term in row]
-        den = self.denominator
         width = 1 + max((a for term in terms for a, _ in term.coeffs), default=0)
-        slot, lam_pow, value = [], [], []
+        slot, lam_pow, nums = [], [], []
         for k, term in enumerate(terms):
             for (a, b), c in term.coeffs.items():
                 slot.append(k * width + a)
                 lam_pow.append(b)
-                value.append(c / den)
+                nums.append(c)
+        value = np.array(_quotient_floats(nums, self.scale, self.denominator))
         slot, lam_pow = (np.array(col, dtype=np.intp) for col in (slot, lam_pow))
-        object.__setattr__(self, "_compiled", (width, slot, lam_pow, np.array(value)))
+        object.__setattr__(self, "_compiled", (width, slot, lam_pow, value))
 
     @property
     def size(self) -> int:
@@ -168,7 +169,7 @@ class OperatorKernel:
         """The exact (i, j) term, its coefficients reduced Fractions."""
         from fractions import Fraction
 
-        return self.entries[i][j].scaled(Fraction(1, self.denominator))
+        return self.entries[i][j].scaled(Fraction(self.scale, self.denominator))
 
     @cached_property
     def _compiled_dlam(self):
@@ -238,6 +239,25 @@ class OperatorKernel:
         return "\n".join(lines)
 
 
+def _quotient_floats(nums, num: int, den: int) -> list:
+    """The correctly rounded n * num / den of each int n (num, den > 0), from
+    R = floor(num 2^S / den) of about 128 bits where the bracket settles it."""
+    shift = 128 + den.bit_length() - num.bit_length()
+    r = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return [_bracketed(n, r, shift) or n * num / den for n in nums]
+
+
+def _bracketed(n: int, r: int, shift: int):
+    """float(n*r) 2^-shift if every real between n*r and n*(r+1) rounds to
+    float(n*r) and the result is a normal float, else None."""
+    try:
+        lo, hi = float(n * r), float(n * r + n)
+        x = math.ldexp(lo, -shift)
+    except OverflowError:  # an int too wide for a float, or an overflowing result
+        return None
+    return x if lo == hi and abs(x) >= 2.0**-1022 else None
+
+
 def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     """Push the latent SE process through the operator columns.
 
@@ -246,8 +266,8 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     w_ij(s) = sum over columns c of v[i,c](s) * v[j,c](-s).  With D the lcm
     of the coefficients' denominators, P = D*v is an integer matrix and
     D^2 w_ij the integer symbol sum_c P[i,c](s) * P[j,c](-s), so the entries
-    are built in int arithmetic over the denominator D^2.  Entries below the
-    diagonal are mirrors of those above it.
+    are built in int arithmetic over the denominator D^2, from P/g with the
+    scale g^2.  Entries below the diagonal are mirrors of those above it.
     """
     if v_cols.cols == 0:
         raise ValueError("operator matrix has no columns: empty nullspace")
@@ -260,7 +280,7 @@ def build_operator_kernel(v_cols: PolyMatrix) -> OperatorKernel:
     for i in range(nz):
         for j in range(i, nz):
             symbol = sum((p * q for p, q in zip(prim[i], mirror[j])), ZERO)
-            entries[i][j] = apply_symbol(symbol.nums).scaled(g * g)
+            entries[i][j] = apply_symbol(symbol.nums)
             if j > i:
                 entries[j][i] = entries[i][j].mirrored()
-    return OperatorKernel(tuple(tuple(row) for row in entries), den * den)
+    return OperatorKernel(tuple(tuple(row) for row in entries), den * den, g * g)

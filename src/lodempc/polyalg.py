@@ -7,8 +7,9 @@ constant-coefficient ODEs.  A polynomial is int numerators over one positive
 int denominator, reduced by one content gcd per operation; division is
 pseudo-division by the divisor's int leading coefficient.  Every operation
 is exact, which keeps the Smith reduction and the nullspace extraction free
-of pivoting and rounding artifacts.  All values are immutable and all
-functions are pure.
+of pivoting and rounding artifacts.  The reduction logs its column
+operations instead of carrying V forward, and a column of V is formed from
+the log when read.  All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -251,11 +252,13 @@ class SmithDecomposition:
     implied by the row operations but not formed.
 
     D is diagonal (in the rectangular sense); its nonzero diagonal entries
-    are monic and each divides the next.
+    are monic and each divides the next.  V is the product of the column
+    operations in ``col_ops``, in order: (j, k, None) swaps columns j and k,
+    (j, k, q) subtracts q times column k from column j.
     """
 
     D: PolyMatrix
-    V: PolyMatrix
+    col_ops: tuple
 
     @property
     def rank(self) -> int:
@@ -268,6 +271,11 @@ class SmithDecomposition:
             if not self.D[i, i].is_zero
         )
 
+    @property
+    def V(self) -> PolyMatrix:
+        """The full V, formed from the log on each read."""
+        return _columns(self, range(self.D.cols))
+
 
 def smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
     """Smith normal form of a polynomial matrix over Q[d].
@@ -279,63 +287,55 @@ def smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
     trailing entry (if any) is folded into the pivot row and reduction
     continues.  Diagonal entries are normalized monic by scaling the pivot
     row.  Row operations act on the working matrix alone; column operations
-    are mirrored into V, which stays unimodular.
+    act on it and are recorded, in order, as the decomposition's V.
     """
     m, n = h.rows, h.cols
     if m == 0 or n == 0:
         raise ValueError("cannot reduce an empty matrix")
     a = [list(h.row(i)) for i in range(m)]
-    v = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    ops: list = []
 
     for k in range(min(m, n)):
-        if not _reduce_pivot(a, v, k, m, n):
+        if not _reduce_pivot(a, ops, k, m, n):
             break
         lead, den = a[k][k].nums[-1], a[k][k].den
         if lead != den:
             inv = _make([den if lead > 0 else -den], abs(lead))
             a[k] = [p * inv for p in a[k]]
 
-    flatten = lambda grid: tuple(p for row in grid for p in row)
-    return SmithDecomposition(D=PolyMatrix(m, n, flatten(a)), V=PolyMatrix(n, n, flatten(v)))
+    return SmithDecomposition(D=PolyMatrix(m, n, tuple(p for row in a for p in row)), col_ops=tuple(ops))
 
 
 def _pivot_position(a, k: int, m: int, n: int):
-    best = None
-    best_deg = None
-    for i in range(k, m):
-        for j in range(k, n):
-            e = a[i][j]
-            if e.is_zero:
-                continue
-            if best is None or e.degree < best_deg:
-                best, best_deg = (i, j), e.degree
-    return best
+    """(row, col) of the smallest-degree nonzero trailing entry, the lowest
+    on ties, or None."""
+    nonzero = [(a[i][j].degree, i, j) for i in range(k, m) for j in range(k, n) if not a[i][j].is_zero]
+    return min(nonzero)[1:] if nonzero else None
 
 
-def _swap_cols(grid, j1: int, j2: int) -> None:
-    for row in grid:
-        row[j1], row[j2] = row[j2], row[j1]
+def _col_op(a, ops: list, j: int, k: int, factor=None) -> None:
+    """Swap columns j and k of ``a`` (no factor) or subtract factor times
+    column k from column j, and record the operation."""
+    ops.append((j, k, factor))
+    for row in a:
+        if factor is None:
+            row[j], row[k] = row[k], row[j]
+        else:
+            row[j] = row[j] - factor * row[k]
 
 
-def _col_sub(grid, j: int, k: int, factor: Poly) -> None:
-    for row in grid:
-        row[j] = row[j] - factor * row[k]
-
-
-def _non_divisible_entry(a, k: int, m: int, n: int):
+def _non_divisible_row(a, k: int, m: int, n: int):
     pivot = a[k][k]
     if pivot.degree == 0:  # a nonzero constant divides every entry
         return None
     for i in range(k + 1, m):
         for j in range(k + 1, n):
-            if a[i][j].is_zero:
-                continue
-            if not divmod(a[i][j], pivot)[1].is_zero:
-                return i, j
+            if not a[i][j].is_zero and not divmod(a[i][j], pivot)[1].is_zero:
+                return i
     return None
 
 
-def _reduce_pivot(a, v, k: int, m: int, n: int) -> bool:
+def _reduce_pivot(a, ops: list, k: int, m: int, n: int) -> bool:
     """Drive the trailing submatrix so a[k][k] is the sole nonzero in its
     row/column and divides everything below-right.  Returns False when the
     trailing submatrix is entirely zero."""
@@ -347,8 +347,7 @@ def _reduce_pivot(a, v, k: int, m: int, n: int) -> bool:
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
         if pj != k:
-            _swap_cols(a, k, pj)
-            _swap_cols(v, k, pj)
+            _col_op(a, ops, k, pj)
         pivot = a[k][k]
 
         dirty = False
@@ -358,26 +357,22 @@ def _reduce_pivot(a, v, k: int, m: int, n: int) -> bool:
             quot, rem = divmod(a[i][k], pivot)
             if not quot.is_zero:
                 a[i] = [x - quot * y for x, y in zip(a[i], a[k])]
-            if not rem.is_zero:
-                dirty = True
+            dirty = dirty or not rem.is_zero
         for j in range(k + 1, n):
             if a[k][j].is_zero:
                 continue
             quot, rem = divmod(a[k][j], pivot)
             if not quot.is_zero:
-                _col_sub(a, j, k, quot)
-                _col_sub(v, j, k, quot)
-            if not rem.is_zero:
-                dirty = True
+                _col_op(a, ops, j, k, quot)
+            dirty = dirty or not rem.is_zero
         if dirty:
             continue
 
-        offender = _non_divisible_entry(a, k, m, n)
-        if offender is None:
+        oi = _non_divisible_row(a, k, m, n)
+        if oi is None:
             return True
         # Fold the offending row into the pivot row; the next division pass
         # strictly lowers the pivot degree, so this terminates.
-        oi = offender[0]
         a[k] = [x + y for x, y in zip(a[k], a[oi])]
 
 
@@ -385,8 +380,23 @@ def right_nullspace_columns(dec: SmithDecomposition) -> PolyMatrix:
     """Columns of V spanning the right nullspace of H.
 
     These are the columns of V past the number of nonzero diagonal entries
-    of D: for those j, H·V[:, j] = Q⁻¹·D[:, j] = 0.  Nothing is multiplied
-    here; the ``algebra`` command and the tests check H·V = 0 exactly.
+    of D: for those j, H·V[:, j] = Q⁻¹·D[:, j] = 0.  Each is formed from the
+    column-operation log alone; the ``algebra`` command and the tests check
+    H·V = 0 exactly.
     """
-    r, n = dec.rank, dec.V.cols
-    return PolyMatrix(n, n - r, tuple(dec.V[i, j] for i in range(n) for j in range(r, n)))
+    return _columns(dec, range(dec.rank, dec.D.cols))
+
+
+def _columns(dec: SmithDecomposition, js) -> PolyMatrix:
+    """Columns ``js`` of V = E_1·E_2·…·E_t: V·e_j is e_j with E_t applied
+    first, and "col j -= q·col k" subtracts q times entry j from entry k."""
+    n, cols = dec.D.cols, []
+    for j in js:
+        x = [ONE if i == j else ZERO for i in range(n)]
+        for a, b, q in reversed(dec.col_ops):
+            if q is None:
+                x[a], x[b] = x[b], x[a]
+            elif not x[a].is_zero:
+                x[b] = x[b] - q * x[a]
+        cols.append(x)
+    return PolyMatrix(n, len(cols), tuple(col[i] for i in range(n) for col in cols))

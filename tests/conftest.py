@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
 from lodempc.kernelops import GaussPolyTerm
-from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix, SmithDecomposition
+from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix
 
 settings.register_profile(
     "default",
@@ -185,8 +185,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def smith_certificate(h: PolyMatrix, dec) -> PolyMatrix:
-    """Assert that ``dec`` is a Smith decomposition of ``h`` without reading
-    a left transform, and return the quotient P.
+    """Assert that ``dec`` (anything with matrices ``D`` and ``V``) is a
+    Smith decomposition of ``h`` without reading a left transform, and return
+    the quotient P.
 
     The certificate: D is diagonal with monic invariant factors d_1..d_r,
     each dividing the next; V is unimodular; H·V vanishes past column r; and
@@ -195,16 +196,17 @@ def smith_certificate(h: PolyMatrix, dec) -> PolyMatrix:
     extends to a unimodular U = [P | P'], so Q = U⁻¹ is unimodular with
     Q·H·V = U⁻¹·U·D = D."""
     m, n = h.rows, h.cols
-    factors = dec.invariant_factors()
+    d, v = dec.D, dec.V
+    factors = tuple(d[i, i] for i in range(min(m, n)) if not d[i, i].is_zero)
     r = len(factors)
     diag = tuple(factors[i] if i == j and i < r else ZERO for i in range(m) for j in range(n))
-    assert dec.D == PolyMatrix(m, n, diag), "D is not diagonal with its factors first"
+    assert d == PolyMatrix(m, n, diag), "D is not diagonal with its factors first"
     assert all(f.leading_coeff == 1 for f in factors), "an invariant factor is not monic"
     for a, b in zip(factors, factors[1:]):
         assert divmod(b, a)[1].is_zero, f"{a} does not divide {b}"
-    det_v = determinant(dec.V)
+    det_v = determinant(v)
     assert det_v.degree == 0, f"V is not unimodular: det V = {det_v}"
-    hv = h @ dec.V
+    hv = h @ v
     assert all(hv[i, j].is_zero for i in range(m) for j in range(r, n)), "H·V is nonzero past the rank"
     quotients = [[divmod(hv[i, j], factors[j]) for j in range(r)] for i in range(m)]
     assert all(rem.is_zero for row in quotients for _, rem in row), "H·V[:, j] is not divisible by d_j"
@@ -345,12 +347,13 @@ class FractionPoly:
         return FractionPoly(tuple(quot)), FractionPoly(tuple(rem[:deg_b]))
 
 
-def fraction_smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
+def fraction_smith_normal_form(h: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """Smith normal form by the package's former reduction in
     :class:`FractionPoly` arithmetic: the same pivot rule (smallest degree,
     then lowest (row, col)), Euclidean division passes, offending rows folded
-    into the pivot row, and pivot rows scaled monic.  D and V come back as
-    PolyMatrix values, for an exact comparison."""
+    into the pivot row, pivot rows scaled monic, and every column operation
+    carried forward into V.  (D, V) come back as PolyMatrix values, for an
+    exact comparison."""
     m, n = h.rows, h.cols
     a = [[FractionPoly(h[i, j].coeffs) for j in range(n)] for i in range(m)]
     v = [[FractionPoly((1,) if i == j else ()) for j in range(n)] for i in range(n)]
@@ -364,7 +367,7 @@ def fraction_smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
     def matrix(grid, rows, cols):
         return PolyMatrix(rows, cols, tuple(Poly(p.coeffs) for row in grid for p in row))
 
-    return SmithDecomposition(D=matrix(a, m, n), V=matrix(v, n, n))
+    return matrix(a, m, n), matrix(v, n, n)
 
 
 def _fraction_reduce_pivot(a, v, k: int, m: int, n: int) -> bool:

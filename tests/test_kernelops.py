@@ -23,6 +23,8 @@ from lodempc.kernelops import (
     GaussPolyTerm,
     Hyperparams,
     OperatorKernel,
+    _bracketed,
+    _quotient_floats,
     apply_symbol,
     build_operator_kernel,
 )
@@ -540,9 +542,9 @@ def test_integer_build_compiles_the_floats_of_the_fraction_build(system):
     assert_compiled_like_fractions(a, b)
 
 
-def test_integer_build_compiles_the_floats_of_the_fraction_build_on_dense6():
-    # the benchmark's dense 6-state system, whose nullspace coefficients
-    # have numerators of about 1,200 digits
+def dense6_system():
+    """The benchmark's dense 6-state system, whose nullspace coefficients
+    have numerators of about 1,200 digits."""
     a = np.array([
         [-0.2, -0.5, -0.8, -0.4, -0.2, 0.7],
         [-0.1, -1.8, -0.3, 0.2, 0.7, 0.5],
@@ -552,7 +554,69 @@ def test_integer_build_compiles_the_floats_of_the_fraction_build_on_dense6():
         [-0.6, 0.3, 0.9, 1.0, 0.8, -0.5],
     ])
     b = np.array([[-0.3], [-0.2], [-1.0], [-0.7], [-0.4], [-0.3]])
-    assert_compiled_like_fractions(a, b)
+    return a, b
+
+
+def test_integer_build_compiles_the_floats_of_the_fraction_build_on_dense6():
+    assert_compiled_like_fractions(*dense6_system())
+
+
+# ---------------------------------------------------------------------------
+# Compiling a coefficient: the bracketed float and its exact fallback
+# ---------------------------------------------------------------------------
+
+
+def bracket(n: int, num: int, den: int):
+    """_bracketed's answer for n * num / den, with _quotient_floats' R and S."""
+    shift = 128 + den.bit_length() - num.bit_length()
+    r = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return _bracketed(n, r, shift)
+
+
+wide_ints = st.integers(min_value=1, max_value=2**700)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(min_value=-(2**300), max_value=2**300).filter(bool), wide_ints, wide_ints)
+def test_quotient_floats_are_the_int_true_division(n, num, den):
+    # results between 1e-300 and 2^800: the bracket settles all but near ties
+    want = (n * num) / den if abs(n * num) < den << 800 else None
+    assume(want is not None and abs(want) >= 1e-300)
+    assert bracket(n, num, den) == want
+    assert _quotient_floats([n], num, den) == [want]
+
+
+@pytest.mark.parametrize(
+    "n, num, den",
+    [
+        # 1 + 2^-53 is a tie between 1 and the next float: half-even gives 1
+        (1, 2**53 + 1, 2**53),
+        (-3, 2**53 + 1, 3 * 2**53),
+        # the result is 1/3, but n * R is past the largest float
+        (2**1100, 1, 3 * 2**1100),
+        # subnormal: about 2^-1061.6
+        (1, 1, 3 * 2**1060),
+        (-5, 7, 11 * 2**1070),
+    ],
+    ids=["tie", "negative-tie", "product-wider-than-a-float", "subnormal", "negative-subnormal"],
+)
+def test_quotient_floats_fall_back_to_the_exact_division(n, num, den):
+    assert bracket(n, num, den) is None
+    want = (n * num) / den
+    (got,) = _quotient_floats([n], num, den)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_dense6_coefficients_all_take_the_bracketed_float():
+    # every coefficient of the benchmark's dense 6-state kernel is settled by
+    # the bracket, and equals the exact division of the g^2-scaled int
+    system = LinearSystem(*dense6_system())
+    kernel = build_prior(system, x_ref=[0.0] * system.n_x).kernel
+    nums = [c for row in kernel.entries for term in row for c in term.coeffs.values()]
+    assert len(nums) == 1738
+    assert [bracket(c, kernel.scale, kernel.denominator) for c in nums] == [
+        c * kernel.scale / kernel.denominator for c in nums
+    ]
 
 
 # ---------------------------------------------------------------------------

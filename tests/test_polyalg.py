@@ -10,13 +10,15 @@ import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodempc.config import load_config
-from lodempc.lodegp import LinearSystem, build_h
+from lodempc.kernelops import GaussPolyTerm, OperatorKernel
+from lodempc.lodegp import LinearSystem, build_h, build_prior
 from lodempc.polyalg import (
     D,
     ONE,
@@ -167,7 +169,9 @@ def test_smith_matches_the_fraction_oracle_on_systems(name):
     else:
         system = dense_system(int(name[len("dense"):]))
     h = build_h(system)
-    assert smith_normal_form(h) == fraction_smith_normal_form(h)
+    dec = smith_normal_form(h)
+    assert (dec.D, dec.V) == fraction_smith_normal_form(h)
+    assert_nullspace_is_trailing_columns_of_v(dec)
 
 
 oracle_entries = st.lists(st.one_of(st.integers(-3, 3), oracle_fractions), max_size=4).map(Poly)
@@ -177,7 +181,33 @@ oracle_entries = st.lists(st.one_of(st.integers(-3, 3), oracle_fractions), max_s
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4), st.data())
 def test_smith_matches_the_fraction_oracle_on_random_matrices(rows, cols, data):
     h = PolyMatrix.from_rows([[data.draw(oracle_entries) for _ in range(cols)] for _ in range(rows)])
-    assert smith_normal_form(h) == fraction_smith_normal_form(h)
+    dec = smith_normal_form(h)
+    assert (dec.D, dec.V) == fraction_smith_normal_form(h)
+    assert_nullspace_is_trailing_columns_of_v(dec)
+
+
+def assert_nullspace_is_trailing_columns_of_v(dec) -> None:
+    # the nullspace columns come from the column-operation log alone; they
+    # must be the trailing columns of the full V, entry for entry
+    v, r, n = dec.V, dec.rank, dec.D.cols
+    assert right_nullspace_columns(dec) == PolyMatrix(
+        n, n - r, tuple(v[i, j] for i in range(n) for j in range(r, n))
+    )
+
+
+def test_build_prior_forms_neither_v_nor_the_scaled_kernel_entries(monkeypatch):
+    # A run reads one column of V and the kernel's floats: on the dense
+    # 6-state system, build_prior must neither form the full V nor scale
+    # any kernel term by g^2 (nor read an exact entry).
+    def refuse(*args):
+        raise AssertionError("formed on the run path")
+
+    monkeypatch.setattr(SmithDecomposition, "V", property(refuse))
+    monkeypatch.setattr(GaussPolyTerm, "scaled", refuse)
+    monkeypatch.setattr(OperatorKernel, "entry", refuse)
+    system = dense_system(0)
+    prior = build_prior(system, x_ref=[0.0] * system.n_x)
+    assert (prior.v_cols.rows, prior.v_cols.cols) == (7, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +378,7 @@ def _diag(*entries):
 )
 def test_smith_certificate_rejects_wrong_decompositions(h, d, v, message):
     with pytest.raises(AssertionError, match=message):
-        smith_certificate(h, SmithDecomposition(D=d, V=v))
+        smith_certificate(h, SimpleNamespace(D=d, V=v))
 
 
 entry_polys = st.builds(
