@@ -66,27 +66,15 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _write_trajectory_csv(path: Path, traj, n_x: int, n_u: int) -> None:
-    cols = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n_x)]
-        + [f"u{j + 1}" for j in range(n_u)]
-        + [f"std_x{i + 1}" for i in range(n_x)]
-        + [f"std_u{j + 1}" for j in range(n_u)]
-    )
-    lines = [",".join(cols)]
-    for k in range(traj.times.size):
-        row = (
-            [traj.times[k]]
-            + list(traj.states[k])
-            + list(traj.controls[k])
-            + list(traj.stds[k])
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+    names = [f"x{i + 1}" for i in range(n_x)] + [f"u{j + 1}" for j in range(n_u)]
+    rows = np.column_stack([traj.times, traj.states, traj.controls, traj.stds])
+    lines = [",".join(["t", *names, *(f"std_{c}" for c in names)])]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     dataset = initial_dataset(prior, cfg.controller)
     start = time.perf_counter()
     hp, fit = optimize_hyperparams(
@@ -101,6 +89,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     metrics = {
         "constraint_error": traj.constraint_error,
         "control_error": traj.control_error,
+        "jitter_escalations": traj.jitter_escalations,
+        "max_jitter_boost": traj.max_jitter_boost,
         "wall_time_s": wall,
         "hyperparams": asdict(hp),
         "fit": None if fit is None else asdict(fit),
@@ -120,7 +110,7 @@ def cmd_samples(cfg: ExperimentConfig, count: int, seed: int) -> int:
         raise ConfigError("--count must be >= 0")
     if seed < 0:
         raise ConfigError("--seed must be >= 0")
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     ctrl = cfg.controller
     nz = prior.n_z
     endpoints = Dataset(
@@ -170,7 +160,7 @@ def cmd_algebra(cfg: ExperimentConfig) -> int:
         print("nullspace columns of H =")
         print(_indent(null.to_text()))
         kernel = build_operator_kernel(null)
-        steady_state_input(cfg.system, cfg.x_ref)  # an infeasible x_ref exits 1, as in `run`
+        steady_state_input(cfg.system, cfg.controller.x_ref)  # an infeasible x_ref exits 1, as in `run`
         print("kernel entries (u = t - t', lam = 1/lengthscale_sq, scaled by signal variance):")
         print(_indent(kernel.describe()))
         return 0

@@ -66,10 +66,6 @@ class ExperimentConfig:
     metrics_json: str = "metrics.json"
     samples_csv: str = "samples.csv"
 
-    @property
-    def x_ref(self) -> tuple:
-        return self.controller.x_ref
-
 
 def _field(doc: dict, name: str, parse, optional: bool = False):
     """The document's field ``name`` ("section.key", or a top-level key) read

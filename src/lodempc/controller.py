@@ -11,7 +11,7 @@ mean of the control channels at ``SUBGRID_COUNT + 1`` knots over the next
 interval, linear between them, is applied to the plant, and the new row is
 appended; row 0 is the given initial condition.  Inspecting a step means
 replaying it: ``mpc_step(prior, cfg, hp, traj.z[:k+1])`` gives step ``k``'s
-control and std back bit for bit, and ``PosteriorGp(prior,
+control, std and jitter boost back bit for bit, and ``PosteriorGp(prior,
 build_step_dataset(prior, cfg, traj.z[:k+1]), hp)`` its posterior.
 
 :class:`ControllerConfig` holds the lattice times ``t0 + k*dt`` and maps
@@ -187,12 +187,13 @@ def initial_dataset(prior: LodeGpPrior, cfg: ControllerConfig) -> Dataset:
 
 def mpc_step(
     prior: LodeGpPrior, cfg: ControllerConfig, hp: Hyperparams, z_hist, table=None
-) -> tuple[ControlSignal, np.ndarray]:
+) -> tuple[ControlSignal, np.ndarray, float]:
     """The control law of step k = len(z_hist) - 1: condition on its dataset
-    and return the control for [t_k, t_k + dt] and the posterior std at its
-    last knot, t_k + dt.  The control is the posterior mean of the input
-    channels at ``SUBGRID_COUNT + 1`` knots spread evenly over the interval.
-    The posterior is freed on return.
+    and return the control for [t_k, t_k + dt], the posterior std at its
+    last knot, t_k + dt, and the diagonal boost its Cholesky needed (0.0 for
+    none).  The control is the posterior mean of the input channels at
+    ``SUBGRID_COUNT + 1`` knots spread evenly over the interval.  The
+    posterior is freed on return.
 
     A pure function of its arguments: ``mpc_step(prior, cfg, hp,
     traj.z[:k+1])`` replays step k of a run bit for bit.  ``table``
@@ -201,7 +202,8 @@ def mpc_step(
     gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist), hp, table)
     t_now = cfg.lattice[len(z_hist) - 1]
     knots = np.linspace(t_now, t_now + cfg.dt, SUBGRID_COUNT + 1)
-    return ControlSignal(knots, gp.mean(knots, np.arange(cfg.n_x, cfg.n_z))), gp.std(knots[-1:])[0]
+    signal = ControlSignal(knots, gp.mean(knots, np.arange(cfg.n_x, cfg.n_z)))
+    return signal, gp.std(knots[-1:])[0], gp.jitter_boost
 
 
 def run_lag_table(
@@ -222,7 +224,8 @@ def run_closed_loop(
 
     The trajectory z = (x, u) is the loop's only state.  Row 0 is the given
     initial condition, with std 0; step k is ``mpc_step(prior, cfg, hp,
-    z[:k+1])``, and its control and std fill row k + 1.  Every step gathers
+    z[:k+1])``, and its control and std fill row k + 1; the run records how
+    many steps needed a jitter boost and the largest.  Every step gathers
     its Gram from one lag table built here, so no step evaluates the kernel
     for its Gram (unless the run has more than ``MAX_TABLE_TIMES`` times)."""
     if plant.n_x != prior.system.n_x or plant.n_u != prior.system.n_u:
@@ -231,10 +234,11 @@ def run_closed_loop(
     times = cfg.lattice.copy()
     z = np.zeros((n_steps + 1, cfg.n_z))
     stds = np.zeros((n_steps + 1, cfg.n_z))
+    boosts = np.zeros(n_steps)
     z[0] = cfg.x0 + cfg.u0
     table = run_lag_table(prior, cfg, hp)
     for k in range(n_steps):
-        signal, stds[k + 1] = mpc_step(prior, cfg, hp, z[: k + 1], table)
+        signal, stds[k + 1], boosts[k] = mpc_step(prior, cfg, hp, z[: k + 1], table)
         x = plant.advance(z[k, :n_x], signal, times[k], cfg.dt)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise PlantDivergenceError(
@@ -247,4 +251,6 @@ def run_closed_loop(
     traj = Trajectory(times=times, states=z[:, :n_x], controls=z[:, n_x:], stds=stds)
     traj.constraint_error = constraint_violation(traj, cfg.z_min, cfg.z_max)
     traj.control_error = control_error(traj, cfg.x_ref)
+    traj.jitter_escalations = int(np.count_nonzero(boosts))
+    traj.max_jitter_boost = float(boosts.max(initial=0.0))
     return traj

@@ -141,7 +141,7 @@ class OperatorKernel:
 
     entries: tuple[tuple[GaussPolyTerm, ...], ...]
     denominator: int
-    scale: int = 1
+    scale: int
 
     def __post_init__(self) -> None:
         # Compile once: each entry's terms, in coefficient order, as (slot,

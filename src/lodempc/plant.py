@@ -88,6 +88,8 @@ class Trajectory:
     Row i holds the state at time[i] and the control value in effect
     entering time[i] (the initial control for row 0); ``stds`` are posterior
     stds per channel from the step that produced row i (0 in row 0: given).
+    ``jitter_escalations`` counts the steps whose Cholesky needed a diagonal
+    boost, and ``max_jitter_boost`` is the largest (0.0 for none).
     """
 
     times: np.ndarray
@@ -96,6 +98,8 @@ class Trajectory:
     stds: np.ndarray
     constraint_error: float | None = None
     control_error: float | None = None
+    jitter_escalations: int | None = None
+    max_jitter_boost: float | None = None
 
     @property
     def z(self) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Exact univariate polynomial arithmetic over the rationals, polynomial
-matrices, and Smith normal form with its right transformation matrix.
+matrices, and Smith normal form with its right transformation as a log.
 
 The indeterminate is written ``d`` and stands for the time-differentiation
 operator, so a matrix of these polynomials encodes a system of linear
@@ -8,8 +8,9 @@ int denominator, reduced by one content gcd per operation; division is
 pseudo-division by the divisor's int leading coefficient.  Every operation
 is exact, which keeps the Smith reduction and the nullspace extraction free
 of pivoting and rounding artifacts.  The reduction logs its column
-operations instead of carrying V forward, and a column of V is formed from
-the log when read.  All values are immutable and all functions are pure.
+operations instead of carrying V forward, and the nullspace columns of V
+are formed from the log alone; only the tests form the full V.  All values
+are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class Poly:
     def degree(self):
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
         return len(self.nums) - 1 if self.nums else NEG_INFINITY
-
-    @property
-    def leading_coeff(self):
-        return self.coeffs[-1] if self.nums else 0
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -248,13 +245,14 @@ class PolyMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Factorization Q·H·V = D with unimodular V and a unimodular Q that is
-    implied by the row operations but not formed.
+    """Factorization Q·H·V = D with unimodular Q and V that are implied by
+    the row and column operations but not formed.
 
     D is diagonal (in the rectangular sense); its nonzero diagonal entries
     are monic and each divides the next.  V is the product of the column
     operations in ``col_ops``, in order: (j, k, None) swaps columns j and k,
-    (j, k, q) subtracts q times column k from column j.
+    (j, k, q) subtracts q times column k from column j.  Only the nullspace
+    columns of V are read (:func:`right_nullspace_columns`).
     """
 
     D: PolyMatrix
@@ -271,11 +269,6 @@ class SmithDecomposition:
             if not self.D[i, i].is_zero
         )
 
-    @property
-    def V(self) -> PolyMatrix:
-        """The full V, formed from the log on each read."""
-        return _columns(self, range(self.D.cols))
-
 
 def smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
     """Smith normal form of a polynomial matrix over Q[d].
@@ -287,7 +280,7 @@ def smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
     trailing entry (if any) is folded into the pivot row and reduction
     continues.  Diagonal entries are normalized monic by scaling the pivot
     row.  Row operations act on the working matrix alone; column operations
-    act on it and are recorded, in order, as the decomposition's V.
+    act on it and are recorded, in order, as the decomposition's ``col_ops``.
     """
     m, n = h.rows, h.cols
     if m == 0 or n == 0:
@@ -381,17 +374,13 @@ def right_nullspace_columns(dec: SmithDecomposition) -> PolyMatrix:
 
     These are the columns of V past the number of nonzero diagonal entries
     of D: for those j, H·V[:, j] = Q⁻¹·D[:, j] = 0.  Each is formed from the
-    column-operation log alone; the ``algebra`` command and the tests check
+    column-operation log alone, never from the full V: V = E_1·E_2·…·E_t, so
+    V·e_j is e_j with E_t applied first, and "col j -= q·col k" subtracts q
+    times entry j from entry k.  The ``algebra`` command and the tests check
     H·V = 0 exactly.
     """
-    return _columns(dec, range(dec.rank, dec.D.cols))
-
-
-def _columns(dec: SmithDecomposition, js) -> PolyMatrix:
-    """Columns ``js`` of V = E_1·E_2·…·E_t: V·e_j is e_j with E_t applied
-    first, and "col j -= q·col k" subtracts q times entry j from entry k."""
     n, cols = dec.D.cols, []
-    for j in js:
+    for j in range(dec.rank, n):
         x = [ONE if i == j else ZERO for i in range(n)]
         for a, b, q in reversed(dec.col_ops):
             if q is None:

@@ -4,10 +4,11 @@ and seeded random controllable 4-state priors.  Shared helpers: the dense
 a textbook RK4 oracle for the plant, the exact flow under a held input
 (matrix exponential) and a held input as a signal, and the exact-algebra
 oracles the package does not need at run time (polynomial determinant,
-identity and inverse, a Smith decomposition's certificate and its recovered
-left transform, a kernel entry's symbol, a kernel term differentiated step
-by step, a kernel term summed at one point, and the former Fraction
-polynomial arithmetic and Smith reduction that the int ones must match)."""
+identity and inverse, a Smith decomposition's full V, its certificate and
+its recovered left transform, a kernel entry's symbol, a kernel term
+differentiated step by step, a kernel term summed at one point, and the
+former Fraction polynomial arithmetic and Smith reduction that the int ones
+must match)."""
 
 import math
 from dataclasses import dataclass
@@ -173,7 +174,7 @@ def inverse(m: PolyMatrix) -> PolyMatrix:
     def cofactor(i, j):
         minor = tuple(m[r, c] for r in range(n) if r != i for c in range(n) if c != j)
         sign = (-1) ** (i + j)
-        return determinant(PolyMatrix(n - 1, n - 1, minor)).scaled(sign / det.leading_coeff)
+        return determinant(PolyMatrix(n - 1, n - 1, minor)).scaled(sign / det.coeffs[-1])
 
     return PolyMatrix(n, n, tuple(cofactor(j, i) for i in range(n) for j in range(n)))
 
@@ -184,10 +185,26 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def smith_certificate(h: PolyMatrix, dec) -> PolyMatrix:
-    """Assert that ``dec`` (anything with matrices ``D`` and ``V``) is a
-    Smith decomposition of ``h`` without reading a left transform, and return
-    the quotient P.
+def smith_v(dec) -> PolyMatrix:
+    """The full V of a Smith decomposition: the identity with the column
+    operations of ``dec.col_ops`` applied in log order, each to whole
+    columns (a swap, or column j minus q times column k).  This runs the log
+    forward, independently of the backward replay that
+    ``right_nullspace_columns`` makes for one column at a time."""
+    n = dec.D.cols
+    v = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for j, k, q in dec.col_ops:
+        for row in v:
+            if q is None:
+                row[j], row[k] = row[k], row[j]
+            else:
+                row[j] = row[j] - q * row[k]
+    return PolyMatrix(n, n, tuple(p for row in v for p in row))
+
+
+def smith_certificate(h: PolyMatrix, d: PolyMatrix, v: PolyMatrix) -> PolyMatrix:
+    """Assert that ``d`` and ``v`` are the D and V of a Smith decomposition
+    of ``h`` without reading a left transform, and return the quotient P.
 
     The certificate: D is diagonal with monic invariant factors d_1..d_r,
     each dividing the next; V is unimodular; H·V vanishes past column r; and
@@ -196,12 +213,11 @@ def smith_certificate(h: PolyMatrix, dec) -> PolyMatrix:
     extends to a unimodular U = [P | P'], so Q = U⁻¹ is unimodular with
     Q·H·V = U⁻¹·U·D = D."""
     m, n = h.rows, h.cols
-    d, v = dec.D, dec.V
     factors = tuple(d[i, i] for i in range(min(m, n)) if not d[i, i].is_zero)
     r = len(factors)
     diag = tuple(factors[i] if i == j and i < r else ZERO for i in range(m) for j in range(n))
     assert d == PolyMatrix(m, n, diag), "D is not diagonal with its factors first"
-    assert all(f.leading_coeff == 1 for f in factors), "an invariant factor is not monic"
+    assert all(f.coeffs[-1] == 1 for f in factors), "an invariant factor is not monic"
     for a, b in zip(factors, factors[1:]):
         assert divmod(b, a)[1].is_zero, f"{a} does not divide {b}"
     det_v = determinant(v)
@@ -223,7 +239,7 @@ def left_transform(h: PolyMatrix, dec) -> PolyMatrix:
     """The Q with Q·H·V = D of a full-row-rank ``h``: there D = [diag(d) | 0],
     so Q·P = I for the certificate's quotient P, and Q = P⁻¹ is unique."""
     assert dec.rank == h.rows, "Q is unique only at full row rank"
-    return inverse(smith_certificate(h, dec))
+    return inverse(smith_certificate(h, dec.D, smith_v(dec)))
 
 
 def evaluate_term(term, u: float, lam: float) -> float:

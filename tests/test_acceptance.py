@@ -38,6 +38,7 @@ from conftest import (
     left_transform,
     posterior_from_trajectory,
     rk4_by_value,
+    smith_v,
     step_exact,
 )
 
@@ -85,11 +86,12 @@ def test_criterion_1_smith_form_exact_and_fast():
     expected = PolyMatrix.from_rows([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
     q = left_transform(h, dec)  # H has full row rank, so this is Smith's own Q
     det_q = determinant(q)
-    det_v = determinant(dec.V)
+    v = smith_v(dec)
+    det_v = determinant(v)
     problems = []
     if dec.D != expected:
         problems.append(f"D = {dec.D.to_text()!r}")
-    if q @ h @ dec.V != dec.D:
+    if q @ h @ v != dec.D:
         problems.append("Q*H*V != D")
     if not (det_q.degree <= 0 and not det_q.is_zero):
         problems.append(f"det Q = {det_q}")
@@ -230,6 +232,11 @@ def test_criterion_6_closed_loop_regulates_the_unstable_plant(bundled_runs):
         problems.append(f"uncontrolled plant never exceeds 100 before t=4 (max {norms.max():.1f})")
     detail = ", ".join(f"{n}: |x(10)|={finals[n]:.4f}" for n in RUN_NAMES)
     _verdict(6, not problems, "; ".join(problems) or f"{detail}; free plant hits 100 at t={t_cross:.2f}")
+
+
+def test_bundled_runs_need_no_jitter_boost(bundled_runs):
+    for name, run in bundled_runs.items():
+        assert (run.traj.jitter_escalations, run.traj.max_jitter_boost) == (0, 0.0), name
 
 
 def test_criterion_7_gp_numerics_suite():

@@ -236,6 +236,8 @@ def test_run_writes_artifacts_and_exits_zero(config_path, tmp_path, capsys):
     assert set(metrics) == {
         "constraint_error",
         "control_error",
+        "jitter_escalations",
+        "max_jitter_boost",
         "wall_time_s",
         "hyperparams",
         "fit",
@@ -243,8 +245,31 @@ def test_run_writes_artifacts_and_exits_zero(config_path, tmp_path, capsys):
     }
     assert metrics["hyperparams"]["signal_variance"] == 0.5
     assert metrics["fit"] is None  # both hyperparameters fixed
+    assert (metrics["jitter_escalations"], metrics["max_jitter_boost"]) == (0, 0.0)
     assert abs(metrics["final_state"][0]) < 0.5  # pulled toward the origin
     assert "run complete" in capsys.readouterr().out
+
+
+def test_run_records_the_jitter_boosts_of_its_steps(tmp_path, monkeypatch):
+    # a Cholesky that refuses the first attempt of every factorization: each
+    # closed-loop step factors at the first escalated boost, 10 * max(jitter,
+    # 1e-10), and metrics.json counts every such step and the largest boost
+    doc = base_doc(tmp_path / "out")
+    real, refused = gpcore.cho_factor, []
+
+    def refuse_first(a, **kw):
+        if not any(a is b for b in refused):
+            refused.append(a)
+            raise LinAlgError("refused")
+        return real(a, **kw)
+
+    monkeypatch.setattr(gpcore, "cho_factor", refuse_first)
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    n_steps = 10
+    assert len(refused) == n_steps  # the fit is bypassed: both fixed
+    assert metrics["jitter_escalations"] == n_steps
+    assert metrics["max_jitter_boost"] == 10 * max(doc["hyperparams"]["jitter"], 1e-10)
 
 
 def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):

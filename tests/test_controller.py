@@ -243,9 +243,10 @@ def test_initial_dataset_virtual_switch(unstable_prior):
 def test_mpc_step_returns_piecewise_linear(unstable_prior):
     # SUBGRID_COUNT + 1 knots spread evenly over [t_k, t_k + dt], each the
     # mean of the control channel there, of the posterior on the step's own
-    # dataset; the std is that posterior's at the last knot, t_next
+    # dataset; the std is that posterior's at the last knot, t_next, and the
+    # boost is the one its factorization needed
     cfg = make_cfg()
-    signal, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    signal, std_next, boost = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     gp = PosteriorGp(unstable_prior, build_step_dataset(unstable_prior, cfg, history(0)), Hyperparams())
     assert np.array_equal(signal.knot_times, np.linspace(0.0, 0.1, SUBGRID_COUNT + 1))
     assert signal.knot_values.shape == (SUBGRID_COUNT + 1, 1)
@@ -254,6 +255,7 @@ def test_mpc_step_returns_piecewise_linear(unstable_prior):
     )
     assert std_next.shape == (3,)
     assert np.array_equal(std_next, gp.std(np.array([0.1]))[0])
+    assert boost == gp.jitter_boost == 0.0
 
 
 def test_mpc_step_knots_start_at_the_current_step(unstable_prior):
@@ -261,7 +263,7 @@ def test_mpc_step_knots_start_at_the_current_step(unstable_prior):
     # [t_7, t_7 + dt], and its first knot pins the current input
     cfg = make_cfg()
     z_now = np.array([0.7, -0.2, 0.3])
-    signal, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(7, z_now))
+    signal, _, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(7, z_now))
     t_now = cfg.lattice[7]
     assert np.array_equal(signal.knot_times, np.linspace(t_now, t_now + cfg.dt, SUBGRID_COUNT + 1))
     np.testing.assert_allclose(signal.value(t_now), z_now[2:], atol=1e-4)
@@ -298,11 +300,11 @@ def test_mpc_step_evaluates_each_kernel_grid_once(unstable_prior, monkeypatch):
 
     monkeypatch.setattr(OperatorKernel, "eval_blocks", counted)
     monkeypatch.setattr(Dataset, "__post_init__", built)
-    _, std_next = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
+    _, std_next, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0))
     assert len(datasets) == 1
     lags, cross, lag0, std_cross = calls
     calls.clear()
-    _, std_tabled = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
+    _, std_tabled, _ = mpc_step(unstable_prior, cfg, Hyperparams(), history(0), table)
     monkeypatch.undo()
     assert len(datasets) == 2
     assert np.array_equal(lags[0], np.unique(data.t[:, None] - data.t))
@@ -358,6 +360,7 @@ def test_closed_loop_shapes_and_bookkeeping(unstable_prior, monkeypatch):
     assert seen == list(range(1, 21))
     assert traj.constraint_error is not None
     assert traj.control_error is not None
+    assert (traj.jitter_escalations, traj.max_jitter_boost) == (0, 0.0)
     assert np.all(traj.stds >= 0.0)
 
 
@@ -381,9 +384,10 @@ def test_closed_loop_steps_replay_bit_for_bit(unstable_prior, monkeypatch):
     monkeypatch.undo()
     assert len(factored) == cfg.n_steps
     for k in range(cfg.n_steps):
-        signal, std_next = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
+        signal, std_next, boost = mpc_step(unstable_prior, cfg, hp, traj.z[: k + 1])
         assert np.array_equal(traj.controls[k + 1], signal.value(traj.times[k + 1]))
         assert np.array_equal(traj.stds[k + 1], std_next)
+        assert boost == 0.0
 
 
 def test_closed_loop_without_a_run_table_is_bit_identical(unstable_prior, monkeypatch):
@@ -436,7 +440,7 @@ def test_run_table_gathers_every_step_gram_bit_for_bit(tmp_path):
     rng = np.random.default_rng(3)
     for path in [*paths, tmp_path / "dense6.json"]:
         exp = load_config(path)
-        cfg, prior = exp.controller, build_prior(exp.system, exp.x_ref)
+        cfg, prior = exp.controller, build_prior(exp.system, exp.controller.x_ref)
         hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
         table = run_lag_table(prior, cfg, hp)
         assert table.times.size == 128, path.name
@@ -454,7 +458,7 @@ def _run(path):
     """``lodempc run`` on the config at ``path``, without its outputs:
     (controller config, prior, hyperparameters, trajectory)."""
     exp = load_config(path)
-    cfg, prior = exp.controller, build_prior(exp.system, exp.x_ref)
+    cfg, prior = exp.controller, build_prior(exp.system, exp.controller.x_ref)
     hp, _ = optimize_hyperparams(
         prior, initial_dataset(prior, cfg), exp.hp_bounds, exp.hp_fixed, exp.jitter
     )
@@ -468,6 +472,11 @@ def dense6_run(tmp_path_factory):
     return _run(path)
 
 
+def test_dense6_run_needs_no_jitter_boost(dense6_run):
+    traj = dense6_run[3]
+    assert (traj.jitter_escalations, traj.max_jitter_boost) == (0, 0.0)
+
+
 def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, dense6_run):
     # the factorization reads gram.T, in place, as the same matrix: every
     # gathered Gram, through the run's table or its own, is exactly
@@ -475,7 +484,7 @@ def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, dense6_run
     cases = []
     for name in ("baseline", "past", "virtual"):
         exp = load_config(CONFIG_DIR / f"regulation_{name}.json")
-        prior = build_prior(exp.system, exp.x_ref)
+        prior = build_prior(exp.system, exp.controller.x_ref)
         hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
         cases.append((prior, exp.controller, hp, [exp.controller.x0 + exp.controller.u0]))
     cfg, prior, hp, traj = dense6_run
@@ -504,7 +513,7 @@ def test_step_datasets_are_written_in_time_order(monkeypatch, dense6_run):
 
     monkeypatch.setattr(controller, "Dataset", recorder)
     exp = load_config(CONFIG_DIR / "regulation_virtual.json")
-    cfg, prior = exp.controller, build_prior(exp.system, exp.x_ref)
+    cfg, prior = exp.controller, build_prior(exp.system, exp.controller.x_ref)
     hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
     run_closed_loop(prior, Plant(exp.system.A, exp.system.B), cfg, hp)
     assert len(seen) == cfg.n_steps
@@ -538,7 +547,7 @@ def test_dense6_step_holds_one_gram(dense6_run):
 def _assert_inputs_mean_is_full_mean(cfg, prior, hp, z_hist):
     # the control law reads the input channels' mean alone: bit for bit
     # the columns of the full mean at its knots
-    signal, _ = mpc_step(prior, cfg, hp, z_hist)
+    signal, _, _ = mpc_step(prior, cfg, hp, z_hist)
     gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z_hist), hp)
     inputs = np.arange(cfg.n_x, cfg.n_z)
     full = gp.mean(signal.knot_times)
@@ -587,7 +596,7 @@ def test_closed_loop_plant_substeps_follow_subgrid_knots(unstable_prior):
     hp = Hyperparams()
     traj = run_closed_loop(unstable_prior, plant, cfg, hp)
     for i in range(cfg.n_steps):
-        sig, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
+        sig, _, _ = mpc_step(unstable_prior, cfg, hp, traj.z[: i + 1])
         want = _exact_piecewise_linear(plant.A, plant.B, traj.states[i], sig)
         assert np.max(np.abs(traj.states[i + 1] - want)) <= 1e-9
 

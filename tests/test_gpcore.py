@@ -437,14 +437,14 @@ def test_std_matches_a_long_double_oracle():
     # prior variance to a few digits, so rounding in the float64 solve shows
     # in the std: this bounds it.
     cfg = load_config(CONFIG_DIR / "regulation_virtual.json")
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     ctrl = cfg.controller
     hp, _ = optimize_hyperparams(prior, initial_dataset(prior, ctrl), bounds=cfg.hp_bounds,
                                  fixed=cfg.hp_fixed, jitter=cfg.jitter)
     traj = run_closed_loop(prior, Plant(cfg.system.A, cfg.system.B), ctrl, hp)
     lag0 = np.diagonal(prior.kernel.eval_blocks(0.0, 0.0, hp)[:, :, 0, 0])
     for k in range(15, ctrl.n_steps, 20):
-        _, std = mpc_step(prior, ctrl, hp, traj.z[: k + 1])
+        _, std, _ = mpc_step(prior, ctrl, hp, traj.z[: k + 1])
         gp = PosteriorGp(prior, build_step_dataset(prior, ctrl, traj.z[: k + 1]), hp)
         gram, _ = assemble_gram(prior, gp.data, hp)
         gram[np.diag_indices_from(gram)] += gp.jitter_boost
@@ -682,7 +682,7 @@ BOTH = ("signal_variance", "lengthscale_sq")
 def past_fit():
     # the step-0 fit of the bundled regulation_past experiment, as `run` does it
     cfg = load_config(CONFIG_DIR / "regulation_past.json")
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     data = initial_dataset(prior, cfg.controller)
     return prior, data, {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
 
@@ -988,7 +988,7 @@ def test_fit_finds_both_basins_of_a_dense_system(tmp_path):
     path = tmp_path / "dense6.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     data = initial_dataset(prior, cfg.controller)
     _, fit = optimize_hyperparams(prior, data, bounds=cfg.hp_bounds, jitter=cfg.jitter)
     assert fit.log_marginal_likelihood == pytest.approx(-149.54910128063042, rel=1e-9)
@@ -1062,7 +1062,7 @@ def nelder_mead_optimum(optima, prior, data, bounds, jitter):
 @pytest.mark.parametrize("name", ["baseline", "past", "virtual"])
 def test_fit_reaches_the_nelder_mead_optimum(nelder_mead_optima, name):
     cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     data = initial_dataset(prior, cfg.controller)
     hp, fit = optimize_hyperparams(prior, data, bounds=cfg.hp_bounds, jitter=cfg.jitter)
     assert fit.log_marginal_likelihood == log_marginal_likelihood(prior, data, hp)[0]
@@ -1106,7 +1106,7 @@ def lbfgsb_descend(fg, x0, lo, hi):
 def test_descent_matches_lbfgsb(monkeypatch, name, x0, fixed, at_bound):
     cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
     controller = cfg.controller if x0 is None else dataclasses.replace(cfg.controller, x0=x0)
-    prior = build_prior(cfg.system, cfg.x_ref)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
     data = initial_dataset(prior, controller)
     fit = functools.partial(optimize_hyperparams, prior, data, bounds=cfg.hp_bounds,
                             fixed=fixed, jitter=cfg.jitter)

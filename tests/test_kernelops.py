@@ -467,8 +467,11 @@ def test_lam_derivative_table_converts_no_fractions(random4_kernel, monkeypatch)
 
     monkeypatch.setattr(Fraction, "__float__", refuse)
     # a fresh kernel, so its compile and its derivative table run under the
-    # patch: floats come from int divisions by the common denominator
-    fresh = OperatorKernel(random4_kernel.entries, random4_kernel.denominator)
+    # patch: floats come from int divisions by the common denominator, and
+    # they are the built kernel's, bit for bit
+    fresh = OperatorKernel(random4_kernel.entries, random4_kernel.denominator, random4_kernel.scale)
+    for got, want in zip(fresh._compiled, random4_kernel._compiled, strict=True):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert "_compiled_dlam" not in vars(fresh)
     fresh.eval_blocks_dlam(np.linspace(-1.0, 1.0, 5), [0.0], Hyperparams(0.8, 0.7))
     assert "_compiled_dlam" in vars(fresh)

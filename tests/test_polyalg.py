@@ -10,7 +10,6 @@ import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,6 @@ from lodempc.polyalg import (
     ZERO,
     Poly,
     PolyMatrix,
-    SmithDecomposition,
     right_nullspace_columns,
     smith_normal_form,
 )
@@ -37,6 +35,7 @@ from conftest import (
     identity,
     left_transform,
     smith_certificate,
+    smith_v,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,7 +169,7 @@ def test_smith_matches_the_fraction_oracle_on_systems(name):
         system = dense_system(int(name[len("dense"):]))
     h = build_h(system)
     dec = smith_normal_form(h)
-    assert (dec.D, dec.V) == fraction_smith_normal_form(h)
+    assert (dec.D, smith_v(dec)) == fraction_smith_normal_form(h)
     assert_nullspace_is_trailing_columns_of_v(dec)
 
 
@@ -182,14 +181,15 @@ oracle_entries = st.lists(st.one_of(st.integers(-3, 3), oracle_fractions), max_s
 def test_smith_matches_the_fraction_oracle_on_random_matrices(rows, cols, data):
     h = PolyMatrix.from_rows([[data.draw(oracle_entries) for _ in range(cols)] for _ in range(rows)])
     dec = smith_normal_form(h)
-    assert (dec.D, dec.V) == fraction_smith_normal_form(h)
+    assert (dec.D, smith_v(dec)) == fraction_smith_normal_form(h)
     assert_nullspace_is_trailing_columns_of_v(dec)
 
 
 def assert_nullspace_is_trailing_columns_of_v(dec) -> None:
-    # the nullspace columns come from the column-operation log alone; they
-    # must be the trailing columns of the full V, entry for entry
-    v, r, n = dec.V, dec.rank, dec.D.cols
+    # the nullspace columns come from replaying the column-operation log
+    # backward; they must be the trailing columns of the full V that the
+    # oracle forms by running the log forward, entry for entry
+    v, r, n = smith_v(dec), dec.rank, dec.D.cols
     assert right_nullspace_columns(dec) == PolyMatrix(
         n, n - r, tuple(v[i, j] for i in range(n) for j in range(r, n))
     )
@@ -197,12 +197,12 @@ def assert_nullspace_is_trailing_columns_of_v(dec) -> None:
 
 def test_build_prior_forms_neither_v_nor_the_scaled_kernel_entries(monkeypatch):
     # A run reads one column of V and the kernel's floats: on the dense
-    # 6-state system, build_prior must neither form the full V nor scale
-    # any kernel term by g^2 (nor read an exact entry).
+    # 6-state system, build_prior must not scale any kernel term by g^2 (nor
+    # read an exact entry).  The package has no full V to form; only the
+    # tests build it (conftest.smith_v).
     def refuse(*args):
         raise AssertionError("formed on the run path")
 
-    monkeypatch.setattr(SmithDecomposition, "V", property(refuse))
     monkeypatch.setattr(GaussPolyTerm, "scaled", refuse)
     monkeypatch.setattr(OperatorKernel, "entry", refuse)
     system = dense_system(0)
@@ -269,11 +269,12 @@ def snf_identities(h):
     # the certificate covers every rank: V unimodular, the divisibility
     # chain, and a unimodular Q with Q·H·V = D
     dec = smith_normal_form(h)
-    smith_certificate(h, dec)
+    v = smith_v(dec)
+    smith_certificate(h, dec.D, v)
     if dec.rank == h.rows:
         # full row rank: Q is unique, so this is the algorithm's own Q
         q = left_transform(h, dec)
-        assert q @ h @ dec.V == dec.D
+        assert q @ h @ v == dec.D
         dq = determinant(q)
         assert dq.degree <= 0 and not dq.is_zero
     return dec
@@ -290,7 +291,7 @@ def test_snf_transforms_are_unimodular_for_unstable_system():
     dec = smith_normal_form(h)
     # frozen by hand-checking the printed decomposition of this system
     assert determinant(left_transform(h, dec)) == ONE
-    assert determinant(dec.V) == ONE
+    assert determinant(smith_v(dec)) == ONE
 
 
 def test_nullspace_of_unstable_system():
@@ -301,7 +302,7 @@ def test_nullspace_of_unstable_system():
     # by normalizing the first entry
     first = n[0, 0]
     assert first.degree <= 0 and not first.is_zero
-    scale = Fraction(1, 1) / first.leading_coeff
+    scale = Fraction(1, 1) / first.coeffs[-1]
     col = tuple(n[i, 0].scaled(scale) for i in range(3))
     assert col == (ONE, D, D * D - D - ONE)
 
@@ -318,7 +319,7 @@ def test_snf_scalar_integrator():
     dec = snf_identities(h)
     assert dec.D == PolyMatrix.from_rows([[1, 0]])
     n = right_nullspace_columns(dec)
-    scale = Fraction(1, 1) / n[0, 0].leading_coeff
+    scale = Fraction(1, 1) / n[0, 0].coeffs[-1]
     assert tuple(n[i, 0].scaled(scale) for i in range(2)) == (ONE, D)
 
 
@@ -336,7 +337,7 @@ def test_snf_diagonal_entries_are_monic():
     h = PolyMatrix.from_rows([[2 * D, 0], [0, 3 * (D * D)]])
     dec = snf_identities(h)
     for k in range(dec.rank):
-        assert dec.D[k, k].leading_coeff == 1
+        assert dec.D[k, k].coeffs[-1] == 1
 
 
 def test_snf_handles_zero_matrix():
@@ -378,7 +379,7 @@ def _diag(*entries):
 )
 def test_smith_certificate_rejects_wrong_decompositions(h, d, v, message):
     with pytest.raises(AssertionError, match=message):
-        smith_certificate(h, SimpleNamespace(D=d, V=v))
+        smith_certificate(h, d, v)
 
 
 entry_polys = st.builds(
