@@ -45,6 +45,7 @@ from .lodegp import (
     NonControllableSystemError,
     build_h,
     build_prior,
+    prior_columns,
     require_controllable,
     steady_state_input,
 )
@@ -155,7 +156,7 @@ def cmd_algebra(cfg: ExperimentConfig) -> int:
         print(_indent(dec.D.to_text()))
         require_controllable(dec)
         null = right_nullspace_columns(dec)
-        if not (h @ null).is_zero:
+        if not (h @ null).is_zero or prior_columns(cfg.system, dec) != null:
             raise AssertionError("nullspace columns failed exact verification")
         print("nullspace columns of H =")
         print(_indent(null.to_text()))

@@ -8,6 +8,10 @@ unimodular Q; the columns of V past the nonzero diagonal of D span the right
 nullspace of H, and pushing a latent squared-exponential process through
 those columns gives a matrix-valued kernel whose sample paths obey the ODE.
 The exact check H·V = 0 belongs to the ``algebra`` command and the tests.
+For one input the column is (-1)^n_x·det Q·det V·g, with g = (adj(dI - A)·B,
+det(dI - A)) the flat-output generator, and V is not replayed: both are
+primitive generators of H's rank-1 kernel, and det[H; e_(n+1)ᵀ]·det[V_1 | g]
+= det(Q⁻¹)·det(dI - A) fixes their ratio (:class:`SmithDecomposition`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "NonControllableSystemError",
     "InfeasibleReferenceError",
     "build_h",
+    "prior_columns",
     "require_controllable",
     "steady_state_input",
     "build_prior",
@@ -167,12 +172,33 @@ def steady_state_input(system: LinearSystem, x_ref) -> np.ndarray:
     return u_ref
 
 
+def prior_columns(system: LinearSystem, dec: SmithDecomposition) -> PolyMatrix:
+    """``right_nullspace_columns(dec)`` of a controllable H = [A - d*I | B], without a replay for one input."""
+    if system.n_u > 1:
+        return right_nullspace_columns(dec)
+    n = system.n_x
+    ratios = [v.as_integer_ratio() for v in np.hstack([system.A, system.B]).flat]
+    s = max(d for _, d in ratios)  # float denominators are powers of two
+    ab = np.array([num * (s // d) for num, d in ratios], dtype=object).reshape(n, n + 1)
+    # Faddeev–LeVerrier on the ints s·A: M_k = s·A·M_(k-1) + c_(n-k+1)·I, c_(n-k) = -tr(s·A·M_k)/k give
+    # det(μI - s·A) = Σ c_j μ^j and adj(μI - s·A) = Σ M_k μ^(n-k); g's d^j terms are those times s^j/s^n.
+    m, char, adj_b = np.eye(n, dtype=object), [1], []
+    for k in range(1, n + 1):
+        adj_b.append(m @ ab[:, n])
+        m = ab[:, :n] @ m
+        char.append(-np.trace(m) // k)
+        m[np.diag_indices(n)] += char[-1]
+    scale = dec.det_qv * Poly(((-1) ** n,), s**n)
+    rows = [*zip(*reversed(adj_b)), char[::-1]]
+    return PolyMatrix(n + 1, 1, tuple(Poly([c * s**j for j, c in enumerate(r)]) * scale for r in rows))
+
+
 def build_prior(system: LinearSystem, x_ref) -> LodeGpPrior:
     """Full pipeline: operator matrix, Smith reduction, nullspace columns,
     operator kernel, and the constant reference mean."""
     dec = smith_normal_form(build_h(system))
     require_controllable(dec)
-    v_cols = right_nullspace_columns(dec)
+    v_cols = prior_columns(system, dec)
     kernel = build_operator_kernel(v_cols)
     u_ref = steady_state_input(system, x_ref)
     prior_mean = np.concatenate([np.asarray(x_ref, dtype=float), u_ref])

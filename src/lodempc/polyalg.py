@@ -38,19 +38,18 @@ NEG_INFINITY = float("-inf")
 
 @dataclass(frozen=True, init=False, slots=True)
 class Poly:
-    """A univariate polynomial with exact rational coefficients, from ints,
-    Fractions or floats.  ``nums[k] / den`` multiplies the k-th power of the
-    indeterminate, in canonical form: no trailing zero, and no factor common
-    to ``den`` and every numerator."""
+    """A univariate polynomial with exact rational coefficients: ints, Fractions
+    or floats over an optional int ``den``.  ``nums[k] / den`` multiplies d^k,
+    in canonical form: no trailing zero, no factor common to den and all nums."""
 
     nums: tuple
     den: int
 
-    def __new__(cls, coeffs: Sequence = ()) -> "Poly":
+    def __new__(cls, coeffs: Sequence = (), den: int = 1) -> "Poly":
         ratios = [c.as_integer_ratio() if isinstance(c, float) else (int(c.numerator), int(c.denominator))
                   for c in coeffs]
-        den = math.lcm(*(d for _, d in ratios))
-        return _make([n * (den // d) for n, d in ratios], den)
+        lcm = math.lcm(*(d for _, d in ratios))
+        return _make([n * (lcm // d) for n, d in ratios], lcm * den)
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -252,11 +251,18 @@ class SmithDecomposition:
     are monic and each divides the next.  V is the product of the column
     operations in ``col_ops``, in order: (j, k, None) swaps columns j and k,
     (j, k, q) subtracts q times column k from column j.  Only the nullspace
-    columns of V are read (:func:`right_nullspace_columns`).
+    columns of V are read (:func:`right_nullspace_columns`).  ``det_qv`` is
+    det Q·det V.  For a controllable single-input H = [A - d*I | B], V's last
+    column v is (-1)^n·det_qv·g, g = (adj(dI - A)·B, det(dI - A)) the
+    flat-output generator.  Proof: v and g are primitive (V is unimodular; g
+    is ±H's maximal minors, coprime by PBH) and span H's rank-1 kernel, so
+    v = c·g.  [H; e_(n+1)ᵀ]·[V_1 | g] is block triangular, diagonal (Q⁻¹, det(dI - A)),
+    and det[H; e_(n+1)ᵀ] = (-1)^n·det(dI - A), so det V = c·det[V_1 | g] = c·(-1)^n/det Q.
     """
 
     D: PolyMatrix
     col_ops: tuple
+    det_qv: Poly
 
     @property
     def rank(self) -> int:
@@ -287,16 +293,20 @@ def smith_normal_form(h: PolyMatrix) -> SmithDecomposition:
         raise ValueError("cannot reduce an empty matrix")
     a = [list(h.row(i)) for i in range(m)]
     ops: list = []
+    det_num = det_den = 1  # det_qv, reduced once: gcds of the growing product cost more
 
     for k in range(min(m, n)):
-        if not _reduce_pivot(a, ops, k, m, n):
+        sign = _reduce_pivot(a, ops, k, m, n)
+        if not sign:
             break
         lead, den = a[k][k].nums[-1], a[k][k].den
+        inv = _make([den if lead > 0 else -den], abs(lead))
+        det_num, det_den = det_num * sign * inv.nums[0], det_den * inv.den
         if lead != den:
-            inv = _make([den if lead > 0 else -den], abs(lead))
             a[k] = [p * inv for p in a[k]]
 
-    return SmithDecomposition(D=PolyMatrix(m, n, tuple(p for row in a for p in row)), col_ops=tuple(ops))
+    d = PolyMatrix(m, n, tuple(p for row in a for p in row))
+    return SmithDecomposition(d, tuple(ops), _make([det_num], det_den))
 
 
 def _pivot_position(a, k: int, m: int, n: int):
@@ -328,19 +338,22 @@ def _non_divisible_row(a, k: int, m: int, n: int):
     return None
 
 
-def _reduce_pivot(a, ops: list, k: int, m: int, n: int) -> bool:
+def _reduce_pivot(a, ops: list, k: int, m: int, n: int) -> int:
     """Drive the trailing submatrix so a[k][k] is the sole nonzero in its
-    row/column and divides everything below-right.  Returns False when the
-    trailing submatrix is entirely zero."""
+    row/column and divides everything below-right.  Returns the determinant
+    of its operations, ±1 by its swaps, or 0 if the trailing submatrix is 0."""
+    sign = 1
     while True:
         pos = _pivot_position(a, k, m, n)
         if pos is None:
-            return False
+            return 0
         pi, pj = pos
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
+            sign = -sign
         if pj != k:
             _col_op(a, ops, k, pj)
+            sign = -sign
         pivot = a[k][k]
 
         dirty = False
@@ -363,7 +376,7 @@ def _reduce_pivot(a, ops: list, k: int, m: int, n: int) -> bool:
 
         oi = _non_divisible_row(a, k, m, n)
         if oi is None:
-            return True
+            return sign
         # Fold the offending row into the pivot row; the next division pass
         # strictly lowers the pivot degree, so this terminates.
         a[k] = [x + y for x, y in zip(a[k], a[oi])]

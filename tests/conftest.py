@@ -1,19 +1,27 @@
 """Shared fixtures: the 2-state unstable benchmark system and its GP prior,
 and seeded random controllable 4-state priors.  Shared helpers: the dense
-6-state benchmark config, a run's reconstruction from its recorded samples,
-a textbook RK4 oracle for the plant, the exact flow under a held input
-(matrix exponential) and a held input as a signal, and the exact-algebra
-oracles the package does not need at run time (polynomial determinant,
-identity and inverse, a Smith decomposition's full V, its certificate and
-its recovered left transform, a kernel entry's symbol, a kernel term
-differentiated step by step, a kernel term summed at one point, and the
-former Fraction polynomial arithmetic and Smith reduction that the int ones
-must match)."""
+6-state benchmark config and the benchmark's dense 6-state draws, a run's
+reconstruction from its recorded samples, a textbook RK4 oracle for the
+plant, the exact flow under a held input (matrix exponential) and a held
+input as a signal, the check that a single-input prior's column is Smith's
+replayed one, a fresh interpreter that imports the package from src/, and
+the exact-algebra oracles the package does not need at
+run time (polynomial determinant, identity and inverse, a Smith
+decomposition's full V, its certificate and its recovered left transform, a
+kernel entry's symbol, a kernel term differentiated step by step, a kernel
+term summed at one point, and the former Fraction polynomial arithmetic and
+Smith reduction that the int ones must match)."""
 
+import functools
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +30,10 @@ from scipy.linalg import expm
 
 from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
 from lodempc.kernelops import GaussPolyTerm
-from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix
+from lodempc.lodegp import build_h
+from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
+
+ROOT = Path(__file__).resolve().parents[1]
 
 settings.register_profile(
     "default",
@@ -93,6 +104,36 @@ DENSE6 = {
     "hyperparams": {"fixed": {"signal_variance": 1.0, "lengthscale_sq": 1.0}, "jitter": 1e-09},
     "flags": {"control_application": "subgrid_interpolation"},
 }
+
+
+@functools.cache
+def dense_system(index: int) -> LinearSystem:
+    """The benchmark's index-th dense 6-state draw, from its generator."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return LinearSystem(*workloads.dense_system(index))
+
+
+def assert_prior_column_is_replayed(system: LinearSystem) -> None:
+    """For a controllable single-input system, build_prior's nullspace
+    column is the one replayed from Smith's column log, as exact Polys; and
+    (-1)^n_x·det Q·det V, the factor on the flat-output generator g, is the
+    leading coefficient of the replayed input entry, since g's input entry
+    det(dI - A) is monic."""
+    dec = smith_normal_form(build_h(system))
+    replayed = right_nullspace_columns(dec)
+    assert build_prior(system, x_ref=[0.0] * system.n_x).v_cols == replayed
+    assert dec.det_qv.degree == 0
+    assert replayed[system.n_x, 0].coeffs[-1] == (-1) ** system.n_x * dec.det_qv.coeffs[0]
+
+
+def run_fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter, as the console
+    script runs, importing the package from src/; ``env`` adds variables."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True)
 
 
 def posterior_from_trajectory(prior, traj, hp, stride: int = 1) -> PosteriorGp:

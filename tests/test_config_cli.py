@@ -4,9 +4,7 @@ determinism."""
 import dataclasses
 import hashlib
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.polyalg import PolyMatrix
 
-from conftest import DENSE6
+from conftest import DENSE6, run_fresh_python
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -310,11 +308,7 @@ def test_run_loads_neither_scipy_linalg_nor_optimize(tmp_path):
         "c, _ = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]]), lower=True); "
         "assert np.allclose(np.tril(c), [[2.0, 0.0], [1.0, 2.0]]), c; sys.exit(rc)"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env[ENV_OUTPUT_DIR] = str(tmp_path)
-    done = subprocess.run([sys.executable, "-c", code, "run", str(CONFIG_DIR / "regulation_past.json")],
-                          env=env, capture_output=True, text=True)
+    done = run_fresh_python(code, "run", str(CONFIG_DIR / "regulation_past.json"), **{ENV_OUTPUT_DIR: str(tmp_path)})
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "trajectory.csv").exists()
 
@@ -330,11 +324,7 @@ def test_run_loads_no_fractions(tmp_path):
         "rc = lodempc.cli.main(sys.argv[1:]); "
         "assert not [m for m in banned if m in sys.modules], 'run'; sys.exit(rc)"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env[ENV_OUTPUT_DIR] = str(tmp_path)
-    done = subprocess.run([sys.executable, "-c", code, "run", str(CONFIG_DIR / "regulation_past.json")],
-                          env=env, capture_output=True, text=True)
+    done = run_fresh_python(code, "run", str(CONFIG_DIR / "regulation_past.json"), **{ENV_OUTPUT_DIR: str(tmp_path)})
     assert done.returncode == 0, done.stderr
 
 
@@ -344,9 +334,7 @@ def test_lapack_reuses_the_module_of_a_loaded_scipy_linalg():
         "import sys, scipy.linalg; from lodempc import _lapack; "
         "assert _lapack.flapack is scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = run_fresh_python(code)
     assert done.returncode == 0, done.stderr
 
 def test_run_is_bit_identical_across_invocations(config_path, tmp_path, monkeypatch):
@@ -770,6 +758,20 @@ def test_dense6_exact_algebra_is_pinned(tmp_path, capsys):
 def test_algebra_checks_the_nullspace_exactly(monkeypatch):
     # a column that H = [A - d*I | B] of the bundled system does not annihilate
     monkeypatch.setattr(cli, "right_nullspace_columns", lambda dec: PolyMatrix.from_rows([[1], [0], [0]]))
+    with pytest.raises(AssertionError, match="nullspace columns failed exact verification"):
+        main(["algebra", str(CONFIG_DIR / "regulation_baseline.json")])
+
+
+def test_algebra_checks_the_prior_column_against_the_replay(monkeypatch):
+    # twice the true column: H still annihilates it, so only the comparison
+    # of build_prior's column with the replayed one fails
+    real = cli.prior_columns
+
+    def doubled(system, dec):
+        column = real(system, dec)
+        return PolyMatrix(column.rows, column.cols, tuple(p.scaled(2) for p in column.entries))
+
+    monkeypatch.setattr(cli, "prior_columns", doubled)
     with pytest.raises(AssertionError, match="nullspace columns failed exact verification"):
         main(["algebra", str(CONFIG_DIR / "regulation_baseline.json")])
 

@@ -1,12 +1,16 @@
 """System-to-prior pipeline: operator matrix, controllability, references."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lodempc import lodegp
+from lodempc.config import load_config
 from lodempc.lodegp import (
     InfeasibleReferenceError,
     LinearSystem,
@@ -19,7 +23,9 @@ from lodempc.lodegp import (
 from lodempc.plant import Plant
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
 
-from conftest import DENSE6, determinant
+from conftest import DENSE6, assert_prior_column_is_replayed, dense_system, determinant, run_fresh_python
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def controllability_check(system: LinearSystem) -> bool:
@@ -214,6 +220,65 @@ def test_single_input_nullspace_column_is_a_multiple_of_the_characteristic_polyn
     assert char.degree == n and char.coeffs[-1] == 1
     u = column[n, 0]
     assert not u.is_zero and u == char.scaled(u.coeffs[-1])
+
+
+@pytest.mark.parametrize("index", [None, *range(40)], ids=["bundled", *(f"dense{i}" for i in range(40))])
+def test_single_input_prior_column_is_the_replayed_column(index):
+    # (-1)^n_x·det Q·det V times the flat-output generator, exactly the
+    # column that replaying Smith's log gives
+    if index is None:
+        system = LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]])
+    else:
+        system = dense_system(index)
+    assert_prior_column_is_replayed(system)
+
+
+one_decimal = st.integers(min_value=-10, max_value=10).map(lambda k: k / 10)
+
+
+@pytest.mark.parametrize("n_x", range(1, 9))
+@settings(derandomize=True, max_examples=2)
+@given(data=st.data())
+def test_single_input_prior_column_is_the_replayed_column_on_random_systems(n_x, data):
+    # odd and even n_x, so both signs of (-1)^n_x are exercised
+    a = np.array(data.draw(st.lists(one_decimal, min_size=n_x * n_x, max_size=n_x * n_x)))
+    b = np.array(data.draw(st.lists(one_decimal, min_size=n_x, max_size=n_x)))
+    a, b = a.reshape(n_x, n_x), b.reshape(n_x, 1)
+    assume(kalman_rank_controllable(a, b))
+    assert_prior_column_is_replayed(LinearSystem(A=a, B=b))
+
+
+def test_single_input_build_prior_neither_replays_nor_imports_fractions():
+    # a fresh interpreter with the replay refused builds the bundled plant's
+    # and dense6's priors: the generator is int arithmetic on the floats'
+    # exact ratios
+    code = "\n".join([
+        "import json, sys",
+        "from lodempc import lodegp",
+        "def refuse(dec):",
+        "    raise AssertionError('build_prior replayed the column log')",
+        "lodegp.right_nullspace_columns = refuse",
+        "for a, b in json.loads(sys.argv[1]):",
+        "    lodegp.build_prior(lodegp.LinearSystem(A=a, B=b), [0.0] * len(a))",
+        "assert 'fractions' not in sys.modules, 'imported fractions'",
+    ])
+    systems = [([[0.0, 1.0], [1.0, 1.0]], [[0.0], [1.0]]), (DENSE6["system"]["A"], DENSE6["system"]["B"])]
+    done = run_fresh_python(code, json.dumps(systems))
+    assert done.returncode == 0, done.stderr
+
+
+def test_two_input_build_prior_replays_the_column_log(monkeypatch):
+    calls = []
+
+    def counted(dec):
+        calls.append(dec)
+        return right_nullspace_columns(dec)
+
+    monkeypatch.setattr(lodegp, "right_nullspace_columns", counted)
+    cfg = load_config(ROOT / "tests" / "golden" / "algebra_two_input.json")
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
+    assert len(calls) == 1 and prior.v_cols == right_nullspace_columns(calls[0])
+    assert prior.v_cols.cols == 2
 
 
 def test_build_prior_nonzero_reference():

@@ -5,8 +5,6 @@ tolerances.  The int arithmetic and the Smith reduction are also checked
 coefficient for coefficient against the former Fraction ones (conftest).
 """
 
-import functools
-import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -30,10 +28,12 @@ from lodempc.polyalg import (
 
 from conftest import (
     FractionPoly,
+    dense_system,
     determinant,
     fraction_smith_normal_form,
     identity,
     left_transform,
+    random_controllable_prior,
     smith_certificate,
     smith_v,
 )
@@ -152,15 +152,6 @@ def test_int_arithmetic_matches_the_fraction_oracle(a, b, factor):
         assert_canonical(got)
 
 
-@functools.cache
-def dense_system(index: int) -> LinearSystem:
-    """The benchmark's index-th dense 6-state draw, from its generator."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return LinearSystem(*workloads.dense_system(index))
-
-
 @pytest.mark.parametrize("name", [f"dense{i}" for i in range(10)] + ["two_input"])
 def test_smith_matches_the_fraction_oracle_on_systems(name):
     if name == "two_input":
@@ -183,6 +174,24 @@ def test_smith_matches_the_fraction_oracle_on_random_matrices(rows, cols, data):
     dec = smith_normal_form(h)
     assert (dec.D, smith_v(dec)) == fraction_smith_normal_form(h)
     assert_nullspace_is_trailing_columns_of_v(dec)
+    if dec.rank == rows:  # Q is unique only at full row rank
+        assert dec.det_qv == determinant(left_transform(h, dec)) * determinant(smith_v(dec))
+
+
+@pytest.mark.parametrize("name", ["bundled", "random4", "random4x2", "two_input"])
+def test_smith_records_det_q_times_det_v(name):
+    # the recorded constant against the determinants of the Q recovered from
+    # the certificate and of the V formed by running the log forward
+    if name == "two_input":
+        system = load_config(ROOT / "tests" / "golden" / "algebra_two_input.json").system
+    elif name == "bundled":
+        system = LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]])
+    else:
+        system = random_controllable_prior(2015, 4, 1 if name == "random4" else 2).system
+    h = build_h(system)
+    dec = smith_normal_form(h)
+    assert dec.det_qv.degree == 0
+    assert dec.det_qv == determinant(left_transform(h, dec)) * determinant(smith_v(dec))
 
 
 def assert_nullspace_is_trailing_columns_of_v(dec) -> None:
