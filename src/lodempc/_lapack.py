@@ -1,20 +1,18 @@
-"""scipy's compiled LAPACK module ``_flapack``, loaded after the ``scipy``
-package (about 20 ms; its ``__init__`` may set up a wheel's bundled
-libraries) but without ``scipy.linalg`` (about 0.4 s and 28 MB more, mostly
-numpy submodules its array-API layer imports).  The module leaves
-``sys.modules`` again, so that a later ``import scipy.linalg`` loads its
-own; one already loaded is reused."""
+"""scipy's compiled LAPACK module ``_flapack``, loaded from the ``linalg``
+directory that ``importlib.util.find_spec`` finds, without running scipy's
+``__init__`` (about 6 ms and 1.2 MB) or ``scipy.linalg`` (about 0.4 s and
+28 MB more, mostly numpy submodules its array-API layer imports).  The
+module leaves ``sys.modules`` again, so that a later ``import
+scipy.linalg`` loads its own; one already loaded is reused."""
 
 import importlib.machinery
 import importlib.util
 import os
 import sys
 
-import scipy
-
 
 def _load():
-    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    where = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
     if spec is None:
         raise ImportError(f"scipy's LAPACK module _flapack is not in {where}")

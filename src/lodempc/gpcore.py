@@ -10,18 +10,18 @@ silently repairing.  Factor, solves and inverse are scipy's LAPACK potrf,
 potrs, trtrs and potri, called as ``scipy.linalg`` calls them but without
 importing it (:mod:`lodempc._lapack`); the factor is potrf's one array.  A
 :class:`PosteriorGp` query is a pure function of the factor and the query
-times.  :func:`log_marginal_likelihood` scores a hyperparameter point, with
-the closed-form gradient in the names asked for.  Hyperparameters are
-chosen by a deterministic multi-start projected BFGS descent
-(:func:`_descend`) seeded from a fixed probe grid, every point scored by
-that one call, so repeated runs are bit-identical.
+times.  :func:`log_marginal_likelihood` scores a hyperparameter point, and
+:func:`likelihood_gradient` forms its closed-form gradient on demand.
+Hyperparameters are chosen by a deterministic multi-start projected BFGS
+descent (:func:`_descend`) seeded from a fixed probe grid, every point
+scored by that one call, so repeated runs are bit-identical.
 
 Index convention for Gram matrices: the observed (row, channel) slots of
 the dataset, row-major (``Dataset.slots``); masked slots are skipped.  The
 kernel is stationary, so a Gram is gathered from the kernel evaluated once
-per distinct float lag of a :class:`LagTable`.  The fit's table holds the
-times of its dataset; the closed loop's holds every time a step can
-condition on, with the kernel frozen at the run's hyperparameters.
+per distinct float lag of a :class:`LagTable`.  The fit's (a
+:class:`FitTable`) holds the times of its dataset; the closed loop's holds
+every time a step can condition on, the kernel frozen at the run's hyperparameters.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "PosteriorGp",
     "LagTable",
     "assemble_gram",
+    "likelihood_gradient",
     "log_marginal_likelihood",
     "optimize_hyperparams",
     "DEFAULT_HYPERPARAM_BOUNDS",
@@ -210,6 +211,23 @@ class LagTable:
         full = full.reshape(n * nz, n * nz)
         sel = data.slots
         return full if sel.size == n * nz else full[np.ix_(sel, sel)]
+
+
+class FitTable(LagTable):
+    """The lag table of a fit's one dataset ``data``: ``flat`` is the position in
+    :meth:`kernel_blocks`' layout of each observed (slot, slot) pair, so each Gram
+    and lam derivative is one take, and ``upper`` masks an (n, n) strict upper triangle."""
+
+    def __init__(self, data: Dataset):
+        super().__init__(data.t)
+        self.data, nz = data, data.n_channels
+        row, chan = np.divmod(data.slots, nz)
+        rows = self.rows(data.t).take(row)
+        self.flat = (chan[:, None] * self.lags.size + self.index[np.ix_(rows, rows)]) * nz + chan
+        self.upper = np.triu(np.ones(self.flat.shape, dtype=bool), 1)
+
+    def gram(self, blocks: np.ndarray, data: Dataset) -> np.ndarray:
+        return blocks.ravel().take(self.flat) if data is self.data else super().gram(blocks, data)
 
 
 def assemble_gram(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
@@ -393,15 +411,23 @@ class PosteriorGp:
         return flat.T.reshape(count, tq.size, self.prior.n_z)
 
 
-def log_marginal_likelihood(
-    prior: LodeGpPrior, data: Dataset, hp: Hyperparams, wrt=(), table=None
-):
-    """(value, gradient): the marginal log-likelihood of the residual z - mu,
-    constant term omitted, -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log det
-    (K + Sigma), and its partial derivatives in log(name) for each
-    hyperparameter name in ``wrt``, in that order (none, and no inverse,
-    for an empty ``wrt``).  ``table`` is as in :func:`assemble_gram`.  An
-    empty dataset has no likelihood.
+def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
+    """(value, posterior): the marginal log-likelihood of the residual
+    z - mu, constant term omitted, -(1/2) r^T (K + Sigma)^{-1} r - (1/2) log
+    det (K + Sigma), and the posterior whose factor gave it.  ``table`` is as
+    in :func:`assemble_gram`.  An empty dataset has no likelihood.  The gradient
+    needs an inverse: :func:`likelihood_gradient` forms it on demand from gp."""
+    if not len(data):
+        raise ValueError("cannot assemble a Gram matrix from an empty dataset")
+    gp = PosteriorGp(prior, data, hp, table)
+    return float(-0.5 * gp.residual @ gp._alpha - np.sum(np.log(np.diag(gp._cho)))), gp
+
+
+def likelihood_gradient(gp: PosteriorGp, wrt, table: FitTable) -> np.ndarray:
+    """The partial derivatives of the value :func:`log_marginal_likelihood`
+    returned with ``gp``, in log(name) for each hyperparameter name in
+    ``wrt``, in order, ``table`` a :class:`FitTable` over gp's dataset.  potri
+    overwrites gp's factor: gp answers no std, cov or second gradient after it.
 
     With K the factored matrix (Gram, noise diagonal and any jitter boost,
     the boost held constant), dl/dtheta = 1/2 alpha^T dK alpha
@@ -411,15 +437,7 @@ def log_marginal_likelihood(
     r^T alpha - alpha^T D alpha and n - diag(K^-1) . D.  For log
     lengthscale_sq, dK = -lam dK/dlam is gathered from the kernel's lam
     derivative at each distinct lag, through the same table as the Gram."""
-    if not len(data):
-        raise ValueError("cannot assemble a Gram matrix from an empty dataset")
-    table = LagTable(data.t) if table is None else table
-    gp = PosteriorGp(prior, data, hp, table)
-    alpha = gp._alpha
-    value = float(-0.5 * gp.residual @ alpha - np.sum(np.log(np.diag(gp._cho))))
-    if not wrt:
-        return value, np.zeros(0)
-    # potri overwrites the posterior's factor, which is not queried again.
+    hp, data, alpha = gp.hp, gp.data, gp._alpha
     kinv, info = flapack.dpotri(gp._cho, lower=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")
@@ -430,27 +448,26 @@ def log_marginal_likelihood(
             fit = gp.residual @ alpha - noise @ alpha**2
             trace = alpha.size - kinv.diagonal() @ noise
         else:
-            dk = table.gram(table.kernel_blocks(prior.kernel, hp, dlam=True), data)
+            dk = table.gram(table.kernel_blocks(gp.prior.kernel, hp, dlam=True), data)
             dk *= -hp.lam
             fit = alpha @ (dk @ alpha)
-            # potri fills the lower triangle only.  Clear the upper one in
-            # place, a column at a time, so that no third n x n buffer is
-            # made, and count the symmetric off-diagonal terms twice.  dk is
-            # symmetric, so kinv.T (C order, as dk) pairs the same terms.
-            # einsum, not a BLAS dot: a threaded ddot of n^2 terms can cost
-            # milliseconds.
-            for j in range(1, alpha.size):
-                kinv[:j, j] = 0.0
+            # potri fills the lower triangle only: clear the upper one in
+            # place (no third n x n buffer) and count the off-diagonal terms
+            # twice; dk is symmetric, so kinv.T (C order, as dk) pairs the
+            # same terms.  einsum: a threaded ddot of n^2 terms can cost ms.
+            kinv[table.upper] = 0.0
             lower = np.einsum("ij,ij->", kinv.T, dk)
             trace = 2.0 * lower - kinv.diagonal() @ dk.diagonal()
         grad.append(0.5 * fit - 0.5 * trace)
-    return value, np.array(grad, dtype=float)
+    return np.array(grad, dtype=float)
 
 
 def _descend(fg, x0, lo, hi) -> tuple:
     """Minimize ``fg`` (x -> (value, gradient)) over the box [lo, hi] by a
     projected BFGS descent from ``x0``.  Returns (best value, best point,
     evaluations) over every ``fg`` call; (inf, clipped x0, n) if none is finite.
+    ``gradient()`` forms it on demand, only at x0 and at each accepted step that
+    continues the descent: never at a rejected trial or at the point that ends it.
 
     A coordinate on a bound whose gradient points out of the box is held
     there: its direction is 0, and its row and column of the Hessian
@@ -463,7 +480,8 @@ def _descend(fg, x0, lo, hi) -> tuple:
     10x where the value is inf (a failed factorization)."""
     eps = np.finfo(float).eps
     x = np.clip(x0, lo, hi)
-    f, g = fg(x)
+    f, gradient = fg(x)
+    g = gradient()
     evals, best = 1, (f if f < math.inf else math.inf, x)
     b = None
     for _ in range(MAX_ITER):
@@ -480,7 +498,7 @@ def _descend(fg, x0, lo, hi) -> tuple:
         slope = g @ d
         for _ in range(MAX_LINE_STEPS):
             x_new = np.clip(x + t * d, lo, hi)
-            f_new, g_new = fg(x_new)
+            f_new, gradient = fg(x_new)
             evals += 1
             if f_new < best[0]:
                 best = (f_new, x_new)
@@ -493,11 +511,11 @@ def _descend(fg, x0, lo, hi) -> tuple:
             t = min(max(q, 0.1 * t), 0.5 * t) if q > 0 else 0.5 * t
         else:
             break
-        s, y = x_new - x, g_new - g
-        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
-        x, f, g = x_new, f_new, g_new
-        if decrease <= REL_DECREASE_TOL:
+        if (f - f_new) / max(abs(f), abs(f_new), 1.0) <= REL_DECREASE_TOL:
             break
+        g_new = gradient()
+        s, y = x_new - x, g_new - g
+        x, f, g = x_new, f_new, g_new
         sy, yy = s @ y, y @ y
         if sy > eps * yy:
             if b is None:
@@ -510,15 +528,19 @@ def _descend(fg, x0, lo, hi) -> tuple:
 @dataclass(frozen=True)
 class FitReport:
     """How a hyperparameter fit ended: the best log marginal likelihood, the
-    value-only probe evaluations and value-and-gradient descent evaluations
-    it took, how many of those failed to factor even at MAX_JITTER (and
-    scored -inf), the number of descents, and each free parameter that
-    ended on a box edge (name -> "lower" or "upper")."""
+    value-only probe and the descent evaluations, the gradients (potri
+    inverses) formed on demand (:func:`_descend`), the evaluations that
+    failed to factor even at MAX_JITTER (scored -inf) and that needed a
+    jitter boost, the largest boost (0.0 for none), the number of descents,
+    and each free parameter ending on a box edge (name -> "lower"/"upper")."""
 
     log_marginal_likelihood: float
     value_evals: int
     value_and_gradient_evals: int
+    gradient_evals: int
     failed_evals: int
+    jitter_escalations: int
+    max_jitter_boost: float
     starts: int
     at_bound: dict
 
@@ -557,17 +579,24 @@ def optimize_hyperparams(
 
     if not free:
         return make_hp(()), None
-    table = LagTable(data.t)
-    failed_evals = 0
+    table = FitTable(data)
+    failed_evals, gradient_evals, boosts = 0, 0, []
 
     def objective(log_free: np.ndarray, wrt=()):
         nonlocal failed_evals
         try:
-            value, grad = log_marginal_likelihood(prior, data, make_hp(log_free), wrt, table)
+            value, gp = log_marginal_likelihood(prior, data, make_hp(log_free), table)
         except FactorizationError:
             failed_evals += 1
-            return math.inf, np.zeros(len(wrt))
-        return -value, -grad
+            return math.inf, lambda: np.zeros(len(wrt))
+        boosts.append(gp.jitter_boost)
+
+        def gradient():
+            nonlocal gradient_evals
+            gradient_evals += 1
+            return -likelihood_gradient(gp, wrt, table)
+
+        return -value, gradient
 
     axes = [
         np.log(np.geomspace(limits[name][0], limits[name][1], PROBES_PER_AXIS))
@@ -607,7 +636,10 @@ def optimize_hyperparams(
         log_marginal_likelihood=-best_f,
         value_evals=len(probes),
         value_and_gradient_evals=descent_evals,
+        gradient_evals=gradient_evals,
         failed_evals=failed_evals,
+        jitter_escalations=sum(b > 0.0 for b in boosts),
+        max_jitter_boost=max(boosts, default=0.0),
         starts=len(starts),
         at_bound=at_bound,
     )

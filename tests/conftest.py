@@ -4,7 +4,8 @@ and seeded random controllable 4-state priors.  Shared helpers: the dense
 reconstruction from its recorded samples, a textbook RK4 oracle for the
 plant, the exact flow under a held input (matrix exponential) and a held
 input as a signal, the check that a single-input prior's column is Smith's
-replayed one, a fresh interpreter that imports the package from src/, and
+replayed one, the fit's descent with a gradient at every evaluation, a
+fresh interpreter that imports the package from src/, and
 the exact-algebra oracles the package does not need at
 run time (polynomial determinant, identity and inverse, a Smith
 decomposition's full V, its certificate and its recovered left transform, a
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy.linalg import expm
 
-from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior
+from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior, gpcore
 from lodempc.kernelops import GaussPolyTerm
 from lodempc.lodegp import build_h
 from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
@@ -126,6 +127,63 @@ def assert_prior_column_is_replayed(system: LinearSystem) -> None:
     assert build_prior(system, x_ref=[0.0] * system.n_x).v_cols == replayed
     assert dec.det_qv.degree == 0
     assert replayed[system.n_x, 0].coeffs[-1] == (-1) ** system.n_x * dec.det_qv.coeffs[0]
+
+
+def eager_descend(fg, x0, lo, hi) -> tuple:
+    """The fit's projected BFGS descent as it was before gradients were
+    formed on demand: ``fg(x)`` returns (value, gradient function), and this
+    calls the gradient at every evaluation, the trials the line search
+    rejects and the point whose decrease ends the descent included.
+    ``gpcore._descend`` must reach the same floats with fewer inverses."""
+
+    def eager(x):
+        value, gradient = fg(x)
+        return value, gradient()
+
+    eps = np.finfo(float).eps
+    x = np.clip(x0, lo, hi)
+    f, g = eager(x)
+    evals, best = 1, (f if f < math.inf else math.inf, x)
+    b = None
+    for _ in range(gpcore.MAX_ITER):
+        if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= gpcore.PG_TOL:
+            break
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        d = np.zeros_like(x)
+        if b is None:
+            d[free] = -g[free]
+            t = 1.0 / np.linalg.norm(d)
+        else:
+            d[free] = -np.linalg.solve(b[np.ix_(free, free)], g[free])
+            t = 1.0
+        slope = g @ d
+        for _ in range(gpcore.MAX_LINE_STEPS):
+            x_new = np.clip(x + t * d, lo, hi)
+            f_new, g_new = eager(x_new)
+            evals += 1
+            if f_new < best[0]:
+                best = (f_new, x_new)
+            if f_new <= f + gpcore.ARMIJO_C1 * min(g @ (x_new - x), 0.0):
+                break
+            if f_new == math.inf:
+                t /= 10.0
+                continue
+            q = -slope * t * t / (2.0 * (f_new - f - slope * t))
+            t = min(max(q, 0.1 * t), 0.5 * t) if q > 0 else 0.5 * t
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= gpcore.REL_DECREASE_TOL:
+            break
+        sy, yy = s @ y, y @ y
+        if sy > eps * yy:
+            if b is None:
+                b = np.eye(x.size) * (yy / sy)
+            bs = b @ s
+            b = b - np.outer(bs, bs) / (s @ bs) + np.outer(y, y) / sy
+    return best[0], best[1], evals
 
 
 def run_fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:

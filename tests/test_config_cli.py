@@ -270,6 +270,31 @@ def test_run_records_the_jitter_boosts_of_its_steps(tmp_path, monkeypatch):
     assert metrics["max_jitter_boost"] == 10 * max(doc["hyperparams"]["jitter"], 1e-10)
 
 
+def test_run_records_the_jitter_boosts_of_its_fit(tmp_path, monkeypatch):
+    # the same refusing Cholesky with both hyperparameters free: every point
+    # the fit scores factors at the first escalated boost, and the fit block
+    # counts each of them; the closed loop's steps are counted apart
+    doc = base_doc(tmp_path / "out")
+    doc["hyperparams"] = {"jitter": 1e-9}
+    real, refused = gpcore.cho_factor, []
+
+    def refuse_first(a, **kw):
+        if not any(a is b for b in refused):
+            refused.append(a)
+            raise LinAlgError("refused")
+        return real(a, **kw)
+
+    monkeypatch.setattr(gpcore, "cho_factor", refuse_first)
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    fit, n_steps = metrics["fit"], 10
+    evaluations = fit["value_evals"] + fit["value_and_gradient_evals"]
+    assert fit["failed_evals"] == 0 and len(refused) == evaluations + n_steps
+    assert fit["jitter_escalations"] == evaluations
+    assert fit["max_jitter_boost"] == metrics["max_jitter_boost"] == 10 * 1e-9
+    assert metrics["jitter_escalations"] == n_steps
+
+
 def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
     # regulation_baseline from this x0 fits signal_variance at its lower bound
     doc = json.loads((CONFIG_DIR / "regulation_baseline.json").read_text())
@@ -282,7 +307,10 @@ def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
         "log_marginal_likelihood",
         "value_evals",
         "value_and_gradient_evals",
+        "gradient_evals",
         "failed_evals",
+        "jitter_escalations",
+        "max_jitter_boost",
         "starts",
         "at_bound",
     }
@@ -290,20 +318,23 @@ def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
     assert metrics["hyperparams"]["signal_variance"] == pytest.approx(0.01, rel=1e-9)
     assert np.isfinite(fit["log_marginal_likelihood"])
     assert (fit["value_evals"], fit["failed_evals"], fit["starts"]) == (25, 0, 1)
-    assert fit["value_and_gradient_evals"] > 0
+    assert 0 < fit["gradient_evals"] <= fit["value_and_gradient_evals"]
+    assert (fit["jitter_escalations"], fit["max_jitter_boost"]) == (0, 0.0)
 
 
 def test_run_loads_neither_scipy_linalg_nor_optimize(tmp_path):
     # a fresh interpreter, as the console script runs: the fit's descent is
     # the package's own and LAPACK comes straight from scipy's compiled
-    # module, which leaves sys.modules again, so nothing of these packages
-    # is imported; no np.unique takes numpy's hash path, which imports
-    # numpy.ma.  scipy.linalg imported afterwards loads that module as its
-    # own submodule and works.
+    # module, found without running scipy's __init__, which leaves
+    # sys.modules again, so nothing of these packages is imported, neither
+    # at import nor by the run; no np.unique takes numpy's hash path, which
+    # imports numpy.ma.  scipy.linalg imported afterwards loads that module
+    # as its own submodule and works.
     code = (
-        "import sys; from lodempc.cli import main; rc = main(sys.argv[1:]); "
-        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg', 'numpy.f2py'))]; "
-        "assert not loaded, loaded; assert 'numpy.ma' not in sys.modules; "
+        "import sys; from lodempc.cli import main; "
+        "banned = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')]; "
+        "assert not banned(), banned(); rc = main(sys.argv[1:]); "
+        "assert not banned(), banned(); assert 'numpy.ma' not in sys.modules; "
         "import numpy as np, scipy.linalg; assert scipy.linalg._flapack.dpotrf; "
         "c, _ = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]]), lower=True); "
         "assert np.allclose(np.tril(c), [[2.0, 0.0], [1.0, 2.0]]), c; sys.exit(rc)"

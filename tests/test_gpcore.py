@@ -14,7 +14,10 @@ import pytest
 import scipy.linalg
 from scipy.optimize import minimize
 
-from conftest import DENSE6
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DENSE6, ROOT, eager_descend
 from lodempc import gpcore
 from lodempc.config import load_config
 from lodempc.controller import build_step_dataset, initial_dataset, mpc_step, run_closed_loop
@@ -23,9 +26,11 @@ from lodempc.gpcore import (
     Dataset,
     DatasetError,
     FactorizationError,
+    FitTable,
     LagTable,
     PosteriorGp,
     assemble_gram,
+    likelihood_gradient,
     log_marginal_likelihood,
     optimize_hyperparams,
 )
@@ -224,6 +229,24 @@ def test_gathered_gram_is_joint_matrix_bit_for_bit(unstable_prior, double_integr
         ):
             gram, _ = assemble_gram(unstable_prior, data, hp, table)
             assert np.array_equal(gram, want), name
+        assert_fit_table_gathers_as_lag_table(unstable_prior, data, hp)
+
+
+def assert_fit_table_gathers_as_lag_table(prior, data, hp):
+    """A FitTable's flat take gives the bytes of LagTable.gram, for the Gram
+    and the lam derivative, and so the same assembled Gram; a table over
+    the same times for another dataset gathers through LagTable.gram."""
+    fit, lags = FitTable(data), LagTable(data.t)
+    for dlam in (False, True):
+        blocks = fit.kernel_blocks(prior.kernel, hp, dlam)
+        assert fit.gram(blocks, data).tobytes() == lags.gram(blocks, data).tobytes()
+    assert assemble_gram(prior, data, hp, fit)[0].tobytes() == assemble_gram(prior, data, hp)[0].tobytes()
+    other = Dataset(data.t, data.values, data.noise_var)
+    blocks = fit.kernel_blocks(prior.kernel, hp)
+    assert fit.gram(blocks, other).tobytes() == lags.gram(blocks, other).tobytes()
+    n = data.slots.size
+    assert fit.flat.shape == fit.upper.shape == (n, n)
+    assert np.array_equal(fit.upper, np.triu(np.ones((n, n), dtype=bool), 1))
 
 
 @pytest.mark.parametrize("hp", GATHER_HPS)
@@ -239,6 +262,10 @@ def test_gathered_gram_on_random_systems_is_bit_for_bit(request, which, hp):
         assert np.array_equal(gram, gram.T)
         table = LagTable(np.concatenate([times, rng.uniform(-1.0, 3.0, 5)]), prior.kernel, hp)
         assert np.array_equal(assemble_gram(prior, data, hp, table)[0], gram)
+        assert_fit_table_gathers_as_lag_table(prior, data, hp)
+        unmasked = Dataset(times, np.nan_to_num(data.values, nan=0.25), data.noise_var)
+        assert unmasked.slots.size == times.size * prior.n_z
+        assert_fit_table_gathers_as_lag_table(prior, unmasked, hp)
 
 
 def test_gram_index_points_into_the_lag_table(unstable_prior):
@@ -281,8 +308,6 @@ def test_assemble_gram_rejects_empty_and_mismatched(integrator_prior, unstable_p
     # the empty posterior is the prior, but it has no likelihood
     with pytest.raises(ValueError):
         log_marginal_likelihood(integrator_prior, Dataset(), hp)
-    with pytest.raises(ValueError):
-        log_marginal_likelihood(integrator_prior, Dataset(), hp, ["signal_variance"])
     ds3 = rows(hard(0.0, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         assemble_gram(integrator_prior, ds3, hp)
@@ -688,6 +713,14 @@ def past_fit():
 
 
 
+def value_and_gradient(prior, data, hp, wrt):
+    """The likelihood at hp and its gradient in ``wrt``, formed from the
+    posterior that scored the value, as the fit's descent forms it."""
+    table = FitTable(data)
+    value, gp = log_marginal_likelihood(prior, data, hp, table)
+    return value, likelihood_gradient(gp, wrt, table)
+
+
 def log_central_difference(prior, data, hp, name, step=1e-5):
     """Central difference of log_marginal_likelihood in log(name)."""
     def at(sign):
@@ -702,30 +735,41 @@ def log_central_difference(prior, data, hp, name, step=1e-5):
 def test_gradient_matches_central_differences(past_fit, sv, ls2):
     prior, data, options = past_fit
     hp = Hyperparams(sv, ls2, jitter=options["jitter"])
-    value, grad = log_marginal_likelihood(prior, data, hp, BOTH)
+    value, grad = value_and_gradient(prior, data, hp, BOTH)
     assert value == log_marginal_likelihood(prior, data, hp)[0]
     want = [log_central_difference(prior, data, hp, name) for name in BOTH]
     np.testing.assert_allclose(grad, want, rtol=1e-6)
     # one parameter at a time, in the order asked
-    assert log_marginal_likelihood(prior, data, hp, BOTH[::-1])[1].tolist() == grad[::-1].tolist()
-    assert log_marginal_likelihood(prior, data, hp, ["lengthscale_sq"])[1] == grad[1]
+    assert value_and_gradient(prior, data, hp, BOTH[::-1])[1].tolist() == grad[::-1].tolist()
+    assert value_and_gradient(prior, data, hp, ["lengthscale_sq"])[1] == grad[1]
 
 
 def test_value_only_call_runs_no_inverse(past_fit, monkeypatch):
-    # the fit's probes ask for no gradient: they pay for no potri
+    # a value alone pays for no potri; its gradient, formed from the same
+    # posterior, for one, and gathers through the fit table's flat index
     prior, data, options = past_fit
     hp = Hyperparams(1.0, 0.5, jitter=options["jitter"])
-    inverses = []
-    potri = gpcore.flapack.dpotri
+    inverses, factors, gathers = [], [], []
 
-    def counted(*args, **kw):
-        inverses.append(args[0].shape)
-        return potri(*args, **kw)
+    def recording(calls, fn):
+        def recorded(*args, **kw):
+            calls.append(args[0])
+            return fn(*args, **kw)
+        return recorded
 
-    monkeypatch.setattr(gpcore.flapack, "dpotri", counted)
-    value, grad = log_marginal_likelihood(prior, data, hp)
-    assert grad.shape == (0,) and inverses == []
-    assert log_marginal_likelihood(prior, data, hp, BOTH)[0] == value and len(inverses) == 1
+    monkeypatch.setattr(gpcore.flapack, "dpotri", recording(inverses, gpcore.flapack.dpotri))
+    monkeypatch.setattr(gpcore, "cho_factor", recording(factors, gpcore.cho_factor))
+    monkeypatch.setattr(LagTable, "gram", recording(gathers, LagTable.gram))
+    table = FitTable(data)
+    value, gp = log_marginal_likelihood(prior, data, hp, table)
+    assert value == log_marginal_likelihood(prior, data, hp)[0]
+    assert inverses == [] and len(factors) == 2 and len(gathers) == 1
+    assert value_and_gradient(prior, data, hp, BOTH)[0] == value
+    assert len(inverses) == 1 and len(factors) == 3 and len(gathers) == 1
+    grad = likelihood_gradient(gp, BOTH, table)
+    # the inverse overwrites the posterior's own factor
+    assert len(inverses) == 2 and inverses[-1] is gp._cho and len(factors) == 3
+    assert grad.tolist() == value_and_gradient(prior, data, hp, BOTH)[1].tolist()
 
 
 def boosted_dataset():
@@ -760,7 +804,7 @@ def test_gradient_matches_central_differences_with_jitter_boost(integrator_prior
     points = [hp(lo), hp(mid), hp(hi), hp(mid, ls2 * math.exp(1e-5)), hp(mid, ls2 * math.exp(-1e-5))]
     assert [PosteriorGp(integrator_prior, data, h, table).jitter_boost for h in points] == [1e-9] * 5
 
-    value, grad = log_marginal_likelihood(integrator_prior, data, hp(mid), BOTH)
+    value, grad = value_and_gradient(integrator_prior, data, hp(mid), BOTH)
     assert value == log_marginal_likelihood(integrator_prior, data, hp(mid))[0]
     lml = functools.partial(log_marginal_likelihood, integrator_prior, data)
     by_sv = mid * (lml(hp(hi))[0] - lml(hp(lo))[0]) / (hi - lo)
@@ -798,18 +842,24 @@ def test_optimizer_recovers_generating_scales(unstable_prior):
 
 def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
     # the probes by value alone, each once; then each descent starts at a
-    # probe that no grid neighbour beats, best first, by value and gradient,
-    # and returns its best point and its count; the report counts every call
+    # probe that no grid neighbour beats, best first, and returns its best
+    # point and its count; the report counts every call, and each gradient
+    # is formed from the posterior of the latest point, never refactored
     ds = rows(
         hard(0.0, (1.0, 0.0, 0.0)),
         (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
         (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
     )
-    calls, descents, results = [], [], []
+    calls, gradients, descents, results = [], [], [], []
 
-    def counted_lml(prior, data, hp, wrt=(), table=None):
-        calls.append(("gradient" if wrt else "value", hp.signal_variance, hp.lengthscale_sq))
-        return log_marginal_likelihood(prior, data, hp, wrt, table)
+    def counted_lml(prior, data, hp, table=None):
+        value, gp = log_marginal_likelihood(prior, data, hp, table)
+        calls.append((gp, hp.signal_variance, hp.lengthscale_sq))
+        return value, gp
+
+    def counted_gradient(gp, wrt, table):
+        gradients.append((len(calls), gp, tuple(wrt)))
+        return likelihood_gradient(gp, wrt, table)
 
     descend = gpcore._descend
 
@@ -820,28 +870,34 @@ def test_optimizer_scores_each_point_once(unstable_prior, monkeypatch):
 
     expected, expected_fit = optimize_hyperparams(unstable_prior, ds)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
+    monkeypatch.setattr(gpcore, "likelihood_gradient", counted_gradient)
     monkeypatch.setattr(gpcore, "_descend", counted_descend)
     hp, fit = optimize_hyperparams(unstable_prior, ds)
     assert (hp, fit) == (expected, expected_fit)
     # every evaluation goes through the one likelihood call
     assert len(calls) == fit.value_evals + fit.value_and_gradient_evals
 
-    probes = calls[: descents[0]]
-    assert all(kind == "value" for kind, *_ in probes)
-    assert len(probes) == len(set(probes)) == fit.value_evals == 5 * 5
-    descent_calls = calls[descents[0] :]
-    assert all(kind == "gradient" for kind, *_ in descent_calls)
-    assert len(descent_calls) == fit.value_and_gradient_evals
+    probes = [point for _, *point in calls[: descents[0]]]
+    assert len(probes) == len(set(map(tuple, probes))) == fit.value_evals == 5 * 5
+    assert all(n > descents[0] for n, *_ in gradients)
+    assert len(calls) - descents[0] == fit.value_and_gradient_evals
+    # a gradient at each start and at some accepted steps, from the latest
+    # posterior, each one once
+    assert 0 < len(gradients) == fit.gradient_evals < fit.value_and_gradient_evals
+    assert all(gp is calls[n - 1][0] for n, gp, _ in gradients)
+    assert len({n for n, *_ in gradients}) == len(gradients)
+    assert all(wrt == BOTH for *_, wrt in gradients)
+    assert {d + 1 for d in descents} <= {n for n, *_ in gradients}
     assert [n for *_, n in results] == np.diff(descents + [len(calls)]).tolist()
     assert len(descents) == len(results) == fit.starts
     assert -min(f for f, *_ in results) == fit.log_marginal_likelihood
     scores = [log_marginal_likelihood(unstable_prior, ds, Hyperparams(sv, ls, jitter=1e-8))[0]
-              for _, sv, ls in probes]
+              for sv, ls in probes]
     bottoms = [k for k in range(25) if not any(
         scores[j] > scores[k] for j in range(25)
         if max(abs(j // 5 - k // 5), abs(j % 5 - k % 5)) == 1)]
     best = sorted(bottoms, key=lambda k: (-scores[k], k))[: gpcore.N_STARTS]
-    assert [calls[k][1:] for k in descents] == [probes[k][1:] for k in best]
+    assert [calls[k][1:] for k in descents] == [tuple(probes[k]) for k in best]
 
 
 def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior, monkeypatch):
@@ -853,18 +909,17 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
         (1.0, (0.3, 0.1, -0.2), (0.1, 0.1, 0.1)),
         (2.0, (0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
     )
-    finite, refused = [], []
+    finite, refused, objectives, results = [], [], [], []
 
-    def failing_grad(prior, data, hp, wrt=(), table=None):
-        if wrt and hp.lengthscale_sq < 0.9:
+    def failing_lml(prior, data, hp, table=None):
+        if objectives and hp.lengthscale_sq < 0.9:
             refused.append(hp)
             raise FactorizationError("refused")
-        value, grad = log_marginal_likelihood(prior, data, hp, wrt, table)
-        if wrt:
+        value, gp = log_marginal_likelihood(prior, data, hp, table)
+        if objectives:
             finite.append(value)
-        return value, grad
+        return value, gp
 
-    objectives, results = [], []
     descend = gpcore._descend
 
     def recorded_descend(fg, x0, lo, hi):
@@ -872,7 +927,7 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
         results.append(descend(fg, x0, lo, hi))
         return results[-1]
 
-    monkeypatch.setattr(gpcore, "log_marginal_likelihood", failing_grad)
+    monkeypatch.setattr(gpcore, "log_marginal_likelihood", failing_lml)
     monkeypatch.setattr(gpcore, "_descend", recorded_descend)
     hp, fit = optimize_hyperparams(unstable_prior, ds)
     assert sum(n for *_, n in results) == fit.value_and_gradient_evals
@@ -881,7 +936,8 @@ def test_optimizer_keeps_the_best_point_when_factorizations_fail(unstable_prior,
     # each descent's best point is one that factorized
     assert all(math.isfinite(f) and math.exp(x[1]) >= 0.9 for f, x, _ in results)
     assert -min(f for f, *_ in results) == max(finite)
-    assert objectives[0](np.log([1.0, 0.5]))[0] == math.inf
+    value, gradient = objectives[0](np.log([1.0, 0.5]))
+    assert value == math.inf and gradient().tolist() == [0.0, 0.0]
     assert hp.lengthscale_sq >= 0.9
     assert math.isfinite(fit.log_marginal_likelihood)
     assert fit.log_marginal_likelihood == max(finite)
@@ -901,13 +957,16 @@ def synthetic_fit(prior, monkeypatch, landscape, fails=lambda u: False):
     start in order, and the number of refused calls."""
     starts, refused = [], []
 
-    def fake_lml(prior, data, hp, wrt=(), table=None):
+    def fake_lml(prior, data, hp, table=None):
         u = (np.log([hp.signal_variance, hp.lengthscale_sq]) - GRID_LOG_LO) / GRID_LOG_STEP
         if fails(u):
             refused.append(u)
             raise FactorizationError("refused")
-        value, grad = landscape(u)
-        return -value, -np.array([grad[BOTH.index(n)] for n in wrt]) / GRID_LOG_STEP
+        return -landscape(u)[0], SimpleNamespace(u=u, jitter_boost=0.0)
+
+    def fake_gradient(gp, wrt, table):
+        grad = landscape(gp.u)[1]
+        return -np.array([grad[BOTH.index(n)] for n in wrt]) / GRID_LOG_STEP
 
     descend = gpcore._descend
 
@@ -916,6 +975,7 @@ def synthetic_fit(prior, monkeypatch, landscape, fails=lambda u: False):
         return descend(fg, x0, lo, hi)
 
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", fake_lml)
+    monkeypatch.setattr(gpcore, "likelihood_gradient", fake_gradient)
     monkeypatch.setattr(gpcore, "_descend", recorded_descend)
     ds = rows(hard(0.0, (1.0, 0.0, 0.0)), hard(2.0, (0.0, 0.0, 0.0)))
     _, fit = optimize_hyperparams(prior, ds)
@@ -997,25 +1057,41 @@ def test_fit_finds_both_basins_of_a_dense_system(tmp_path):
 
 
 def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
+    # one FitTable for the whole fit, and every Gram and dK a flat take from
+    # it: LagTable.gram never runs; potri runs once per gradient formed
     prior, data, options = past_fit
-    index_calls, lml_calls, grad_calls = [0], [0], [0]
+    tables, lml_calls, gathers, inverses = [], [0], [0], [0]
+    gram, potri = LagTable.gram, gpcore.flapack.dpotri
 
-    class CountedTable(LagTable):
+    class CountedTable(FitTable):
         def __init__(self, *args):
-            index_calls[0] += 1
+            tables.append(self)
             super().__init__(*args)
 
-    def counted_lml(prior, data, hp, wrt=(), table=None):
-        (grad_calls if wrt else lml_calls)[0] += 1
-        return log_marginal_likelihood(prior, data, hp, wrt, table)
+    def counted_lml(prior, data, hp, table=None):
+        assert table is tables[-1]
+        lml_calls[0] += 1
+        return log_marginal_likelihood(prior, data, hp, table)
 
-    monkeypatch.setattr(gpcore, "LagTable", CountedTable)
+    def counted_gram(*args):
+        gathers[0] += 1
+        return gram(*args)
+
+    def counted_potri(*args, **kw):
+        inverses[0] += 1
+        return potri(*args, **kw)
+
+    monkeypatch.setattr(gpcore, "FitTable", CountedTable)
     monkeypatch.setattr(gpcore, "log_marginal_likelihood", counted_lml)
+    monkeypatch.setattr(LagTable, "gram", counted_gram)
+    monkeypatch.setattr(gpcore.flapack, "dpotri", counted_potri)
     hp, fit = optimize_hyperparams(prior, data, **options)
-    assert index_calls[0] == 1
-    assert lml_calls[0] == fit.value_evals == 25
-    assert grad_calls[0] == fit.value_and_gradient_evals == 11
+    assert len(tables) == 1 and gathers[0] == 0
+    assert (fit.value_evals, fit.value_and_gradient_evals) == (25, 11)
+    assert lml_calls[0] == fit.value_evals + fit.value_and_gradient_evals
+    assert inverses[0] == fit.gradient_evals == 9
     assert (fit.failed_evals, fit.starts, fit.at_bound) == (0, 1, {})
+    assert (fit.jitter_escalations, fit.max_jitter_boost) == (0, 0.0)
     # Bit for bit from run to run.  Across BLAS builds and thread counts only
     # to rounding: the descent follows the gradient's last bits, and those
     # depend on how the BLAS splits its sums (one OpenBLAS thread moves
@@ -1023,6 +1099,50 @@ def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
     assert optimize_hyperparams(prior, data, **options) == (hp, fit)
     assert hp.signal_variance == pytest.approx(float.fromhex("0x1.27dd382361a23p-2"), rel=1e-12)
     assert hp.lengthscale_sq == pytest.approx(float.fromhex("0x1.d53ac95041c73p-1"), rel=1e-12)
+
+
+def assert_fit_matches_the_eager_descent(prior, data, **options):
+    """The fit with gradients formed on demand and with ``eager_descend``,
+    which forms one at every evaluation: the same hyperparameters to the
+    bit and the same report, but for the inverses formed."""
+    hp, fit = optimize_hyperparams(prior, data, **options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpcore, "_descend", eager_descend)
+        eager_hp, eager_fit = optimize_hyperparams(prior, data, **options)
+    assert [getattr(hp, name).hex() for name in BOTH] == [getattr(eager_hp, name).hex() for name in BOTH]
+    assert eager_fit.gradient_evals == eager_fit.value_and_gradient_evals
+    assert fit.gradient_evals <= fit.value_and_gradient_evals
+    assert dataclasses.replace(fit, gradient_evals=0) == dataclasses.replace(eager_fit, gradient_evals=0)
+    return fit
+
+
+@functools.cache
+def fit_problem(path, x0=None):
+    """(prior, step-0 fit dataset, fit options) of a config, at its own x0 or at ``x0``."""
+    cfg = load_config(path)
+    controller = cfg.controller if x0 is None else dataclasses.replace(cfg.controller, x0=x0)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
+    return prior, initial_dataset(prior, controller), {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
+
+
+@pytest.mark.parametrize("path, gradients", [
+    (CONFIG_DIR / "regulation_baseline.json", 9),
+    (CONFIG_DIR / "regulation_past.json", 9),
+    (CONFIG_DIR / "regulation_virtual.json", 9),
+    (ROOT / "tests" / "golden" / "algebra_two_input.json", 7),
+], ids=["baseline", "past", "virtual", "two-input"])
+def test_on_demand_gradients_fit_as_the_eager_descent(path, gradients):
+    prior, data, options = fit_problem(path)
+    fit = assert_fit_matches_the_eager_descent(prior, data, **options)
+    assert fit.gradient_evals == gradients < fit.value_and_gradient_evals
+
+
+@settings(derandomize=True, max_examples=12)
+@given(name=st.sampled_from(["baseline", "past", "virtual"]),
+       x0=st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 2))
+def test_on_demand_gradients_fit_as_the_eager_descent_from_drawn_states(name, x0):
+    prior, data, options = fit_problem(CONFIG_DIR / f"regulation_{name}.json", x0)
+    assert_fit_matches_the_eager_descent(prior, data, **options)
 
 
 @pytest.fixture(scope="module")
@@ -1077,9 +1197,9 @@ def lbfgsb_descend(fg, x0, lo, hi):
     seen = []
 
     def recorded(x):
-        value, grad = fg(x)
+        value, gradient = fg(x)
         seen.append((value, np.array(x)))
-        return value, grad
+        return value, gradient()
 
     minimize(recorded, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
              options={"maxiter": 200})
