@@ -55,9 +55,6 @@ __all__ = [
 #: Jitter escalation stops (and factorization fails) past this variance.
 MAX_JITTER = 1e-4
 
-#: Query times per cross kernel in posterior mean and std queries.
-QUERY_CHUNK = 512
-
 #: Default box for hyperparameter search, per parameter.
 DEFAULT_HYPERPARAM_BOUNDS = {
     "signal_variance": (0.01, 100.0),
@@ -310,10 +307,11 @@ class PosteriorGp:
     An empty dataset is allowed and reproduces the prior, which doubles as
     the sampling path for unconditioned processes.  Queries return every
     channel (``mean`` those asked for), whatever the masks, and are pure: each
-    evaluates its own cross kernel and changes no attribute.  ``residual``
-    is z - mu over the observed slots, and ``jitter_boost`` the diagonal
-    boost the factorization needed (0.0 for none or no data).  ``table`` is
-    as in :func:`assemble_gram`.
+    evaluates its own cross kernel and changes no attribute; an empty query
+    grid gives empty arrays.  ``residual`` is z - mu over the observed slots,
+    ``alpha`` the representer weights, solving (K + Sigma) alpha = z - mu,
+    and ``jitter_boost`` the diagonal boost the factorization needed (0.0 for
+    none or no data).  ``table`` is as in :func:`assemble_gram`.
     """
 
     def __init__(self, prior: LodeGpPrior, data: Dataset, hp: Hyperparams, table=None):
@@ -323,25 +321,21 @@ class PosteriorGp:
         if not len(data):
             self._cho = None
             self.jitter_boost = 0.0
-            self.residual = self._alpha = np.zeros(0)
+            self.residual = self.alpha = np.zeros(0)
         else:
             gram, self.residual = assemble_gram(prior, data, hp, table)
             self._cho, self.jitter_boost = _cho_with_escalation(gram, hp.jitter)
-            self._alpha = cho_solve(self._cho, np.asarray_chkfinite(self.residual))
-
-    @property
-    def representer_weights(self) -> np.ndarray:
-        """Solution alpha of (K + Sigma) alpha = z - mu."""
-        return self._alpha
+            self.alpha = cho_solve(self._cho, np.asarray_chkfinite(self.residual))
 
     def _cross(self, t_query: np.ndarray, channels=slice(None)) -> np.ndarray:
         """Kernel between query slots (rows, all channels) and training
         slots (columns, unmasked only), scattered into one F-ordered buffer.
         ``channels`` evaluates only their rows; the others are 0."""
-        shape = (t_query.size, -1, self.data.slots.size)
+        n, nz, m = t_query.size, self.prior.n_z, self.data.slots.size
+        n_ch = np.arange(nz)[channels].size
         cross = self.prior.kernel.joint_matrix(t_query, self.data.t, self.hp, channels)
-        full = np.zeros((t_query.size * self.prior.n_z, shape[2]), order="F")
-        full.reshape(shape)[:, channels] = cross[:, self.data.slots].reshape(shape)
+        full = np.zeros((n * nz, m), order="F")
+        full.reshape(n, nz, m)[:, channels] = cross[:, self.data.slots].reshape(n, n_ch, m)
         return full
 
     def _whiten(self, cross: np.ndarray) -> np.ndarray:
@@ -351,20 +345,14 @@ class PosteriorGp:
         cross = np.asarray_chkfinite(cross.T)
         return _checked("trtrs", *flapack.dtrtrs(self._cho, cross, lower=1))
 
-    def _chunks(self, tq: np.ndarray, channels=slice(None)):
-        """(query rows, cross kernel) per QUERY_CHUNK query times."""
-        for lo in range(0, tq.size, QUERY_CHUNK):
-            yield slice(lo, lo + QUERY_CHUNK), self._cross(tq[lo : lo + QUERY_CHUNK], channels)
-
     def mean(self, t_query, channels=slice(None)) -> np.ndarray:
         """Posterior mean, shape (len(t_query), n_z), or ``mean(t)[:, channels]``
         bit for bit: alpha's product keeps the full cross kernel's shape and
         order, because BLAS may round a row differently in another one."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         out = np.tile(self.prior.prior_mean, (tq.size, 1))
-        if self._alpha.size:
-            for rows, cross in self._chunks(tq, channels):
-                out[rows] += (cross @ self._alpha).reshape(-1, self.prior.n_z)
+        if self.alpha.size:
+            out += (self._cross(tq, channels) @ self.alpha).reshape(tq.size, self.prior.n_z)
         return out[:, channels]
 
     def cov(self, t_query) -> np.ndarray:
@@ -372,7 +360,7 @@ class PosteriorGp:
         point-major; shape (M*n_z, M*n_z)."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         kqq = self.prior.kernel.joint_matrix(tq, tq, self.hp)
-        if self._alpha.size:
+        if self.alpha.size:
             v = self._whiten(self._cross(tq))
             kqq = kqq - v.T @ v
         return 0.5 * (kqq + kqq.T)
@@ -385,10 +373,9 @@ class PosteriorGp:
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         lag0 = self.prior.kernel.eval_blocks(0.0, 0.0, self.hp)[:, :, 0, 0]
         var = np.tile(np.diagonal(lag0), (tq.size, 1))
-        if self._alpha.size:
-            for rows, cross in self._chunks(tq):
-                v = self._whiten(cross)
-                var[rows] -= np.sum(v * v, axis=0).reshape(-1, self.prior.n_z)
+        if self.alpha.size:
+            v = self._whiten(self._cross(tq))
+            var -= np.sum(v * v, axis=0).reshape(tq.size, self.prior.n_z)
         return np.sqrt(np.clip(var, 0.0, None))
 
     def sample(self, t_query, count: int, seed: int) -> np.ndarray:
@@ -420,7 +407,7 @@ def log_marginal_likelihood(prior: LodeGpPrior, data: Dataset, hp: Hyperparams, 
     if not len(data):
         raise ValueError("cannot assemble a Gram matrix from an empty dataset")
     gp = PosteriorGp(prior, data, hp, table)
-    return float(-0.5 * gp.residual @ gp._alpha - np.sum(np.log(np.diag(gp._cho)))), gp
+    return float(-0.5 * gp.residual @ gp.alpha - np.sum(np.log(np.diag(gp._cho)))), gp
 
 
 def likelihood_gradient(gp: PosteriorGp, wrt, table: FitTable) -> np.ndarray:
@@ -437,7 +424,7 @@ def likelihood_gradient(gp: PosteriorGp, wrt, table: FitTable) -> np.ndarray:
     r^T alpha - alpha^T D alpha and n - diag(K^-1) . D.  For log
     lengthscale_sq, dK = -lam dK/dlam is gathered from the kernel's lam
     derivative at each distinct lag, through the same table as the Gram."""
-    hp, data, alpha = gp.hp, gp.data, gp._alpha
+    hp, data, alpha = gp.hp, gp.data, gp.alpha
     kinv, info = flapack.dpotri(gp._cho, lower=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverse from the Cholesky factor failed (potri info {info})")

@@ -221,7 +221,7 @@ class OperatorKernel:
             out += coeffs[:, k]
         out *= hp.signal_variance
         out *= np.exp(-0.5 * lam * u * u)
-        return out.reshape(-1, nz, ts.size, tps.size)
+        return out.reshape(len(coeffs) // nz, nz, ts.size, tps.size)
 
     def joint_matrix(self, ts, tps, hp: Hyperparams, rows=slice(None)) -> np.ndarray:
         """Kernel matrix over (time, channel) pairs, point-major: row p*size + i

@@ -5,7 +5,8 @@ reconstruction from its recorded samples, a textbook RK4 oracle for the
 plant, the exact flow under a held input (matrix exponential) and a held
 input as a signal, the check that a single-input prior's column is Smith's
 replayed one, the fit's descent with a gradient at every evaluation, a
-fresh interpreter that imports the package from src/, and
+run's per-step optimal cost, a fresh interpreter that imports the package
+from src/, and
 the exact-algebra oracles the package does not need at
 run time (polynomial determinant, identity and inverse, a Smith
 decomposition's full V, its certificate and its recovered left transform, a
@@ -30,6 +31,7 @@ from hypothesis import HealthCheck, settings
 from scipy.linalg import expm
 
 from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior, gpcore
+from lodempc.controller import build_step_dataset, run_lag_table
 from lodempc.kernelops import GaussPolyTerm
 from lodempc.lodegp import build_h
 from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
@@ -184,6 +186,22 @@ def eager_descend(fg, x0, lo, hi) -> tuple:
             bs = b @ s
             b = b - np.outer(bs, bs) / (s @ bs) + np.outer(y, y) / sy
     return best[0], best[1], evals
+
+
+def step_costs(prior, cfg, hp, z) -> tuple:
+    """Each step k of a run with trajectory ``z``, replayed: the optimal cost
+    V_k = r^T (K + Sigma)^-1 r of its posterior (the minimum over f of
+    ||f - mu||_H^2 + sum_i (f(t_i) - y_i)^2 / sigma_i^2, attained at the
+    posterior mean m_k), the misfit sum_c (z_{k+1,c} - m_{k,c}(t_{k+1}))^2 /
+    jitter of the next row to that mean, and the step's jitter boost."""
+    table = run_lag_table(prior, cfg, hp)
+    costs, misfits, boosts = [], [], []
+    for k in range(cfg.n_steps):
+        gp = PosteriorGp(prior, build_step_dataset(prior, cfg, z[: k + 1]), hp, table)
+        costs.append(gp.residual @ gp.alpha)
+        misfits.append(np.sum((z[k + 1] - gp.mean([cfg.lattice[k + 1]])[0]) ** 2) / hp.jitter)
+        boosts.append(gp.jitter_boost)
+    return np.array(costs), np.array(misfits), np.array(boosts)
 
 
 def run_fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:

@@ -187,7 +187,7 @@ def test_criterion_4_representer_weights_match_dense_solve():
         gram, residual = assemble_gram(prior, ds, hp)
         direct = np.linalg.solve(gram, residual)
         rel = float(
-            np.linalg.norm(gp.representer_weights - direct) / np.linalg.norm(direct)
+            np.linalg.norm(gp.alpha - direct) / np.linalg.norm(direct)
         )
         worst = max(worst, rel)
     _verdict(4, worst <= 1e-8, f"worst relative gap {worst:.2e} over 20 datasets (tol 1e-8)")

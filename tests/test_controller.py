@@ -27,7 +27,7 @@ from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant
 
-from conftest import DENSE6, posterior_from_trajectory, step_exact
+from conftest import DENSE6, posterior_from_trajectory, step_costs, step_exact
 
 
 def make_cfg(**overrides):
@@ -570,6 +570,23 @@ def test_mean_at_the_input_channels_is_bit_identical(unstable_prior, dense6_run)
     assert cfg.n_u == 2
     for k in range(cfg.n_steps):
         _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
+
+
+def test_step_cost_rises_by_at_most_the_plant_mismatch(dense6_run):
+    # The paper's stability claim, step by step.  Step k+1's data are step
+    # k's less the grid point at t_{k+1} and the oldest past row, plus the
+    # exact observation z_{k+1}, so step k's mean is a feasible plan for
+    # step k+1, and V_{k+1} <= V_k + misfit_k (conftest.step_costs).  Both
+    # steps must weigh an exact row by the one jitter: no step is boosted.
+    # Float tolerance: 1e-9 relative to V_k + misfit_k.
+    runs = [_run(CONFIG_DIR / f"regulation_{name}.json") for name in ("baseline", "past", "virtual")]
+    runs += [_run(GOLDEN_DIR / "algebra_two_input.json"), dense6_run]
+    for cfg, prior, hp, traj in runs:
+        costs, misfits, boosts = step_costs(prior, cfg, hp, traj.z)
+        assert not boosts.any(), boosts
+        bound = costs[:-1] + misfits[:-1]
+        slack = (bound - costs[1:]) / bound
+        assert costs.size == cfg.n_steps and np.all(slack >= -1e-9), (cfg, slack.min())
 
 
 def _exact_piecewise_linear(a, b, x, signal):

@@ -357,7 +357,7 @@ def test_zero_residual_leaves_mean_at_prior(unstable_prior):
     gp = PosteriorGp(unstable_prior, ds, hp)
     tq = np.linspace(-1.0, 3.0, 9)
     np.testing.assert_allclose(gp.mean(tq), 0.0, atol=1e-12)
-    np.testing.assert_allclose(gp.representer_weights, 0.0, atol=1e-12)
+    np.testing.assert_allclose(gp.alpha, 0.0, atol=1e-12)
 
 
 def test_nonzero_prior_mean_is_respected():
@@ -417,6 +417,11 @@ def test_std_matches_cov_diagonal_on_masked_data(unstable_prior):
     np.testing.assert_allclose(gp.std(tq), want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(gp.std(tq[::-1]), want[::-1], rtol=1e-12, atol=0.0)
     assert gp.std([]).shape == (0, 3)
+    assert gp.cov([]).shape == (0, 0)
+    assert gp.sample([], 2, seed=0).shape == (2, 0, 3)
+    kernel, t = unstable_prior.kernel, ds.t
+    assert kernel.joint_matrix([], t, hp).shape == (0, 3 * t.size)
+    assert kernel.eval_blocks(t, [], hp).shape == (3, 3, t.size, 0)
 
 
 def test_queries_change_no_attribute(unstable_prior):
@@ -480,7 +485,7 @@ def test_std_matches_a_long_double_oracle():
 
 
 def test_mean_chunking_is_seamless(unstable_prior):
-    # query sizes straddling the internal chunk size must agree pointwise
+    # one query of 700 times agrees pointwise with 700 one-time queries
     hp = Hyperparams()
     ds = rows(hard(0.0, (1.0, 0.0, 0.0)))
     gp = PosteriorGp(unstable_prior, ds, hp)
@@ -491,13 +496,13 @@ def test_mean_chunking_is_seamless(unstable_prior):
 
 
 def test_mean_at_some_channels_is_the_full_mean_bit_for_bit(unstable_prior):
-    # the cross kernel is evaluated at the asked channels alone, across
-    # query chunks, with masked training slots, and with no data at all
+    # the cross kernel is evaluated at the asked channels alone, at many
+    # query times, with masked training slots, and with no data at all
     hp = Hyperparams(signal_variance=1.4, lengthscale_sq=0.9)
     values = np.random.default_rng(5).normal(0.0, 1.0, (6, 3))
     values[::2, 1] = np.nan
     masked = Dataset(np.linspace(0.0, 1.0, 6), values, np.full((6, 3), 0.01))
-    tq = np.linspace(-1.0, 3.0, gpcore.QUERY_CHUNK + 9)
+    tq = np.linspace(-1.0, 3.0, 521)
     for data in (masked, Dataset()):
         gp = PosteriorGp(unstable_prior, data, hp)
         full = gp.mean(tq)
@@ -535,7 +540,7 @@ def test_representer_weights_match_dense_solve(unstable_prior):
         gp = PosteriorGp(unstable_prior, ds, hp)
         gram, residual = assemble_gram(unstable_prior, ds, hp)
         direct = np.linalg.solve(gram, residual)
-        np.testing.assert_allclose(gp.representer_weights, direct, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(gp.alpha, direct, rtol=1e-8, atol=1e-12)
 
 
 def test_duplicate_hard_points_escalate_jitter_not_crash(integrator_prior):
