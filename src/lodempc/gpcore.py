@@ -387,8 +387,6 @@ class PosteriorGp:
         """
         tq = np.atleast_1d(np.asarray(t_query, dtype=float))
         dim = tq.size * self.prior.n_z
-        if count == 0:
-            return np.zeros((0, tq.size, self.prior.n_z))
         cov = self.cov(tq) + self.hp.jitter * np.eye(dim)
         w, vecs = np.linalg.eigh(cov)
         factor = vecs * np.sqrt(np.clip(w, 0.0, None))

@@ -1,12 +1,14 @@
 """Shared fixtures: the 2-state unstable benchmark system and its GP prior,
-and seeded random controllable 4-state priors.  Shared helpers: the dense
-6-state benchmark config and the benchmark's dense 6-state draws, a run's
+seeded random controllable 4-state priors, and the bundled trio, the
+two-input golden and dense6 seed 0, each run once per session as `lodempc
+run` runs it and shared read-only.  Shared helpers: the dense 6-state
+benchmark config and the benchmark's dense 6-state draws, a run's
 reconstruction from its recorded samples, a textbook RK4 oracle for the
 plant, the exact flow under a held input (matrix exponential) and a held
 input as a signal, the check that a single-input prior's column is Smith's
 replayed one, the fit's descent with a gradient at every evaluation, a
 run's per-step optimal cost, a fresh interpreter that imports the package
-from src/, and
+from src/, the Kalman rank test of controllability, and
 the exact-algebra oracles the package does not need at
 run time (polynomial determinant, identity and inverse, a Smith
 decomposition's full V, its certificate and its recovered left transform, a
@@ -16,10 +18,12 @@ Smith reduction that the int ones must match)."""
 
 import functools
 import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -31,12 +35,17 @@ from hypothesis import HealthCheck, settings
 from scipy.linalg import expm
 
 from lodempc import ControlSignal, Dataset, Hyperparams, LinearSystem, PosteriorGp, build_prior, gpcore
-from lodempc.controller import build_step_dataset, run_lag_table
+from lodempc.config import ExperimentConfig, load_config
+from lodempc.controller import build_step_dataset, initial_dataset, run_closed_loop, run_lag_table
+from lodempc.gpcore import FitReport, optimize_hyperparams
 from lodempc.kernelops import GaussPolyTerm
-from lodempc.lodegp import build_h
+from lodempc.lodegp import LodeGpPrior, build_h
+from lodempc.plant import Plant, Trajectory
 from lodempc.polyalg import ONE, ZERO, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
 
 ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 settings.register_profile(
     "default",
@@ -70,8 +79,7 @@ def random_controllable_prior(seed: int, n_x: int, n_u: int):
     while True:
         a = rng.integers(-2, 3, (n_x, n_x)).astype(float)
         b = rng.integers(-2, 3, (n_x, n_u)).astype(float)
-        ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n_x)])
-        if np.linalg.matrix_rank(ctrb) == n_x:
+        if kalman_rank_controllable(a, b):
             return build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * n_x)
 
 
@@ -109,6 +117,63 @@ DENSE6 = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class Experiment:
+    """One experiment as `lodempc run` runs it (``cli.cmd_run``): the loaded
+    config, the prior, the step-0 fit dataset, the fitted hyperparameters
+    and the fit's report (None with both fixed), the closed-loop trajectory,
+    and the seconds from the fit's start to the loop's end.  Built only by
+    the session fixtures below, so no test's patch is in force; shared, so
+    every array it holds is read-only."""
+
+    cfg: ExperimentConfig
+    prior: LodeGpPrior
+    data: Dataset
+    hp: Hyperparams
+    fit: FitReport | None
+    traj: Trajectory
+    wall: float
+
+    @property
+    def fit_options(self) -> dict:
+        """The fit's keyword arguments: the config's box, fixed values and
+        jitter."""
+        return {"bounds": self.cfg.hp_bounds, "fixed": self.cfg.hp_fixed, "jitter": self.cfg.jitter}
+
+
+def _run_experiment(path) -> Experiment:
+    cfg = load_config(path)
+    prior = build_prior(cfg.system, cfg.controller.x_ref)
+    data = initial_dataset(prior, cfg.controller)
+    start = time.perf_counter()
+    hp, fit = optimize_hyperparams(prior, data, bounds=cfg.hp_bounds, fixed=cfg.hp_fixed, jitter=cfg.jitter)
+    traj = run_closed_loop(prior, Plant(cfg.system.A, cfg.system.B), cfg.controller, hp)
+    wall = time.perf_counter() - start
+    for arr in (cfg.system.A, cfg.system.B, prior.prior_mean, data.slots,
+                traj.times, traj.states, traj.controls, traj.stds):
+        arr.flags.writeable = False
+    return Experiment(cfg, prior, data, hp, fit, traj, wall)
+
+
+@pytest.fixture(scope="session")
+def bundled_runs():
+    """The three bundled regulation experiments, by name."""
+    return {name: _run_experiment(CONFIG_DIR / f"regulation_{name}.json")
+            for name in ("baseline", "past", "virtual")}
+
+
+@pytest.fixture(scope="session")
+def two_input_run():
+    return _run_experiment(GOLDEN_DIR / "algebra_two_input.json")
+
+
+@pytest.fixture(scope="session")
+def dense6_run(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dense6") / "dense6.json"
+    path.write_text(json.dumps(DENSE6))
+    return _run_experiment(path)
+
+
 @functools.cache
 def dense_system(index: int) -> LinearSystem:
     """The benchmark's index-th dense 6-state draw, from its generator."""
@@ -116,6 +181,16 @@ def dense_system(index: int) -> LinearSystem:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return LinearSystem(*workloads.dense_system(index))
+
+
+def kalman_rank_controllable(a: np.ndarray, b: np.ndarray, tol=None) -> bool:
+    """Independent oracle: rank of [B, AB, ..., A^{n-1}B] equals n, the rank
+    at numpy's default tolerance or at ``tol``."""
+    n = a.shape[0]
+    blocks = [b]
+    for _ in range(n - 1):
+        blocks.append(a @ blocks[-1])
+    return np.linalg.matrix_rank(np.hstack(blocks), tol=tol) == n
 
 
 def assert_prior_column_is_replayed(system: LinearSystem) -> None:

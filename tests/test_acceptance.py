@@ -3,27 +3,19 @@
 Each test prints a single ``criterion N: PASS/FAIL`` line summarizing the
 measured quantities against the frozen tolerances (visible with ``-s``;
 pytest -v adds its own one-line verdict per test either way).  The three
-bundled regulation configs are run once per session and shared.
+bundled regulation configs are run once per session and shared
+(``conftest.bundled_runs``).
 """
 
 import time
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
-from lodempc.config import load_config
-from lodempc.controller import (
-    initial_dataset,
-    run_closed_loop,
-)
 from lodempc.gpcore import (
     Dataset,
     PosteriorGp,
     assemble_gram,
     log_marginal_likelihood,
-    optimize_hyperparams,
 )
 from lodempc.kernelops import Hyperparams, apply_symbol
 from lodempc.lodegp import LinearSystem, build_h, build_prior
@@ -42,7 +34,6 @@ from conftest import (
     step_exact,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BENCH = LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]])
 RUN_NAMES = ("baseline", "past", "virtual")
 
@@ -50,31 +41,6 @@ RUN_NAMES = ("baseline", "past", "virtual")
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def bundled_runs():
-    """The three shipped regulation experiments, run through the same code
-    path as the command-line `run` subcommand."""
-    runs = {}
-    for name in RUN_NAMES:
-        cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
-        prior = build_prior(cfg.system, cfg.controller.x_ref)
-        start = time.perf_counter()
-        fit_data = initial_dataset(prior, cfg.controller)
-        hp, _ = optimize_hyperparams(
-            prior,
-            fit_data,
-            bounds=cfg.hp_bounds,
-            fixed=cfg.hp_fixed or None,
-            jitter=cfg.jitter,
-        )
-        traj = run_closed_loop(
-            prior, Plant(cfg.system.A, cfg.system.B), cfg.controller, hp
-        )
-        wall = time.perf_counter() - start
-        runs[name] = SimpleNamespace(cfg=cfg, prior=prior, hp=hp, traj=traj, wall=wall)
-    return runs
 
 
 def test_criterion_1_smith_form_exact_and_fast():

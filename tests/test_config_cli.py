@@ -6,7 +6,6 @@ import hashlib
 import json
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +19,7 @@ from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.polyalg import PolyMatrix
 
-from conftest import DENSE6, run_fresh_python
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+from conftest import CONFIG_DIR, DENSE6, GOLDEN_DIR, run_fresh_python
 
 
 def base_doc(out_dir):
@@ -432,6 +428,33 @@ def test_run_on_two_inputs_keeps_its_recorded_metrics(tmp_path, monkeypatch):
         assert abs(got[name] - ref) <= 1e-6 + 1e-3 * abs(ref), (name, got[name], ref)
 
 
+def test_shared_run_is_what_run_writes(bundled_runs, tmp_path, monkeypatch):
+    # a session's shared run of a bundled config (conftest) holds, value for
+    # value, the trajectory, hyperparameters and fit report `run` writes
+    monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
+    assert main(["run", str(CONFIG_DIR / "regulation_virtual.json")]) == 0
+    run = bundled_runs["virtual"]
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    written = np.array([[float(v) for v in line.split(",")] for line in lines])
+    traj = run.traj
+    assert np.array_equal(written, np.column_stack([traj.times, traj.states, traj.controls, traj.stds]))
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["hyperparams"] == dataclasses.asdict(run.hp)
+    assert metrics["fit"] == dataclasses.asdict(run.fit)
+
+
+def test_shared_runs_are_read_only(bundled_runs, two_input_run, dense6_run):
+    for run in [*bundled_runs.values(), two_input_run, dense6_run]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.hp = None
+        arrays = (run.cfg.system.A, run.cfg.system.B, run.cfg.controller.lattice, run.prior.system.A,
+                  run.prior.system.B, run.prior.prior_mean, run.data.t, run.data.values, run.data.noise_var,
+                  run.data.slots, run.traj.times, run.traj.states, run.traj.controls, run.traj.stds)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
 def test_output_dir_env_override(config_path, tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(override))
@@ -767,9 +790,8 @@ def test_algebra_prints_integers_past_the_digit_limit(tmp_path, capsys):
 
 
 def test_dense6_exact_algebra_is_pinned(tmp_path, capsys):
-    # The benchmark's dense 6-state system byte for byte: the algebra text
-    # (CI checks the same sha256 of the console script's output), the
-    # kernel's common denominator D^2 and its compiled float tables.  A
+    # The benchmark's dense 6-state system byte for byte: the algebra text,
+    # the kernel's common denominator D^2 and its compiled float tables.  A
     # change of exact arithmetic must leave all three as they are.
     assert main(["algebra", str(write_doc(tmp_path, DENSE6))]) == 0
     text = capsys.readouterr().out.encode()

@@ -1,10 +1,8 @@
 """Shrinking-horizon loop: config validation, dataset assembly, stepping."""
 
 import dataclasses
-import json
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +19,12 @@ from lodempc.controller import (
     run_closed_loop,
     run_lag_table,
 )
-from lodempc.config import load_config
-from lodempc.gpcore import Dataset, PosteriorGp, assemble_gram, optimize_hyperparams
+from lodempc.gpcore import Dataset, PosteriorGp, assemble_gram
 from lodempc.kernelops import Hyperparams, OperatorKernel
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.plant import Plant
 
-from conftest import DENSE6, posterior_from_trajectory, step_costs, step_exact
+from conftest import posterior_from_trajectory, step_costs, step_exact
 
 
 def make_cfg(**overrides):
@@ -428,66 +425,39 @@ def test_closed_loop_evaluates_its_lag_table_once(unstable_prior, monkeypatch):
     assert table.times.tolist() == sorted(set(cfg.lattice.tolist()) | set(cfg.constraint_grid))
 
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-def test_run_table_gathers_every_step_gram_bit_for_bit(tmp_path):
+def test_run_table_gathers_every_step_gram_bit_for_bit(bundled_runs, dense6_run):
     # every step dataset of the bundled trio and of the dense 6-state
     # benchmark system: the run's table gives the Gram and residual of a
     # table over the step's own times.  The Gram depends on the dataset's
     # times, masks and noise alone, so random histories stand in for runs.
-    (tmp_path / "dense6.json").write_text(json.dumps(DENSE6))
-    paths = [CONFIG_DIR / f"regulation_{name}.json" for name in ("baseline", "past", "virtual")]
     rng = np.random.default_rng(3)
-    for path in [*paths, tmp_path / "dense6.json"]:
-        exp = load_config(path)
-        cfg, prior = exp.controller, build_prior(exp.system, exp.controller.x_ref)
-        hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
+    for name, run in [*bundled_runs.items(), ("dense6", dense6_run)]:
+        cfg, prior = run.cfg.controller, run.prior
+        hp = Hyperparams(0.289, 0.916, jitter=run.cfg.jitter)
         table = run_lag_table(prior, cfg, hp)
-        assert table.times.size == 128, path.name
+        assert table.times.size == 128, name
         z = rng.normal(0.0, 1.0, (cfg.n_steps + 1, cfg.n_z))
         for k in range(cfg.n_steps):
             data = build_step_dataset(prior, cfg, z[: k + 1])
             for got, want in zip(assemble_gram(prior, data, hp, table), assemble_gram(prior, data, hp)):
-                assert np.array_equal(got, want), (path.name, k)
-
-
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-
-
-def _run(path):
-    """``lodempc run`` on the config at ``path``, without its outputs:
-    (controller config, prior, hyperparameters, trajectory)."""
-    exp = load_config(path)
-    cfg, prior = exp.controller, build_prior(exp.system, exp.controller.x_ref)
-    hp, _ = optimize_hyperparams(
-        prior, initial_dataset(prior, cfg), exp.hp_bounds, exp.hp_fixed, exp.jitter
-    )
-    return cfg, prior, hp, run_closed_loop(prior, Plant(exp.system.A, exp.system.B), cfg, hp)
-
-
-@pytest.fixture(scope="module")
-def dense6_run(tmp_path_factory):
-    path = tmp_path_factory.mktemp("dense6") / "dense6.json"
-    path.write_text(json.dumps(DENSE6))
-    return _run(path)
+                assert np.array_equal(got, want), (name, k)
 
 
 def test_dense6_run_needs_no_jitter_boost(dense6_run):
-    traj = dense6_run[3]
+    traj = dense6_run.traj
     assert (traj.jitter_escalations, traj.max_jitter_boost) == (0, 0.0)
 
 
-def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, dense6_run):
+def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, bundled_runs, dense6_run):
     # the factorization reads gram.T, in place, as the same matrix: every
     # gathered Gram, through the run's table or its own, is exactly
     # symmetric, down to the sign of a zero
     cases = []
-    for name in ("baseline", "past", "virtual"):
-        exp = load_config(CONFIG_DIR / f"regulation_{name}.json")
-        prior = build_prior(exp.system, exp.controller.x_ref)
-        hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
-        cases.append((prior, exp.controller, hp, [exp.controller.x0 + exp.controller.u0]))
-    cfg, prior, hp, traj = dense6_run
+    for run in bundled_runs.values():
+        cfg = run.cfg.controller
+        hp = Hyperparams(0.289, 0.916, jitter=run.cfg.jitter)
+        cases.append((run.prior, cfg, hp, [cfg.x0 + cfg.u0]))
+    cfg, prior, hp, traj = dense6_run.cfg.controller, dense6_run.prior, dense6_run.hp, dense6_run.traj
     cases += [(prior, cfg, hp, traj.z[: k + 1]) for k in (0, 50)]
     masked = history(6, z_now=(np.nan, 0.2, 0.1))
     masked[3, 2] = np.nan
@@ -500,7 +470,7 @@ def test_step_grams_equal_their_transpose_bit_for_bit(unstable_prior, dense6_run
     assert data.slots.size < data.values.size
 
 
-def test_step_datasets_are_written_in_time_order(monkeypatch, dense6_run):
+def test_step_datasets_are_written_in_time_order(monkeypatch, bundled_runs, dense6_run):
     # the builder writes its rows in the Gram's order, so Dataset's sort is
     # the identity on the step path: every step of regulation_virtual (the
     # past window, soft box points and virtual pins) and dense6 steps with
@@ -512,16 +482,15 @@ def test_step_datasets_are_written_in_time_order(monkeypatch, dense6_run):
         return Dataset(t, values, noise_var)
 
     monkeypatch.setattr(controller, "Dataset", recorder)
-    exp = load_config(CONFIG_DIR / "regulation_virtual.json")
-    cfg, prior = exp.controller, build_prior(exp.system, exp.controller.x_ref)
-    hp = Hyperparams(0.289, 0.916, jitter=exp.jitter)
-    run_closed_loop(prior, Plant(exp.system.A, exp.system.B), cfg, hp)
+    virtual = bundled_runs["virtual"]
+    cfg, prior, system = virtual.cfg.controller, virtual.prior, virtual.cfg.system
+    hp = Hyperparams(0.289, 0.916, jitter=virtual.cfg.jitter)
+    run_closed_loop(prior, Plant(system.A, system.B), cfg, hp)
     assert len(seen) == cfg.n_steps
     t, noise = seen[0]  # soft points up to t_v, pins after it
     assert np.any(noise > 0) and np.any(t > cfg.t_v) and len(seen[-1][0]) == cfg.m_p + 2
-    dense_cfg, dense_prior, _, traj = dense6_run
     for k in (0, 20, 99):
-        build_step_dataset(dense_prior, dense_cfg, traj.z[: k + 1])
+        build_step_dataset(dense6_run.prior, dense6_run.cfg.controller, dense6_run.traj.z[: k + 1])
     assert [len(t) for t, _ in seen[-3:]] == [101, 101, 22]
     for k, (t, _) in enumerate(seen):
         assert np.all(np.diff(t) > 0), k
@@ -530,7 +499,7 @@ def test_step_datasets_are_written_in_time_order(monkeypatch, dense6_run):
 def test_dense6_step_holds_one_gram(dense6_run):
     # the Gram is factored where it is gathered: a dense6 step peaks at one
     # n x n array and its query buffers, not at a Gram plus a copy (2.0x)
-    cfg, prior, hp, _ = dense6_run
+    cfg, prior, hp = dense6_run.cfg.controller, dense6_run.prior, dense6_run.hp
     z_hist = [cfg.x0 + cfg.u0]
     n = build_step_dataset(prior, cfg, z_hist).slots.size
     table = run_lag_table(prior, cfg, hp)
@@ -555,34 +524,27 @@ def _assert_inputs_mean_is_full_mean(cfg, prior, hp, z_hist):
     assert np.array_equal(signal.knot_values, full[:, inputs])
 
 
-def test_mean_at_the_input_channels_is_bit_identical(unstable_prior, dense6_run):
+def test_mean_at_the_input_channels_is_bit_identical(bundled_runs, two_input_run, dense6_run):
     # the mean evaluates the cross kernel at the input rows only, but
     # multiplies alpha by the full-shape cross kernel: a product over the
-    # read rows alone rounds differently
-    cfg, prior, hp, traj = _run(CONFIG_DIR / "regulation_virtual.json")
-    for k in range(cfg.n_steps):
-        _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
-    cfg, prior, hp, traj = dense6_run
-    for k in (0, 20, 50, 99):
-        _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
-    # two inputs
-    cfg, prior, hp, traj = _run(GOLDEN_DIR / "algebra_two_input.json")
-    assert cfg.n_u == 2
-    for k in range(cfg.n_steps):
-        _assert_inputs_mean_is_full_mean(cfg, prior, hp, traj.z[: k + 1])
+    # read rows alone rounds differently; dense6 at some steps, and two inputs
+    assert two_input_run.cfg.controller.n_u == 2
+    for run, steps in ((bundled_runs["virtual"], None), (dense6_run, (0, 20, 50, 99)), (two_input_run, None)):
+        cfg = run.cfg.controller
+        for k in steps or range(cfg.n_steps):
+            _assert_inputs_mean_is_full_mean(cfg, run.prior, run.hp, run.traj.z[: k + 1])
 
 
-def test_step_cost_rises_by_at_most_the_plant_mismatch(dense6_run):
+def test_step_cost_rises_by_at_most_the_plant_mismatch(bundled_runs, two_input_run, dense6_run):
     # The paper's stability claim, step by step.  Step k+1's data are step
     # k's less the grid point at t_{k+1} and the oldest past row, plus the
     # exact observation z_{k+1}, so step k's mean is a feasible plan for
     # step k+1, and V_{k+1} <= V_k + misfit_k (conftest.step_costs).  Both
     # steps must weigh an exact row by the one jitter: no step is boosted.
     # Float tolerance: 1e-9 relative to V_k + misfit_k.
-    runs = [_run(CONFIG_DIR / f"regulation_{name}.json") for name in ("baseline", "past", "virtual")]
-    runs += [_run(GOLDEN_DIR / "algebra_two_input.json"), dense6_run]
-    for cfg, prior, hp, traj in runs:
-        costs, misfits, boosts = step_costs(prior, cfg, hp, traj.z)
+    for run in [*bundled_runs.values(), two_input_run, dense6_run]:
+        cfg = run.cfg.controller
+        costs, misfits, boosts = step_costs(run.prior, cfg, run.hp, run.traj.z)
         assert not boosts.any(), boosts
         bound = costs[:-1] + misfits[:-1]
         slack = (bound - costs[1:]) / bound

@@ -6,7 +6,6 @@ import functools
 import itertools
 import json
 import math
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,10 +16,10 @@ from scipy.optimize import minimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DENSE6, ROOT, eager_descend
+from conftest import DENSE6, eager_descend
 from lodempc import gpcore
 from lodempc.config import load_config
-from lodempc.controller import build_step_dataset, initial_dataset, mpc_step, run_closed_loop
+from lodempc.controller import build_step_dataset, initial_dataset, mpc_step
 from lodempc.gpcore import (
     MAX_JITTER,
     Dataset,
@@ -36,9 +35,6 @@ from lodempc.gpcore import (
 )
 from lodempc.kernelops import Hyperparams
 from lodempc.lodegp import LinearSystem, build_prior
-from lodempc.plant import Plant
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -461,17 +457,13 @@ def longdouble_std(gram, cross, prior_var):
     return np.sqrt(prior_var.astype(np.longdouble) - np.sum(v * v, axis=0))
 
 
-def test_std_matches_a_long_double_oracle():
+def test_std_matches_a_long_double_oracle(bundled_runs):
     # the std at t_next of regulation_virtual steps before and after its
     # virtual points start (t_v = 4, step 40).  The data term cancels the
     # prior variance to a few digits, so rounding in the float64 solve shows
     # in the std: this bounds it.
-    cfg = load_config(CONFIG_DIR / "regulation_virtual.json")
-    prior = build_prior(cfg.system, cfg.controller.x_ref)
-    ctrl = cfg.controller
-    hp, _ = optimize_hyperparams(prior, initial_dataset(prior, ctrl), bounds=cfg.hp_bounds,
-                                 fixed=cfg.hp_fixed, jitter=cfg.jitter)
-    traj = run_closed_loop(prior, Plant(cfg.system.A, cfg.system.B), ctrl, hp)
+    run = bundled_runs["virtual"]
+    prior, ctrl, hp, traj = run.prior, run.cfg.controller, run.hp, run.traj
     lag0 = np.diagonal(prior.kernel.eval_blocks(0.0, 0.0, hp)[:, :, 0, 0])
     for k in range(15, ctrl.n_steps, 20):
         _, std, _ = mpc_step(prior, ctrl, hp, traj.z[: k + 1])
@@ -708,16 +700,6 @@ def test_mll_prefers_generating_lengthscale(unstable_prior):
 BOTH = ("signal_variance", "lengthscale_sq")
 
 
-@pytest.fixture(scope="module")
-def past_fit():
-    # the step-0 fit of the bundled regulation_past experiment, as `run` does it
-    cfg = load_config(CONFIG_DIR / "regulation_past.json")
-    prior = build_prior(cfg.system, cfg.controller.x_ref)
-    data = initial_dataset(prior, cfg.controller)
-    return prior, data, {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
-
-
-
 def value_and_gradient(prior, data, hp, wrt):
     """The likelihood at hp and its gradient in ``wrt``, formed from the
     posterior that scored the value, as the fit's descent forms it."""
@@ -737,9 +719,11 @@ def log_central_difference(prior, data, hp, name, step=1e-5):
 
 
 @pytest.mark.parametrize("sv, ls2", [(1.0, 0.5), (0.05, 3.0), (5.0, 0.1)])
-def test_gradient_matches_central_differences(past_fit, sv, ls2):
-    prior, data, options = past_fit
-    hp = Hyperparams(sv, ls2, jitter=options["jitter"])
+def test_gradient_matches_central_differences(bundled_runs, sv, ls2):
+    # at the step-0 fit dataset of the bundled regulation_past experiment
+    past = bundled_runs["past"]
+    prior, data = past.prior, past.data
+    hp = Hyperparams(sv, ls2, jitter=past.cfg.jitter)
     value, grad = value_and_gradient(prior, data, hp, BOTH)
     assert value == log_marginal_likelihood(prior, data, hp)[0]
     want = [log_central_difference(prior, data, hp, name) for name in BOTH]
@@ -749,11 +733,12 @@ def test_gradient_matches_central_differences(past_fit, sv, ls2):
     assert value_and_gradient(prior, data, hp, ["lengthscale_sq"])[1] == grad[1]
 
 
-def test_value_only_call_runs_no_inverse(past_fit, monkeypatch):
+def test_value_only_call_runs_no_inverse(bundled_runs, monkeypatch):
     # a value alone pays for no potri; its gradient, formed from the same
     # posterior, for one, and gathers through the fit table's flat index
-    prior, data, options = past_fit
-    hp = Hyperparams(1.0, 0.5, jitter=options["jitter"])
+    past = bundled_runs["past"]
+    prior, data = past.prior, past.data
+    hp = Hyperparams(1.0, 0.5, jitter=past.cfg.jitter)
     inverses, factors, gathers = [], [], []
 
     def recording(calls, fn):
@@ -1061,10 +1046,11 @@ def test_fit_finds_both_basins_of_a_dense_system(tmp_path):
     assert fit.at_bound == {"signal_variance": "lower"}
 
 
-def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
+def test_fit_builds_its_gram_index_once(bundled_runs, monkeypatch):
     # one FitTable for the whole fit, and every Gram and dK a flat take from
     # it: LagTable.gram never runs; potri runs once per gradient formed
-    prior, data, options = past_fit
+    past = bundled_runs["past"]
+    prior, data, options = past.prior, past.data, past.fit_options
     tables, lml_calls, gathers, inverses = [], [0], [0], [0]
     gram, potri = LagTable.gram, gpcore.flapack.dpotri
 
@@ -1106,11 +1092,12 @@ def test_fit_builds_its_gram_index_once(past_fit, monkeypatch):
     assert hp.lengthscale_sq == pytest.approx(float.fromhex("0x1.d53ac95041c73p-1"), rel=1e-12)
 
 
-def assert_fit_matches_the_eager_descent(prior, data, **options):
-    """The fit with gradients formed on demand and with ``eager_descend``,
-    which forms one at every evaluation: the same hyperparameters to the
-    bit and the same report, but for the inverses formed."""
-    hp, fit = optimize_hyperparams(prior, data, **options)
+def assert_fit_matches_the_eager_descent(prior, data, on_demand, **options):
+    """``on_demand``, the (hyperparameters, report) of the fit with gradients
+    formed on demand, and the fit with ``eager_descend``, which forms one at
+    every evaluation: the same hyperparameters to the bit and the same
+    report, but for the inverses formed."""
+    hp, fit = on_demand
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpcore, "_descend", eager_descend)
         eager_hp, eager_fit = optimize_hyperparams(prior, data, **options)
@@ -1121,33 +1108,30 @@ def assert_fit_matches_the_eager_descent(prior, data, **options):
     return fit
 
 
-@functools.cache
-def fit_problem(path, x0=None):
-    """(prior, step-0 fit dataset, fit options) of a config, at its own x0 or at ``x0``."""
-    cfg = load_config(path)
-    controller = cfg.controller if x0 is None else dataclasses.replace(cfg.controller, x0=x0)
-    prior = build_prior(cfg.system, cfg.controller.x_ref)
-    return prior, initial_dataset(prior, controller), {"bounds": cfg.hp_bounds, "jitter": cfg.jitter}
-
-
-@pytest.mark.parametrize("path, gradients", [
-    (CONFIG_DIR / "regulation_baseline.json", 9),
-    (CONFIG_DIR / "regulation_past.json", 9),
-    (CONFIG_DIR / "regulation_virtual.json", 9),
-    (ROOT / "tests" / "golden" / "algebra_two_input.json", 7),
-], ids=["baseline", "past", "virtual", "two-input"])
-def test_on_demand_gradients_fit_as_the_eager_descent(path, gradients):
-    prior, data, options = fit_problem(path)
-    fit = assert_fit_matches_the_eager_descent(prior, data, **options)
+@pytest.mark.parametrize("name, gradients", [("baseline", 9), ("past", 9), ("virtual", 9), ("two-input", 7)],
+                         ids=["baseline", "past", "virtual", "two-input"])
+def test_on_demand_gradients_fit_as_the_eager_descent(bundled_runs, two_input_run, name, gradients):
+    if name == "two-input":
+        # the golden fixes both hyperparameters: fit them free
+        run = two_input_run
+        options = dict(run.fit_options, fixed=None)
+        on_demand = optimize_hyperparams(run.prior, run.data, **options)
+    else:
+        run = bundled_runs[name]
+        options, on_demand = run.fit_options, (run.hp, run.fit)
+    fit = assert_fit_matches_the_eager_descent(run.prior, run.data, on_demand, **options)
     assert fit.gradient_evals == gradients < fit.value_and_gradient_evals
 
 
 @settings(derandomize=True, max_examples=12)
 @given(name=st.sampled_from(["baseline", "past", "virtual"]),
        x0=st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 2))
-def test_on_demand_gradients_fit_as_the_eager_descent_from_drawn_states(name, x0):
-    prior, data, options = fit_problem(CONFIG_DIR / f"regulation_{name}.json", x0)
-    assert_fit_matches_the_eager_descent(prior, data, **options)
+def test_on_demand_gradients_fit_as_the_eager_descent_from_drawn_states(bundled_runs, name, x0):
+    run = bundled_runs[name]
+    data = initial_dataset(run.prior, dataclasses.replace(run.cfg.controller, x0=x0))
+    options = run.fit_options
+    assert_fit_matches_the_eager_descent(run.prior, data, optimize_hyperparams(run.prior, data, **options),
+                                         **options)
 
 
 @pytest.fixture(scope="module")
@@ -1185,13 +1169,11 @@ def nelder_mead_optimum(optima, prior, data, bounds, jitter):
 
 
 @pytest.mark.parametrize("name", ["baseline", "past", "virtual"])
-def test_fit_reaches_the_nelder_mead_optimum(nelder_mead_optima, name):
-    cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
-    prior = build_prior(cfg.system, cfg.controller.x_ref)
-    data = initial_dataset(prior, cfg.controller)
-    hp, fit = optimize_hyperparams(prior, data, bounds=cfg.hp_bounds, jitter=cfg.jitter)
+def test_fit_reaches_the_nelder_mead_optimum(nelder_mead_optima, bundled_runs, name):
+    run = bundled_runs[name]
+    prior, data, hp, fit = run.prior, run.data, run.hp, run.fit
     assert fit.log_marginal_likelihood == log_marginal_likelihood(prior, data, hp)[0]
-    oracle = nelder_mead_optimum(nelder_mead_optima, prior, data, cfg.hp_bounds, cfg.jitter)
+    oracle = nelder_mead_optimum(nelder_mead_optima, prior, data, run.cfg.hp_bounds, run.cfg.jitter)
     assert fit.log_marginal_likelihood >= oracle - 1e-9 * abs(oracle)
 
 
@@ -1228,14 +1210,15 @@ def lbfgsb_descend(fg, x0, lo, hi):
     ],
     ids=["baseline", "past", "virtual", "baseline-edge", "past-1d"],
 )
-def test_descent_matches_lbfgsb(monkeypatch, name, x0, fixed, at_bound):
-    cfg = load_config(CONFIG_DIR / f"regulation_{name}.json")
-    controller = cfg.controller if x0 is None else dataclasses.replace(cfg.controller, x0=x0)
-    prior = build_prior(cfg.system, cfg.controller.x_ref)
-    data = initial_dataset(prior, controller)
-    fit = functools.partial(optimize_hyperparams, prior, data, bounds=cfg.hp_bounds,
-                            fixed=fixed, jitter=cfg.jitter)
-    hp, report = fit()
+def test_descent_matches_lbfgsb(monkeypatch, bundled_runs, name, x0, fixed, at_bound):
+    run = bundled_runs[name]
+    data = run.data
+    if x0 is not None:
+        data = initial_dataset(run.prior, dataclasses.replace(run.cfg.controller, x0=x0))
+    fit = functools.partial(optimize_hyperparams, run.prior, data, bounds=run.cfg.hp_bounds,
+                            fixed=fixed, jitter=run.cfg.jitter)
+    # the shared run's own fit, or the fit from this x0 or with this value fixed
+    hp, report = (run.hp, run.fit) if x0 is None and fixed is None else fit()
     assert fit() == (hp, report)
     monkeypatch.setattr(gpcore, "_descend", lbfgsb_descend)
     _, oracle = fit()

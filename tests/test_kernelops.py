@@ -31,7 +31,7 @@ from lodempc.kernelops import (
 from lodempc.lodegp import LinearSystem, build_prior
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix
 
-from conftest import diff_u, differentiate_symbol, entry_symbol, evaluate_term
+from conftest import diff_u, differentiate_symbol, entry_symbol, evaluate_term, kalman_rank_controllable
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +326,6 @@ controllable_systems = st.tuples(
 )
 
 
-def is_controllable(a, b) -> bool:
-    n = a.shape[0]
-    ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
-    return np.linalg.matrix_rank(ctrb) == n
-
-
 # No explain phase: after shrinking a failure it re-runs about 170 variants,
 # each with an exact Smith reduction, which is most of the time to fail.
 @settings(
@@ -342,7 +336,7 @@ def is_controllable(a, b) -> bool:
 @given(controllable_systems)
 def test_random_system_entries_match_oracle_column_sums(system):
     a, b = system
-    assume(is_controllable(a, b))
+    assume(kalman_rank_controllable(a, b))
     prior = build_prior(LinearSystem(A=a, B=b), x_ref=[0.0] * a.shape[0])
     v = prior.v_cols
     for i, j in itertools.product(range(v.rows), repeat=2):
@@ -541,7 +535,7 @@ bench_systems = st.tuples(
 @given(bench_systems)
 def test_integer_build_compiles_the_floats_of_the_fraction_build(system):
     a, b = system
-    assume(is_controllable(a, b))
+    assume(kalman_rank_controllable(a, b))
     assert_compiled_like_fractions(a, b)
 
 

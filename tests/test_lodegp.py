@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +22,8 @@ from lodempc.lodegp import (
 from lodempc.plant import Plant
 from lodempc.polyalg import D, ONE, Poly, PolyMatrix, right_nullspace_columns, smith_normal_form
 
-from conftest import DENSE6, assert_prior_column_is_replayed, dense_system, determinant, run_fresh_python
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import (DENSE6, GOLDEN_DIR, assert_prior_column_is_replayed, dense_system, determinant,
+                      kalman_rank_controllable, run_fresh_python)
 
 
 def controllability_check(system: LinearSystem) -> bool:
@@ -93,15 +91,6 @@ def test_non_controllable_decoupled_state():
     assert "d" in str(err.value)
 
 
-def kalman_rank_controllable(a: np.ndarray, b: np.ndarray) -> bool:
-    """Independent oracle: rank of [B, AB, ..., A^{n-1}B] equals n."""
-    n = a.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    return np.linalg.matrix_rank(np.hstack(blocks), tol=1e-9) == n
-
-
 @settings(max_examples=60)
 @given(
     st.lists(
@@ -117,7 +106,7 @@ def test_controllability_matches_kalman_rank_oracle(a_flat, b_flat):
     if not np.any(b):
         return  # zero input matrix is rejected at a different layer
     sys_ = LinearSystem(A=a, B=b)
-    assert controllability_check(sys_) == kalman_rank_controllable(a, b)
+    assert controllability_check(sys_) == kalman_rank_controllable(a, b, tol=1e-9)
 
 
 def test_steady_state_input_for_shifted_reference():
@@ -244,7 +233,7 @@ def test_single_input_prior_column_is_the_replayed_column_on_random_systems(n_x,
     a = np.array(data.draw(st.lists(one_decimal, min_size=n_x * n_x, max_size=n_x * n_x)))
     b = np.array(data.draw(st.lists(one_decimal, min_size=n_x, max_size=n_x)))
     a, b = a.reshape(n_x, n_x), b.reshape(n_x, 1)
-    assume(kalman_rank_controllable(a, b))
+    assume(kalman_rank_controllable(a, b, tol=1e-9))
     assert_prior_column_is_replayed(LinearSystem(A=a, B=b))
 
 
@@ -275,7 +264,7 @@ def test_two_input_build_prior_replays_the_column_log(monkeypatch):
         return right_nullspace_columns(dec)
 
     monkeypatch.setattr(lodegp, "right_nullspace_columns", counted)
-    cfg = load_config(ROOT / "tests" / "golden" / "algebra_two_input.json")
+    cfg = load_config(GOLDEN_DIR / "algebra_two_input.json")
     prior = build_prior(cfg.system, cfg.controller.x_ref)
     assert len(calls) == 1 and prior.v_cols == right_nullspace_columns(calls[0])
     assert prior.v_cols.cols == 2

@@ -7,7 +7,6 @@ coefficient for coefficient against the former Fraction ones (conftest).
 
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from lodempc.polyalg import (
 )
 
 from conftest import (
+    GOLDEN_DIR,
     FractionPoly,
     dense_system,
     determinant,
@@ -37,8 +37,6 @@ from conftest import (
     smith_certificate,
     smith_v,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ def test_int_arithmetic_matches_the_fraction_oracle(a, b, factor):
 @pytest.mark.parametrize("name", [f"dense{i}" for i in range(10)] + ["two_input"])
 def test_smith_matches_the_fraction_oracle_on_systems(name):
     if name == "two_input":
-        system = load_config(ROOT / "tests" / "golden" / "algebra_two_input.json").system
+        system = load_config(GOLDEN_DIR / "algebra_two_input.json").system
     else:
         system = dense_system(int(name[len("dense"):]))
     h = build_h(system)
@@ -183,7 +181,7 @@ def test_smith_records_det_q_times_det_v(name):
     # the recorded constant against the determinants of the Q recovered from
     # the certificate and of the V formed by running the log forward
     if name == "two_input":
-        system = load_config(ROOT / "tests" / "golden" / "algebra_two_input.json").system
+        system = load_config(GOLDEN_DIR / "algebra_two_input.json").system
     elif name == "bundled":
         system = LinearSystem(A=[[0.0, 1.0], [1.0, 1.0]], B=[[0.0], [1.0]])
     else:
