@@ -318,41 +318,55 @@ def test_run_reports_a_fit_that_ends_on_a_box_edge(tmp_path):
     assert (fit["jitter_escalations"], fit["max_jitter_boost"]) == (0, 0.0)
 
 
-def test_run_loads_neither_scipy_linalg_nor_optimize(tmp_path):
-    # a fresh interpreter, as the console script runs: the fit's descent is
-    # the package's own and LAPACK comes straight from scipy's compiled
-    # module, found without running scipy's __init__, which leaves
-    # sys.modules again, so nothing of these packages is imported, neither
-    # at import nor by the run; no np.unique takes numpy's hash path, which
-    # imports numpy.ma.  scipy.linalg imported afterwards loads that module
-    # as its own submodule and works.
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """``lodempc run regulation_past`` in one fresh interpreter, as the
+    console script runs: the finished process, whose last line of output
+    lists the watched modules loaded after ``import lodempc.cli`` and after
+    the run, and the output directory.  scipy.linalg imported afterwards must
+    load scipy's compiled LAPACK as its own submodule and factor."""
+    out = tmp_path_factory.mktemp("fresh_run")
     code = (
-        "import sys; from lodempc.cli import main; "
-        "banned = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')]; "
-        "assert not banned(), banned(); rc = main(sys.argv[1:]); "
-        "assert not banned(), banned(); assert 'numpy.ma' not in sys.modules; "
+        "import json, sys; from lodempc.cli import main; "
+        "watched = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal') "
+        "or m.startswith('numpy.f2py') or m == 'numpy.ma'); "
+        "loaded = {'import': watched()}; rc = main(sys.argv[1:]); loaded['run'] = watched(); "
+        "print(json.dumps(loaded)); "
         "import numpy as np, scipy.linalg; assert scipy.linalg._flapack.dpotrf; "
         "c, _ = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]]), lower=True); "
         "assert np.allclose(np.tril(c), [[2.0, 0.0], [1.0, 2.0]]), c; sys.exit(rc)"
     )
-    done = run_fresh_python(code, "run", str(CONFIG_DIR / "regulation_past.json"), **{ENV_OUTPUT_DIR: str(tmp_path)})
+    done = run_fresh_python(code, "run", str(CONFIG_DIR / "regulation_past.json"), **{ENV_OUTPUT_DIR: str(out)})
+    return done, out
+
+
+def loaded_modules(done):
+    """The watched modules a ``fresh_run`` loaded, at import and after the run."""
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_run_loads_neither_scipy_linalg_nor_optimize(fresh_run):
+    # the fit's descent is the package's own and LAPACK comes straight from
+    # scipy's compiled module, found without running scipy's __init__, which
+    # leaves sys.modules again, so nothing of these packages is imported,
+    # neither at import nor by the run; no np.unique takes numpy's hash path,
+    # which imports numpy.ma.  scipy.linalg imported afterwards loads that
+    # module as its own submodule and works.
+    done, out = fresh_run
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "trajectory.csv").exists()
+    assert (out / "trajectory.csv").exists()
+    for when, modules in loaded_modules(done).items():
+        assert [m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py")] == [], when
+    assert "numpy.ma" not in loaded_modules(done)["run"]
 
 
-
-def test_run_loads_no_fractions(tmp_path):
-    # a fresh interpreter: the exact algebra is int arithmetic, and only
+def test_run_loads_no_fractions(fresh_run):
+    # the same interpreter: the exact algebra is int arithmetic, and only
     # reading a reduced coefficient (the algebra command, the tests) imports
     # fractions, which imports decimal
-    code = (
-        "import sys; import lodempc.cli; banned = ('fractions', 'decimal'); "
-        "assert not [m for m in banned if m in sys.modules], 'imported'; "
-        "rc = lodempc.cli.main(sys.argv[1:]); "
-        "assert not [m for m in banned if m in sys.modules], 'run'; sys.exit(rc)"
-    )
-    done = run_fresh_python(code, "run", str(CONFIG_DIR / "regulation_past.json"), **{ENV_OUTPUT_DIR: str(tmp_path)})
-    assert done.returncode == 0, done.stderr
+    done, _ = fresh_run
+    for when, modules in loaded_modules(done).items():
+        assert [m for m in modules if m.split(".")[0] in ("fractions", "decimal")] == [], when
 
 
 def test_lapack_reuses_the_module_of_a_loaded_scipy_linalg():
